@@ -2,8 +2,8 @@
 
 Builds banded Hamiltonians for the homogeneous chain, the two-sublattice
 sawtooth realization, and the heterogeneous capture structure; evolves
-states with an exact reference propagator or fixed-step RK4 under
-piecewise-constant schedules; and packages transport/storage experiments
+states under piecewise-constant schedules with one sparse
+matrix-exponential propagator; and packages transport/storage experiments
 as reproducible presets with CSV/metrics/SVG artifacts.
 """
 
@@ -32,10 +32,7 @@ from .dynamics import (
     Trajectory,
     GainRunawayError,
     evolve_exact,
-    evolve_rk4,
     evolve_schedule,
-    normalized_profile,
-    normalized_profile_matrix,
 )
 from .analysis import (
     ExcitationSpec,
@@ -50,6 +47,8 @@ from .analysis import (
     measure_reflection,
     fit_gaussian,
     storage_efficiency,
+    normalized_profile,
+    normalized_profile_matrix,
 )
 from .protocols import (
     Timing,

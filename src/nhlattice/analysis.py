@@ -33,10 +33,29 @@ __all__ = [
     "measure_reflection",
     "fit_gaussian",
     "storage_efficiency",
+    "normalized_profile",
+    "normalized_profile_matrix",
 ]
 
 #: sites excluded next to a barrier when summing the reflected region
 DEFAULT_REFLECTION_MARGIN = 3
+
+
+def normalized_profile(c: StateVector) -> np.ndarray:
+    """rho_n = sqrt(|c_n|^2 / S); invariant under any nonzero rescaling of c."""
+    s = c.norm
+    if s <= 0.0:
+        raise ValueError("cannot normalize a zero-norm state")
+    return np.abs(c.amplitudes) / math.sqrt(s)
+
+
+def normalized_profile_matrix(traj: Trajectory) -> np.ndarray:
+    """rho_n(t_k) for all samples, shape (n_samples, dim)."""
+    mags = np.abs(traj.amplitudes)
+    norms = np.sqrt(np.sum(mags**2, axis=1))
+    if np.any(norms <= 0.0):
+        raise ValueError("trajectory contains a zero-norm snapshot")
+    return mags / norms[:, None]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="config document to run")
         p.add_argument("--preset", metavar="NAME", help="named preset to run")
         p.add_argument("--out", metavar="DIR", required=True, help="output directory")
-        p.add_argument("--dt", type=float, default=None, help="override integration step")
         p.add_argument("--t-final", type=float, default=None, help="override final time")
         p.add_argument("--format", choices=("csv", "csv+svg"), default="csv",
                        help="artifact set to emit (default: csv)")
@@ -69,13 +68,8 @@ def _load_config(args) -> protocols.ExperimentConfig:
             f"experiment: {config.experiment!r} cannot run under '{args.command}' "
             f"(expected one of: {', '.join(allowed)})"
         )
-    timing = config.timing
-    if args.dt is not None:
-        timing = replace(timing, dt=args.dt)
     if args.t_final is not None:
-        timing = replace(timing, t_final=args.t_final)
-    if timing is not config.timing:
-        config = replace(config, timing=timing)
+        config = replace(config, timing=replace(config.timing, t_final=args.t_final))
     return config
 
 

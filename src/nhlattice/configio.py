@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import METHOD_TAG, Trajectory
+
 __all__ = [
     "ConfigError",
     "parse_phase",
@@ -97,7 +99,6 @@ def _split_list(token: str) -> list:
 _SCHEMA = (
     ("experiment", "experiment"),
     ("preset", "str"),
-    ("method", "enum:rk4,exact"),
     ("kappa", "float"),
     ("beta", "float"),
     ("gamma", "float"),
@@ -112,7 +113,6 @@ _SCHEMA = (
     ("excitation.q0", "phase"),
     ("excitation.normalize", "bool"),
     ("timing.t_final", "float"),
-    ("timing.dt", "float"),
     ("timing.sample_dt", "float"),
     ("timing.t_prime", "float_or_none"),
     ("storage.n_half", "int"),
@@ -218,7 +218,6 @@ def _config_to_values(config) -> dict:
     return {
         "experiment": config.experiment,
         "preset": config.preset,
-        "method": config.method,
         "kappa": config.kappa,
         "beta": config.beta,
         "gamma": config.gamma,
@@ -233,7 +232,6 @@ def _config_to_values(config) -> dict:
         "excitation.q0": exc.q0 if exc is not None and exc.q0 is not None else 0.0,
         "excitation.normalize": exc.normalize if exc is not None else True,
         "timing.t_final": config.timing.t_final,
-        "timing.dt": config.timing.dt,
         "timing.sample_dt": config.timing.sample_dt,
         "timing.t_prime": config.timing.t_prime,
         "storage.n_half": config.storage.n_half,
@@ -275,7 +273,6 @@ def _values_to_config(values: dict):
         return ExperimentConfig(
             experiment=values["experiment"],
             preset=values["preset"],
-            method=values["method"],
             kappa=values["kappa"],
             beta=values["beta"],
             gamma=values["gamma"],
@@ -287,7 +284,6 @@ def _values_to_config(values: dict):
             excitation=excitation,
             timing=Timing(
                 t_final=values["timing.t_final"],
-                dt=values["timing.dt"],
                 sample_dt=values["timing.sample_dt"],
                 t_prime=values["timing.t_prime"],
             ),
@@ -421,10 +417,8 @@ def write_trajectory_csv(traj, path) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_trajectory_csv(path, method_tag: str = "rk4", method_detail=()):
+def read_trajectory_csv(path, method_tag: str = METHOD_TAG, method_detail=()):
     """Rebuild a Trajectory from its CSV; bit-exact for doubles."""
-    from .dynamics import Trajectory
-
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "t,site,re,im":
         raise ConfigError(f"{path}: missing 't,site,re,im' header")

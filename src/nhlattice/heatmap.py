@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import Trajectory, normalized_profile_matrix
+from .analysis import normalized_profile_matrix
+from .dynamics import Trajectory
 
 __all__ = ["COLOR_TABLE", "COLOR_ANCHORS", "luminance", "render_heatmap"]
 

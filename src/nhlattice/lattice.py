@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "DefectSpec",
@@ -275,24 +276,18 @@ class Hamiltonian:
             ok = ok and self.corner_lower == self.corner_upper.conjugate()
         return ok
 
-    @property
-    def max_abs_entry(self) -> float:
-        best = float(np.max(np.abs(self.diag)))
-        if self.dim > 1:
-            best = max(best, float(np.max(np.abs(self.upper))), float(np.max(np.abs(self.lower))))
+    def to_csr(self) -> scipy.sparse.csr_array:
+        idx = np.arange(self.dim)
+        rows = [idx, idx[:-1], idx[1:]]
+        cols = [idx, idx[1:], idx[:-1]]
+        data = [self.diag, self.upper, self.lower]
         if self.corner_upper is not None:
-            best = max(best, abs(self.corner_upper), abs(self.corner_lower))
-        return best
-
-    def matvec(self, c: np.ndarray) -> np.ndarray:
-        out = self.diag * c
-        if self.dim > 1:
-            out[:-1] += self.upper * c[1:]
-            out[1:] += self.lower * c[:-1]
-        if self.corner_upper is not None:
-            out[0] += self.corner_upper * c[-1]
-            out[-1] += self.corner_lower * c[0]
-        return out
+            rows.append([0, self.dim - 1])
+            cols.append([self.dim - 1, 0])
+            data.append([self.corner_upper, self.corner_lower])
+        coords = (np.concatenate(rows), np.concatenate(cols))
+        return scipy.sparse.csr_array((np.concatenate(data), coords),
+                                      shape=(self.dim, self.dim))
 
     def to_dense(self) -> np.ndarray:
         h = np.zeros((self.dim, self.dim), dtype=complex)
@@ -343,18 +338,9 @@ class BandedOperator:
         h = self.to_dense()
         return np.array_equal(h, h.conj().T)
 
-    @property
-    def max_abs_entry(self) -> float:
-        return max(float(np.max(np.abs(b))) if b.size else 0.0 for b in self.bands)
-
-    def matvec(self, c: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(c)
-        for k, band in zip(self.offsets, self.bands):
-            if k >= 0:
-                out[: self.dim - k] += band * c[k:]
-            else:
-                out[-k:] += band * c[: self.dim + k]
-        return out
+    def to_csr(self) -> scipy.sparse.csr_array:
+        return scipy.sparse.diags_array(self.bands, offsets=self.offsets,
+                                        shape=(self.dim, self.dim), format="csr")
 
     def to_dense(self) -> np.ndarray:
         h = np.zeros((self.dim, self.dim), dtype=complex)

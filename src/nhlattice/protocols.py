@@ -24,19 +24,20 @@ from .analysis import (
     centroid_velocity,
     fit_gaussian,
     make_excitation,
+    normalized_profile_matrix,
     storage_efficiency,
 )
 from .dynamics import (
+    METHOD_TAG,
     Schedule,
     ScheduleSegment,
     StateVector,
     Trajectory,
     evolve_exact,
-    evolve_rk4,
     evolve_schedule,
-    normalized_profile_matrix,
 )
 from .lattice import (
+    ADIABATICITY_WARN_THRESHOLD,
     ChainSpec,
     DefectSpec,
     SandwichSpec,
@@ -90,7 +91,6 @@ EDGE_FRACTION_LIMIT = 1e-6
 @dataclass(frozen=True)
 class Timing:
     t_final: float = 60.0
-    dt: float = 1e-3
     sample_dt: float = 0.25
     t_prime: float = None
 
@@ -157,7 +157,6 @@ class ExperimentConfig:
 
     experiment: str
     preset: str = ""
-    method: str = "rk4"
     kappa: float = 1.0
     beta: float = 0.0
     gamma: float = 0.0
@@ -175,8 +174,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.method not in ("rk4", "exact"):
-            raise ValueError(f"method must be 'rk4' or 'exact', got {self.method!r}")
         object.__setattr__(self, "phi", reduce_phase(self.phi))
         object.__setattr__(self, "defects", tuple(self.defects))
 
@@ -324,13 +321,6 @@ def run_dispersion_scan(config: ExperimentConfig) -> ExperimentResult:
     return _finalize(cfg, manifest, table=table, metrics=metrics)
 
 
-def _evolve_chain(config: ExperimentConfig, hamiltonian, state0) -> Trajectory:
-    t = config.timing
-    if config.method == "exact":
-        return evolve_exact(hamiltonian, state0, t.t_final, t.sample_dt)
-    return evolve_rk4(hamiltonian, state0, t.t_final, t.dt, t.sample_dt)
-
-
 def _default_velocity_window(t_final: float) -> tuple:
     return (max(2.0, 0.1 * t_final), 0.95 * t_final)
 
@@ -341,7 +331,7 @@ def run_transport(config: ExperimentConfig) -> ExperimentResult:
     spec = _chain_spec(cfg)
     h = build_chain_hamiltonian(spec)
     state0 = make_excitation(cfg.excitation, spec.site_labels)
-    traj = _evolve_chain(cfg, h, state0)
+    traj = evolve_exact(h, state0, cfg.timing.t_final, cfg.timing.sample_dt)
     manifest = configio.render_manifest(cfg, method_tag=traj.method_tag,
                                         method_detail=traj.method_detail)
 
@@ -420,7 +410,7 @@ def _storage_single(cfg: ExperimentConfig, xi: float) -> tuple:
     t = cfg.timing
     schedule, _ = _storage_schedule(cfg, xi)
     state0 = make_excitation(cfg.excitation, schedule.segments[0].hamiltonian.site_labels)
-    traj = evolve_schedule(schedule, state0, t.t_final, t.dt, t.sample_dt, method=cfg.method)
+    traj = evolve_schedule(schedule, state0, t.t_final, t.sample_dt)
 
     exc = cfg.excitation
     sp = cfg.storage
@@ -465,8 +455,8 @@ def run_storage(config: ExperimentConfig) -> ExperimentResult:
     """
     cfg = resolve_config(config)
     sweep = cfg.storage.xi_sweep
-    manifest = configio.render_manifest(cfg, method_tag=cfg.method)
-    metrics = _base_metrics(cfg, manifest, cfg.method)
+    manifest = configio.render_manifest(cfg, method_tag=METHOD_TAG)
+    metrics = _base_metrics(cfg, manifest, METHOD_TAG)
     table = None
     if sweep:
         rows = []
@@ -503,13 +493,11 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
     For each j in the sweep, u_b = i*j^2/beta so the effective chain is
     the same while |u_b| grows; the error is the max over sampled times of
     the max-norm difference between the normalized main-sublattice profile
-    and the normalized chain profile.  Both models use the exact
-    propagator (the RK4 stability limit dt <= 0.05/|u_b| leaves too much
-    truncation error at large |u_b| for a meaningful comparison).
+    and the normalized chain profile.
     """
     cfg = resolve_config(config)
-    manifest = configio.render_manifest(cfg, method_tag="exact")
-    metrics = _base_metrics(cfg, manifest, "exact")
+    manifest = configio.render_manifest(cfg, method_tag=METHOD_TAG)
+    metrics = _base_metrics(cfg, manifest, METHOD_TAG)
     t = cfg.timing
     theta = cfg.reduction.theta
     gain = cfg.reduction.aux_sign == "gain"
@@ -540,7 +528,7 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
         error = float(np.max(np.abs(rho_a - rho_chain)))
         errors.append(error)
         ratio = saw.adiabaticity_ratio
-        warned = ratio > 0.2
+        warned = ratio > ADIABATICITY_WARN_THRESHOLD
         rows.append((j, abs(u_b), ratio, error, 1.0 if warned else 0.0))
         metrics[f"reduction[{i}].j"] = j
         metrics[f"reduction[{i}].u_b_abs"] = abs(u_b)

@@ -1,8 +1,11 @@
 """Independent dense constructions, written directly from the evolution
 equations site by site.  These are the oracles the banded builders are
-checked against; they share no code with the package builders."""
+checked against, plus a fixed-step RK4 and a dense-expm schedule
+propagator for the dynamics; they share no code with the package."""
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
 
 def dense_chain(kappa, beta, gamma, phi, labels, defects=(), periodic=False):
@@ -89,3 +92,40 @@ def dense_sandwich(kappa, beta, gamma, q0, n_half, v_c, xi, labels):
         if i - 1 >= 0:
             h[i, i - 1] = bwd
     return h
+
+
+def rk4(segments, c0, t_final, dt, sample_dt):
+    """Classical fixed-step RK4 for i dc/dt = H c, sampled every sample_dt.
+
+    ``segments`` is [(t_start, dense H), ...]; switch times and sample_dt
+    must be multiples of dt.  Returns the states, shape (samples, dim).
+    """
+    ops = [(round(t0 / dt), scipy.sparse.csr_array(-1j * h)) for t0, h in segments]
+    per_sample = round(sample_dt / dt)
+    c = np.array(c0, dtype=complex)
+    out = [c]
+    for step in range(round(t_final / sample_dt) * per_sample):
+        a = [op for start, op in ops if start <= step][-1]
+        k1 = a @ c
+        k2 = a @ (c + 0.5 * dt * k1)
+        k3 = a @ (c + 0.5 * dt * k2)
+        k4 = a @ (c + dt * k3)
+        c = c + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if (step + 1) % per_sample == 0:
+            out.append(c)
+    return np.array(out)
+
+
+def expm_schedule(segments, c0, times):
+    """States at ``times`` under [(t_start, dense H), ...] by dense expm,
+    restarting from the state at every switch time."""
+    out = []
+    for t in times:
+        c = np.array(c0, dtype=complex)
+        bounds = [t0 for t0, _ in segments[1:]] + [np.inf]
+        for (t0, h), t1 in zip(segments, bounds):
+            if t <= t0:
+                break
+            c = scipy.linalg.expm(-1j * h * (min(t, t1) - t0)) @ c
+        out.append(c)
+    return np.array(out)

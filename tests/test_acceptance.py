@@ -11,7 +11,6 @@ working point (test_protocols.test_reduction_loss_variant_converges).
 
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import scipy.optimize
@@ -31,14 +30,14 @@ from nhlattice import (
     centroid_velocity,
     dispersion,
     evolve_exact,
-    evolve_rk4,
     make_excitation,
     measure_reflection,
     preset_config,
-    resolve_config,
 )
 from nhlattice.cli import main as cli_main
 from nhlattice.configio import read_metrics, read_table_csv, read_trajectory_csv
+
+import reference
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
 
@@ -232,33 +231,37 @@ def test_c7_efficiency_increases_with_offset(preset_results):
 # ------------------------------------------------------------------ 8
 
 
+def _reference_rk4(cfg, traj, defects=()):
+    # independent dense operator and fixed-step RK4 from tests/reference.py
+    h = reference.dense_chain(cfg.kappa, cfg.beta, cfg.gamma, cfg.phi, traj.site_labels,
+                              defects=defects)
+    t = cfg.timing
+    return reference.rk4([(0.0, h)], traj.amplitudes[0], t.t_final, 1e-3, t.sample_dt)
+
+
 def test_c8_integrator_cross_check(preset_results):
     checked = []
     worst = 0.0
     for name in ("fig4a", "fig4b", "fig4c", "fig4d"):
-        cfg = resolve_config(preset_config(name))
+        result, _ = preset_results(name)
+        cfg = result.config
         if cfg.chain_length > 200:
             continue
-        rk4, _ = preset_results(name)
-        exact = nh.run_transport(replace(cfg, method="exact"))
-        diff = float(np.max(np.abs(rk4.trajectory.amplitudes - exact.trajectory.amplitudes)))
+        defects = [(d.site, d.v_real, d.xi_imag) for d in cfg.defects]
+        diff = float(np.max(np.abs(result.trajectory.amplitudes
+                                   - _reference_rk4(cfg, result.trajectory, defects))))
         worst = max(worst, diff)
         checked.append(f"{name}({cfg.chain_length}): {diff:.1e}")
     # reduction preset: its chain-side evolution is also within the dim cap
-    red_cfg = resolve_config(preset_config("reduction"))
-    assert red_cfg.chain_length <= 200
-    chain = ChainSpec(kappa=1.0, beta=red_cfg.beta, gamma=red_cfg.gamma, phi=red_cfg.phi,
-                      n_sites=red_cfg.chain_length, index_origin=red_cfg.index_origin)
-    h = build_chain_hamiltonian(chain)
-    c0 = make_excitation(red_cfg.excitation, chain.site_labels)
-    t = red_cfg.timing
-    tr_r = evolve_rk4(h, c0, t.t_final, t.dt, t.sample_dt)
-    tr_e = evolve_exact(h, c0, t.t_final, t.sample_dt)
-    diff = float(np.max(np.abs(tr_r.amplitudes - tr_e.amplitudes)))
+    red, _ = preset_results("reduction")
+    assert red.config.chain_length <= 200
+    diff = float(np.max(np.abs(red.trajectory.amplitudes
+                               - _reference_rk4(red.config, red.trajectory))))
     worst = max(worst, diff)
-    checked.append(f"reduction-chain({red_cfg.chain_length}): {diff:.1e}")
+    checked.append(f"reduction-chain({red.config.chain_length}): {diff:.1e}")
     _report("criterion 8a", worst < 1e-8,
-            "rk4 vs exact on every preset with dim <= 200: " + "; ".join(checked))
+            "propagator vs reference rk4 on every preset with dim <= 200: "
+            + "; ".join(checked))
 
 
 def test_c8_hermitian_drift_and_dissipative_monotonicity(preset_results):
@@ -266,7 +269,7 @@ def test_c8_hermitian_drift_and_dissipative_monotonicity(preset_results):
                      index_origin=-50)
     h = build_chain_hamiltonian(spec)
     c0 = make_excitation(ExcitationSpec(kind="single_site", n0=0), spec.site_labels)
-    traj = evolve_rk4(h, c0, 50.0, 1e-3, 1.0)
+    traj = evolve_exact(h, c0, 50.0, 1.0)
     drift = abs(traj.norm_series[-1] / traj.norm_series[0] - 1.0)
 
     monotone_ok = True

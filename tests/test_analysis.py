@@ -13,7 +13,6 @@ from nhlattice import (
     centroid,
     centroid_velocity,
     evolve_exact,
-    evolve_rk4,
     fit_gaussian,
     group_velocity,
     make_excitation,
@@ -122,15 +121,13 @@ def test_centroid_velocity_needs_enough_samples():
         centroid_velocity(traj, (0.0, 1.0))
 
 
-def _gaussian_run(phi, beta, gamma, defects=(), t_final=15.0, method="exact"):
+def _gaussian_run(phi, beta, gamma, defects=(), t_final=15.0):
     spec = ChainSpec(kappa=1.0, beta=beta, gamma=gamma, phi=phi, n_sites=133,
                      index_origin=-91, defects=defects)
     h = build_chain_hamiltonian(spec)
     exc = ExcitationSpec(kind="gaussian", n0=-25, w0=5.0, q0=-math.pi / 2)
     c0 = make_excitation(exc, spec.site_labels)
-    if method == "exact":
-        return evolve_exact(h, c0, t_final, 0.25)
-    return evolve_rk4(h, c0, t_final, 1e-3, 0.25)
+    return evolve_exact(h, c0, t_final, 0.25)
 
 
 def test_packet_velocity_tracks_group_velocity():

@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from nhlattice.cli import main
 from nhlattice.configio import read_metrics, read_table_csv, read_trajectory_csv
@@ -18,7 +19,6 @@ excitation.n0 = -15
 excitation.w0 = 3
 excitation.q0 = -pi/2
 timing.t_final = 6
-timing.dt = 0.001
 timing.sample_dt = 0.25
 """
 
@@ -36,7 +36,6 @@ excitation.w0 = 2
 excitation.q0 = -pi/2
 timing.t_final = 12
 timing.t_prime = 11
-timing.dt = 0.001
 timing.sample_dt = 0.25
 storage.n_half = 3
 storage.v_c = 1
@@ -93,6 +92,21 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,key", [
+    ("method = rk4", "method"),
+    ("timing.dt = 0.001", "timing.dt"),
+])
+def test_removed_integrator_keys_exit_2(tmp_path, capsys, line, key):
+    # manifests written before the single propagator carried these keys
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(FAST_TRANSPORT_CFG + line + "\n")
+    code = main(["transport", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert f"unknown key {key!r}" in err
+
+
 def test_subcommand_experiment_mismatch_exits_2(tmp_path, capsys):
     code = main(["storage", "--preset", "fig3d", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -131,15 +145,20 @@ def test_writes_stay_inside_out_dir(tmp_path, monkeypatch):
         "manifest.cfg", "metrics.txt", "trajectory.csv"]
 
 
-def test_dt_and_tfinal_overrides(tmp_path):
+def test_dt_and_tfinal_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_TRANSPORT_CFG)
     out = tmp_path / "out"
     assert main(["transport", "--config", str(cfg), "--out", str(out),
-                 "--t-final", "4", "--dt", "0.002"]) == 0
+                 "--t-final", "4"]) == 0
     manifest = (out / "manifest.cfg").read_text()
     assert "timing.t_final = 4" in manifest
-    assert "timing.dt = 0.002" in manifest
+    assert "timing.dt" not in manifest
+    # the propagator has no integration step to override
+    with pytest.raises(SystemExit) as exc:
+        main(["transport", "--config", str(cfg), "--out", str(out), "--dt", "0.002"])
+    assert exc.value.code == 2
+    assert "--dt" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

@@ -8,7 +8,7 @@ from nhlattice import (
     ConfigError,
     ExcitationSpec,
     build_chain_hamiltonian,
-    evolve_rk4,
+    evolve_exact,
     make_excitation,
     preset_config,
     resolve_config,
@@ -123,7 +123,7 @@ def _small_trajectory():
                      n_sites=21, index_origin=-10)
     h = build_chain_hamiltonian(spec)
     c0 = make_excitation(ExcitationSpec(kind="single_site", n0=0), spec.site_labels)
-    return evolve_rk4(h, c0, 2.0, 1e-3, 0.5)
+    return evolve_exact(h, c0, 2.0, 0.5)
 
 
 def test_trajectory_csv_roundtrip_bit_exact(tmp_path):

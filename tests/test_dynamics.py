@@ -8,18 +8,21 @@ from nhlattice import (
     ChainSpec,
     GainRunawayError,
     Hamiltonian,
+    SawtoothSpec,
     Schedule,
     ScheduleSegment,
     StateVector,
     build_chain_hamiltonian,
+    build_sawtooth_hamiltonian,
     dispersion,
     evolve_exact,
-    evolve_rk4,
     evolve_schedule,
     make_excitation,
     ExcitationSpec,
     normalized_profile,
 )
+
+import reference
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
 
@@ -73,17 +76,12 @@ def test_exact_ring_eigenmode_oracle():
     assert err <= 1e-10
 
 
-def test_exact_records_fallback_for_asymmetric_open_chain():
+def test_exact_records_method_tag():
+    # the asymmetric open chain whose eigenvector matrix is ill-conditioned
     h = _chain(n=61)
     traj = evolve_exact(h, _delta(h), 1.0, 0.25)
-    assert traj.method_tag == "exact"
-    assert traj.method_detail == ("expm",)
-
-
-def test_exact_uses_eig_for_hermitian_chain():
-    h = _chain(n=31, beta=0.0, gamma=0.0, phi=0.0)
-    traj = evolve_exact(h, _delta(h), 1.0, 0.25)
-    assert traj.method_detail == ("eig",)
+    assert traj.method_tag == "expm_multiply"
+    assert traj.method_detail == ()
 
 
 def test_exact_rejects_zero_initial_state():
@@ -92,7 +90,54 @@ def test_exact_rejects_zero_initial_state():
         evolve_exact(h, StateVector(np.zeros(5, dtype=complex), h.site_labels), 1.0, 0.5)
 
 
-# ---------------------------------------------------------------- rk4
+def test_exact_matches_dense_expm_for_non_dyadic_sample_dt():
+    h = _chain(n=41)
+    c0 = _delta(h)
+    traj = evolve_exact(h, c0, 3.0, 0.3)
+    assert traj.n_samples == 11
+    want = reference.expm_schedule([(0.0, h.to_dense())], c0.amplitudes, traj.times)
+    assert np.max(np.abs(traj.amplitudes - want)) < 1e-10
+
+
+def test_stiff_step_is_split_and_leaves_global_rng_alone():
+    # |u_b| = j^2/beta = 160: one sample_dt = 1 step has a shifted 1-norm
+    # far above scipy's 63.36, where it would size the step with the
+    # randomized onenormest; the propagator splits the step instead
+    saw = SawtoothSpec(kappa=1.0, j=8.0, theta=-math.pi / 4, gamma_a=0.0,
+                       u_b=-1j * 64.0 / 0.4, n_cells=40)
+    h = build_sawtooth_hamiltonian(saw)
+    rng = np.random.default_rng(5)
+    c0 = StateVector(rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim), h.site_labels)
+    runs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        runs.append(evolve_exact(h, c0, 6.0, 1.0).amplitudes)
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+    assert runs[0].tobytes() == runs[1].tobytes()
+    dense = reference.dense_sawtooth(1.0, 8.0, -math.pi / 4, 0.0, -1j * 64.0 / 0.4, 40)
+    want = reference.expm_schedule([(0.0, dense)], c0.amplitudes, [6.0])[0]
+    assert np.max(np.abs(runs[0][-1] - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_gain_runaway_guard_catches_non_finite_amplitudes():
+    # growth e^{4000 t} overflows to inf inside the first sample gap
+    h = _single_site_h(4000j)
+    c0 = StateVector(np.array([1.0 + 0j]), np.array([0]))
+    with pytest.raises(GainRunawayError, match="inf"):
+        evolve_exact(h, c0, 1.0, 0.25)
+
+
+def test_exact_gain_runaway_guard():
+    h = _single_site_h(40j)
+    c0 = StateVector(np.array([1.0 + 0j]), np.array([0]))
+    with pytest.raises(GainRunawayError):
+        evolve_exact(h, c0, 10.0, 0.25)
+
+
+# ---------------------------------------------------------------- reference rk4
 
 
 @pytest.mark.parametrize("phi,beta,gamma", [
@@ -104,74 +149,39 @@ def test_rk4_matches_exact(phi, beta, gamma):
     h = _chain(n=61, phi=phi, beta=beta, gamma=gamma)
     c0 = _delta(h)
     tr_e = evolve_exact(h, c0, 12.0, 0.25)
-    tr_r = evolve_rk4(h, c0, 12.0, 1e-3, 0.25)
-    assert np.max(np.abs(tr_e.amplitudes - tr_r.amplitudes)) < 1e-8
+    tr_r = reference.rk4([(0.0, h.to_dense())], c0.amplitudes, 12.0, 1e-3, 0.25)
+    assert np.max(np.abs(tr_e.amplitudes - tr_r)) < 1e-8
 
 
 def test_rk4_hermitian_norm_conservation():
-    # small Hermitian chain over t*kappa = 50 at dt = 1e-3
+    # small Hermitian chain over t*kappa = 50: the reference RK4 at dt = 1e-3
+    # and the package propagator both keep the norm
     h = _chain(n=21, beta=0.0, gamma=0.0, phi=0.0)
-    traj = evolve_rk4(h, _delta(h), 50.0, 1e-3, 1.0)
-    drift = traj.norm_series[-1] / traj.norm_series[0]
-    assert 1 - 1e-6 <= drift <= 1 + 1e-6
-
-
-def test_rk4_linearity():
-    h = _chain(n=31)
-    labels = h.site_labels
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=31) + 1j * rng.normal(size=31)
-    b = rng.normal(size=31) + 1j * rng.normal(size=31)
-    alpha, mu = 0.3 - 0.2j, -1.1 + 0.4j
-    run = lambda v: evolve_rk4(h, StateVector(v, labels), 5.0, 1e-3, 1.0).amplitudes
-    combined = run(alpha * a + mu * b)
-    separate = alpha * run(a) + mu * run(b)
-    assert np.max(np.abs(combined - separate)) < 1e-9
-
-
-def test_rk4_rejects_large_dt():
-    h = _chain(n=21)  # max |entry| = |1.4| -> dt guard ~ 0.036
-    with pytest.raises(ValueError, match="stability guard"):
-        evolve_rk4(h, _delta(h), 1.0, 0.05, 0.25)
-
-
-def test_rk4_rejects_misaligned_sampling():
-    h = _chain(n=21)
-    with pytest.raises(ValueError, match="integer multiple"):
-        evolve_rk4(h, _delta(h), 1.0, 1e-3, 0.0015)
-
-
-def test_rk4_gain_runaway_guard():
-    h = _single_site_h(40j)  # pure gain, growth e^{40 t}
-    c0 = StateVector(np.array([1.0 + 0j]), np.array([0]))
-    with pytest.raises(GainRunawayError):
-        evolve_rk4(h, c0, 10.0, 1e-3, 0.25)
-
-
-def test_exact_gain_runaway_guard():
-    h = _single_site_h(40j)
-    c0 = StateVector(np.array([1.0 + 0j]), np.array([0]))
-    with pytest.raises(GainRunawayError):
-        evolve_exact(h, c0, 10.0, 0.25)
+    c0 = _delta(h)
+    states = reference.rk4([(0.0, h.to_dense())], c0.amplitudes, 50.0, 1e-3, 1.0)
+    rk4_norms = np.sum(np.abs(states) ** 2, axis=1)
+    for norms in (rk4_norms, evolve_exact(h, c0, 50.0, 1.0).norm_series):
+        drift = norms[-1] / norms[0]
+        assert 1 - 1e-6 <= drift <= 1 + 1e-6
 
 
 # ---------------------------------------------------------------- schedules
 
 
-def test_single_segment_schedule_equals_rk4_bitwise():
+def test_single_segment_schedule_equals_exact_bitwise():
     h = _chain(n=41)
     c0 = _delta(h)
-    direct = evolve_rk4(h, c0, 6.0, 1e-3, 0.5)
-    sched = evolve_schedule(Schedule((ScheduleSegment(0.0, h),)), c0, 6.0, 1e-3, 0.5)
+    direct = evolve_exact(h, c0, 6.0, 0.5)
+    sched = evolve_schedule(Schedule((ScheduleSegment(0.0, h),)), c0, 6.0, 0.5)
     assert np.array_equal(direct.amplitudes, sched.amplitudes)
 
 
 def test_identical_segments_splice_identity():
     h = _chain(n=41)
     c0 = _delta(h)
-    one = evolve_rk4(h, c0, 6.0, 1e-3, 0.5)
+    one = evolve_exact(h, c0, 6.0, 0.5)
     two = evolve_schedule(
-        Schedule((ScheduleSegment(0.0, h), ScheduleSegment(3.0, h))), c0, 6.0, 1e-3, 0.5)
+        Schedule((ScheduleSegment(0.0, h), ScheduleSegment(3.0, h))), c0, 6.0, 0.5)
     assert np.array_equal(one.amplitudes, two.amplitudes)
 
 
@@ -180,8 +190,8 @@ def test_quench_continuity_state_unchanged_at_switch():
     h2 = _chain(n=41, phi=-math.pi / 2)
     c0 = _delta(h1)
     sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.0, h2)))
-    spliced = evolve_schedule(sched, c0, 6.0, 1e-3, 0.5)
-    first_leg = evolve_rk4(h1, c0, 3.0, 1e-3, 0.5)
+    spliced = evolve_schedule(sched, c0, 6.0, 0.5)
+    first_leg = evolve_exact(h1, c0, 3.0, 0.5)
     k_switch = spliced.index_at_time(3.0)
     assert np.array_equal(spliced.amplitudes[k_switch], first_leg.amplitudes[-1])
 
@@ -191,20 +201,22 @@ def test_schedule_exact_matches_rk4():
     h2 = _chain(n=41, phi=-math.pi / 2)
     c0 = _delta(h1)
     sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.0, h2)))
-    tr_r = evolve_schedule(sched, c0, 6.0, 1e-3, 0.5)
-    tr_e = evolve_schedule(sched, c0, 6.0, 1e-3, 0.5, method="exact")
-    assert np.max(np.abs(tr_r.amplitudes - tr_e.amplitudes)) < 1e-8
+    tr_e = evolve_schedule(sched, c0, 6.0, 0.5)
+    tr_r = reference.rk4([(0.0, h1.to_dense()), (3.0, h2.to_dense())],
+                         c0.amplitudes, 6.0, 1e-3, 0.5)
+    assert np.max(np.abs(tr_r - tr_e.amplitudes)) < 1e-8
 
 
-def test_schedule_off_grid_switch_snaps_consistently():
+def test_schedule_off_grid_switch_matches_dense_expm():
     h1 = _chain(n=41, phi=math.pi / 2)
     h2 = _chain(n=41, phi=-math.pi / 2)
     c0 = _delta(h1)
-    # 3.1407 is on neither the dt nor the sample grid
-    sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.1407, h2)))
-    tr_r = evolve_schedule(sched, c0, 6.0, 1e-3, 0.5)
-    tr_e = evolve_schedule(sched, c0, 6.0, 1e-3, 0.5, method="exact")
-    assert np.max(np.abs(tr_r.amplitudes - tr_e.amplitudes)) < 1e-8
+    # 3.1 lies between the samples 3.0 and 3.25 and is kept exactly
+    sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.1, h2)))
+    traj = evolve_schedule(sched, c0, 6.0, 0.25)
+    want = reference.expm_schedule([(0.0, h1.to_dense()), (3.1, h2.to_dense())],
+                                   c0.amplitudes, traj.times)
+    assert np.max(np.abs(traj.amplitudes - want)) < 1e-10
 
 
 def test_schedule_three_segments():
@@ -213,9 +225,10 @@ def test_schedule_three_segments():
     c0 = _delta(h1)
     sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(2.0, h2),
                       ScheduleSegment(4.0, h1)))
-    tr_r = evolve_schedule(sched, c0, 6.0, 1e-3, 0.5)
-    tr_e = evolve_schedule(sched, c0, 6.0, 1e-3, 0.5, method="exact")
-    assert np.max(np.abs(tr_r.amplitudes - tr_e.amplitudes)) < 1e-8
+    tr_e = evolve_schedule(sched, c0, 6.0, 0.5)
+    tr_r = reference.rk4([(0.0, h1.to_dense()), (2.0, h2.to_dense()), (4.0, h1.to_dense())],
+                         c0.amplitudes, 6.0, 1e-3, 0.5)
+    assert np.max(np.abs(tr_r - tr_e.amplitudes)) < 1e-8
 
 
 def test_schedule_validation():
@@ -231,17 +244,30 @@ def test_schedule_validation():
         Schedule((ScheduleSegment(0.0, h), ScheduleSegment(1.0, other)))
     with pytest.raises(ValueError):
         evolve_schedule(Schedule((ScheduleSegment(0.0, h), ScheduleSegment(5.0, h))),
-                        _delta(h, n0=-5), 2.0, 1e-3, 0.5)
+                        _delta(h, n0=-5), 2.0, 0.5)
 
 
 # ---------------------------------------------------------------- invariants
+
+
+def test_propagator_linearity():
+    h = _chain(n=31)
+    labels = h.site_labels
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=31) + 1j * rng.normal(size=31)
+    b = rng.normal(size=31) + 1j * rng.normal(size=31)
+    alpha, mu = 0.3 - 0.2j, -1.1 + 0.4j
+    run = lambda v: evolve_exact(h, StateVector(v, labels), 5.0, 1.0).amplitudes
+    combined = run(alpha * a + mu * b)
+    separate = alpha * run(a) + mu * run(b)
+    assert np.max(np.abs(combined - separate)) < 1e-9
 
 
 def test_norm_monotone_purely_dissipative():
     spec = ChainSpec(phi=math.pi / 2, n_sites=61, index_origin=-30, **NH)
     assert spec.is_purely_dissipative
     h = build_chain_hamiltonian(spec)
-    traj = evolve_rk4(h, _delta(h), 15.0, 1e-3, 0.25)
+    traj = evolve_exact(h, _delta(h), 15.0, 0.25)
     s = traj.norm_series
     assert np.all(s[1:] <= s[:-1] * (1 + 1e-12))
 
@@ -251,8 +277,8 @@ def test_global_phase_covariance_exact_for_quarter_turn():
     labels = h.site_labels
     rng = np.random.default_rng(3)
     v = rng.normal(size=31) + 1j * rng.normal(size=31)
-    base = evolve_rk4(h, StateVector(v, labels), 4.0, 1e-3, 0.5)
-    rotated = evolve_rk4(h, StateVector(1j * v, labels), 4.0, 1e-3, 0.5)
+    base = evolve_exact(h, StateVector(v, labels), 4.0, 0.5)
+    rotated = evolve_exact(h, StateVector(1j * v, labels), 4.0, 0.5)
     assert np.array_equal(rotated.amplitudes, 1j * base.amplitudes)
 
 
@@ -263,14 +289,14 @@ def test_global_phase_covariance_general(alpha):
     labels = h.site_labels
     v = np.exp(-np.linspace(-2, 2, 21) ** 2) + 0j
     phase = np.exp(1j * alpha)
-    base = evolve_rk4(h, StateVector(v, labels), 2.0, 1e-3, 0.5)
-    rotated = evolve_rk4(h, StateVector(phase * v, labels), 2.0, 1e-3, 0.5)
+    base = evolve_exact(h, StateVector(v, labels), 2.0, 0.5)
+    rotated = evolve_exact(h, StateVector(phase * v, labels), 2.0, 0.5)
     assert np.max(np.abs(rotated.amplitudes - phase * base.amplitudes)) < 1e-13
 
 
 def test_trajectory_norm_series_consistent():
     h = _chain(n=31)
-    traj = evolve_rk4(h, _delta(h), 5.0, 1e-3, 0.5)
+    traj = evolve_exact(h, _delta(h), 5.0, 0.5)
     for k in range(traj.n_samples):
         recomputed = float(np.sum(np.abs(traj.amplitudes[k]) ** 2))
         assert traj.norm_series[k] == pytest.approx(recomputed, rel=1e-12)

@@ -93,9 +93,10 @@ def test_chain_matches_reference_dense(beta, gamma, phi, n, periodic):
         n = 3
     spec = ChainSpec(kappa=1.0, beta=beta, gamma=gamma, phi=phi, n_sites=n,
                      index_origin=-2, boundary="periodic" if periodic else "open")
-    got = build_chain_hamiltonian(spec).to_dense()
+    h = build_chain_hamiltonian(spec)
     want = dense_chain(1.0, beta, gamma, spec.phi, list(spec.site_labels), periodic=periodic)
-    assert np.array_equal(got, want)
+    assert np.array_equal(h.to_dense(), want)
+    assert np.array_equal(h.to_csr().toarray(), want)
 
 
 def test_chain_defects_match_reference_dense():
@@ -126,7 +127,7 @@ def test_ring_eigenmodes(k, phi):
     q = 2.0 * math.pi * k / n
     mode = np.exp(1j * q * spec.site_labels)
     energy = dispersion(1.0, 0.4, 0.8, spec.phi, q)
-    residual = h.matvec(mode) - energy * mode
+    residual = h.to_csr() @ mode - energy * mode
     assert np.max(np.abs(residual)) <= 1e-12 * max(1.0, abs(energy))
 
 
@@ -173,9 +174,11 @@ def test_sawtooth_matches_reference_dense(theta, j, gamma_a, ub_re, ub_im, m):
     if abs(u_b) == 0.0:
         u_b = 5.0
     saw = SawtoothSpec(kappa=1.0, j=j, theta=theta, gamma_a=gamma_a, u_b=u_b, n_cells=m)
-    got = build_sawtooth_hamiltonian(saw).to_dense()
+    h = build_sawtooth_hamiltonian(saw)
+    got = h.to_dense()
     want = dense_sawtooth(1.0, j, theta, gamma_a, u_b, m)
     assert np.array_equal(got, want)
+    assert np.array_equal(h.to_csr().toarray(), want)
     # bandwidth <= 2 in the interleaved layout
     for k in range(3, 2 * m):
         assert np.all(np.diag(got, k) == 0)
@@ -239,10 +242,11 @@ def test_sandwich_interior_rows_hermitian():
 def test_sandwich_matches_reference_dense(q0, xi, v_c, n_half):
     spec = _sandwich(n_sites=2 * n_half + 7, origin=-(n_half + 3),
                      q0=q0, v_c=v_c, xi=xi, n_half=n_half)
-    got = build_sandwich_hamiltonian(spec).to_dense()
+    h = build_sandwich_hamiltonian(spec)
     want = dense_sandwich(1.0, 0.4, 0.8, spec.q0, n_half, v_c, xi,
                           list(spec.chain.site_labels))
-    assert np.array_equal(got, want)
+    assert np.array_equal(h.to_dense(), want)
+    assert np.array_equal(h.to_csr().toarray(), want)
 
 
 def test_sandwich_requires_containing_range():

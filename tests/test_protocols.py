@@ -214,10 +214,10 @@ def test_storage_quench_switch_matches_capture_stage():
     from nhlattice.protocols import _storage_schedule
 
     schedule, _ = _storage_schedule(cfg, cfg.storage.xi)
-    capture_only = nh.evolve_rk4(
+    capture_only = nh.evolve_exact(
         schedule.segments[0].hamiltonian,
         nh.make_excitation(cfg.excitation, tr.site_labels),
-        cfg.timing.t_prime, cfg.timing.dt, cfg.timing.sample_dt)
+        cfg.timing.t_prime, cfg.timing.sample_dt)
     assert np.array_equal(tr.amplitudes[k], capture_only.amplitudes[-1])
 
 
