@@ -1,6 +1,6 @@
 """Simulator for 1D lattices with phase-modulated complex hopping rates.
 
-Builds banded Hamiltonians for the homogeneous chain, the two-sublattice
+Builds sparse Hamiltonians for the homogeneous chain, the two-sublattice
 sawtooth realization, and the heterogeneous capture structure; evolves
 states under piecewise-constant schedules with one sparse
 matrix-exponential propagator; and packages transport/storage experiments
@@ -14,8 +14,7 @@ from .lattice import (
     DefectSpec,
     SawtoothSpec,
     SandwichSpec,
-    Hamiltonian,
-    BandedOperator,
+    Operator,
     ReducedChain,
     build_chain_hamiltonian,
     build_sawtooth_hamiltonian,

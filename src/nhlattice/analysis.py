@@ -237,20 +237,11 @@ class TransportMetrics:
     """Observables of one transport run; the three fractions come from a
     single normalized snapshot, so they sum to 1."""
 
-    centroid_series: tuple
     velocity_estimate: float
     reflection_fraction: float
     transmission_fraction: float
     interior_fraction: float
-
-    def as_dict(self) -> dict:
-        return {
-            "velocity_estimate": self.velocity_estimate,
-            "reflection_fraction": self.reflection_fraction,
-            "transmission_fraction": self.transmission_fraction,
-            "interior_fraction": self.interior_fraction,
-            "centroid_series": self.centroid_series,
-        }
+    centroid_series: tuple
 
 
 @dataclass(frozen=True)
@@ -267,13 +258,3 @@ class StorageMetrics:
     def __post_init__(self):
         if self.release_direction not in ("forward", "reversed"):
             raise ValueError(f"bad release_direction {self.release_direction!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "efficiency": self.efficiency,
-            "shape_fidelity": self.shape_fidelity,
-            "release_velocity": self.release_velocity,
-            "release_direction": self.release_direction,
-            "incident_velocity": self.incident_velocity,
-            "capture_confinement_min": self.capture_confinement_min,
-        }

@@ -354,13 +354,11 @@ def render_config(config) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_manifest(config, method_tag: str, method_detail=()) -> str:
+def render_manifest(config, method_tag: str) -> str:
     from . import __version__
 
     header = [f"# nhlattice manifest (version {__version__})",
               f"# method_tag = {method_tag}"]
-    if method_detail:
-        header.append(f"# method_detail = {','.join(method_detail)}")
     return "\n".join(header) + "\n" + render_config(config)
 
 
@@ -417,7 +415,7 @@ def write_trajectory_csv(traj, path) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_trajectory_csv(path, method_tag: str = METHOD_TAG, method_detail=()):
+def read_trajectory_csv(path, method_tag: str = METHOD_TAG):
     """Rebuild a Trajectory from its CSV; bit-exact for doubles."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "t,site,re,im":
@@ -449,8 +447,7 @@ def read_trajectory_csv(path, method_tag: str = METHOD_TAG, method_detail=()):
         times[k] = float(parts[0])
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     return Trajectory(times=times, amplitudes=amps, site_labels=labels,
-                      norm_series=norms, method_tag=method_tag,
-                      method_detail=tuple(method_detail))
+                      norm_series=norms, method_tag=method_tag)
 
 
 def write_table_csv(table, path) -> None:

@@ -94,7 +94,6 @@ class Trajectory:
     site_labels: np.ndarray
     norm_series: np.ndarray
     method_tag: str
-    method_detail: tuple = ()
 
     def __post_init__(self):
         for name in ("times", "amplitudes", "norm_series", "site_labels"):
@@ -119,7 +118,7 @@ class _Stepper:
     trace-shifted operators stay within STEP_NORM_LIMIT; reused per gap."""
 
     def __init__(self, h):
-        self.matrix = h.to_csr()
+        self.matrix = h.matrix
         shift = self.matrix.trace() / h.dim * scipy.sparse.eye_array(h.dim, format="csr")
         self.shifted_norm = float(abs(self.matrix - shift).sum(axis=0).max())
         self.steps = {}

@@ -1,4 +1,4 @@
-"""Lattice parameterizations and banded Hamiltonian builders.
+"""Lattice parameterizations and sparse Hamiltonian builders.
 
 Models one-dimensional tight-binding chains whose nearest-neighbour
 couplings are complex, ``kappa + i*beta*exp(+/- i*phi)``, so the imaginary
@@ -33,8 +33,7 @@ __all__ = [
     "ChainSpec",
     "SawtoothSpec",
     "SandwichSpec",
-    "Hamiltonian",
-    "BandedOperator",
+    "Operator",
     "ReducedChain",
     "build_chain_hamiltonian",
     "build_sawtooth_hamiltonian",
@@ -106,6 +105,8 @@ class ChainSpec:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
+        if self.boundary == "periodic" and self.n_sites < 3:
+            raise ValueError("periodic chains need n_sites >= 3 (a 2-ring double-couples one pair)")
         object.__setattr__(self, "phi", reduce_phase(self.phi))
         object.__setattr__(self, "defects", tuple(self.defects))
         lo, hi = self.site_range
@@ -161,8 +162,8 @@ class SawtoothSpec:
             raise ValueError(f"j must be > 0, got {self.j}")
         if self.gamma_a < 0:
             raise ValueError(f"gamma_a must be >= 0, got {self.gamma_a}")
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be positive, got {self.n_cells}")
+        if self.n_cells < 2:
+            raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
         u_b = complex(self.u_b)
         if not (math.isfinite(u_b.real) and math.isfinite(u_b.imag)):
             raise ValueError(f"u_b must be finite, got {u_b!r}")
@@ -219,142 +220,33 @@ class SandwichSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class Hamiltonian:
-    """Tridiagonal complex operator with optional periodic wrap entries.
+class Operator:
+    """Sparse complex operator H on labeled sites: row n of ``matrix``
+    holds the coefficients of the evolution equation of site n."""
 
-    ``upper[k]`` couples row k to column k+1, ``lower[k]`` couples row k+1
-    to column k.  ``corner_upper`` is the top-right dense entry (row 0,
-    column dim-1) and ``corner_lower`` the bottom-left one.
-    """
-
-    dim: int
-    diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    site_labels: np.ndarray
-    corner_upper: complex = None
-    corner_lower: complex = None
-
-    def __post_init__(self):
-        diag = np.ascontiguousarray(self.diag, dtype=complex)
-        upper = np.ascontiguousarray(self.upper, dtype=complex)
-        lower = np.ascontiguousarray(self.lower, dtype=complex)
-        labels = np.ascontiguousarray(self.site_labels, dtype=int)
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if diag.shape != (self.dim,):
-            raise ValueError(f"diag must have length {self.dim}")
-        if upper.shape != (self.dim - 1,) or lower.shape != (self.dim - 1,):
-            raise ValueError(f"upper/lower must have length {self.dim - 1}")
-        if labels.shape != (self.dim,):
-            raise ValueError(f"site_labels must have length {self.dim}")
-        for arr in (diag, upper, lower):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError("Hamiltonian entries must be finite")
-        if (self.corner_upper is None) != (self.corner_lower is None):
-            raise ValueError("corner entries must be given together or not at all")
-        if self.corner_upper is not None:
-            cu, cl = complex(self.corner_upper), complex(self.corner_lower)
-            if not all(math.isfinite(x) for x in (cu.real, cu.imag, cl.real, cl.imag)):
-                raise ValueError("corner entries must be finite")
-            object.__setattr__(self, "corner_upper", cu)
-            object.__setattr__(self, "corner_lower", cl)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "site_labels", labels)
-        diag.setflags(write=False)
-        upper.setflags(write=False)
-        lower.setflags(write=False)
-        labels.setflags(write=False)
-
-    @property
-    def is_hermitian(self) -> bool:
-        ok = bool(np.all(self.diag.imag == 0.0))
-        ok = ok and np.array_equal(self.lower, np.conj(self.upper))
-        if self.corner_upper is not None:
-            ok = ok and self.corner_lower == self.corner_upper.conjugate()
-        return ok
-
-    def to_csr(self) -> scipy.sparse.csr_array:
-        idx = np.arange(self.dim)
-        rows = [idx, idx[:-1], idx[1:]]
-        cols = [idx, idx[1:], idx[:-1]]
-        data = [self.diag, self.upper, self.lower]
-        if self.corner_upper is not None:
-            rows.append([0, self.dim - 1])
-            cols.append([self.dim - 1, 0])
-            data.append([self.corner_upper, self.corner_lower])
-        coords = (np.concatenate(rows), np.concatenate(cols))
-        return scipy.sparse.csr_array((np.concatenate(data), coords),
-                                      shape=(self.dim, self.dim))
-
-    def to_dense(self) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        np.fill_diagonal(h, self.diag)
-        idx = np.arange(self.dim - 1)
-        h[idx, idx + 1] = self.upper
-        h[idx + 1, idx] = self.lower
-        if self.corner_upper is not None:
-            h[0, -1] += self.corner_upper
-            h[-1, 0] += self.corner_lower
-        return h
-
-
-@dataclass(frozen=True, eq=False)
-class BandedOperator:
-    """General banded complex operator: band ``k`` stores H[i, i+k]."""
-
-    dim: int
-    offsets: tuple
-    bands: tuple
+    matrix: scipy.sparse.csr_array
     site_labels: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        offsets = tuple(int(k) for k in self.offsets)
-        if len(set(offsets)) != len(offsets):
-            raise ValueError("offsets must be distinct")
-        bands = []
-        for k, band in zip(offsets, self.bands, strict=True):
-            band = np.ascontiguousarray(band, dtype=complex)
-            if band.shape != (self.dim - abs(k),):
-                raise ValueError(f"band for offset {k} must have length {self.dim - abs(k)}")
-            if band.size and not np.all(np.isfinite(band)):
-                raise ValueError("operator entries must be finite")
-            band.setflags(write=False)
-            bands.append(band)
+        matrix = scipy.sparse.csr_array(self.matrix, dtype=complex)
         labels = np.ascontiguousarray(self.site_labels, dtype=int)
-        if labels.shape != (self.dim,):
-            raise ValueError(f"site_labels must have length {self.dim}")
-        labels.setflags(write=False)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "bands", tuple(bands))
+        if matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"operator matrix must be square, got shape {matrix.shape}")
+        if labels.shape != (matrix.shape[0],):
+            raise ValueError(f"site_labels must have length {matrix.shape[0]}")
+        if not np.all(np.isfinite(matrix.data)):
+            raise ValueError("operator entries must be finite")
+        for arr in (matrix.data, matrix.indices, matrix.indptr, labels):
+            arr.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "site_labels", labels)
 
     @property
-    def is_hermitian(self) -> bool:
-        h = self.to_dense()
-        return np.array_equal(h, h.conj().T)
-
-    def to_csr(self) -> scipy.sparse.csr_array:
-        return scipy.sparse.diags_array(self.bands, offsets=self.offsets,
-                                        shape=(self.dim, self.dim), format="csr")
-
-    def to_dense(self) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, band in zip(self.offsets, self.bands):
-            if k >= 0:
-                idx = np.arange(self.dim - k)
-                h[idx, idx + k] = band
-            else:
-                idx = np.arange(-k, self.dim)
-                h[idx, idx + k] = band
-        return h
+    def dim(self) -> int:
+        return self.site_labels.size
 
 
-def build_chain_hamiltonian(spec: ChainSpec) -> Hamiltonian:
+def build_chain_hamiltonian(spec: ChainSpec) -> Operator:
     """Assemble the homogeneous chain operator.
 
     diag[n] = -i*gamma + v_real(n) + i*xi_imag(n),
@@ -368,55 +260,37 @@ def build_chain_hamiltonian(spec: ChainSpec) -> Hamiltonian:
     diag = np.full(n, -1j * spec.gamma, dtype=complex)
     for d in spec.defects:
         diag[d.site - spec.index_origin] += d.v_real + 1j * d.xi_imag
-    upper = np.full(n - 1, hop_up, dtype=complex)
-    lower = np.full(n - 1, hop_dn, dtype=complex)
-    corner_upper = corner_lower = None
+    bands = [np.full(n - 1, hop_dn), diag, np.full(n - 1, hop_up)]
+    offsets = [-1, 0, 1]
     if spec.boundary == "periodic":
-        if n < 3:
-            raise ValueError("periodic chains need n_sites >= 3 (a 2-ring double-couples one pair)")
-        corner_upper = hop_dn  # row 0 to its wrapped left neighbour
-        corner_lower = hop_up  # last row to its wrapped right neighbour
-    return Hamiltonian(
-        dim=n,
-        diag=diag,
-        upper=upper,
-        lower=lower,
-        site_labels=spec.site_labels,
-        corner_upper=corner_upper,
-        corner_lower=corner_lower,
-    )
+        # last row to its wrapped right neighbour, row 0 to its wrapped left one
+        bands += [[hop_up], [hop_dn]]
+        offsets += [1 - n, n - 1]
+    return Operator(scipy.sparse.diags_array(bands, offsets=offsets, format="csr"),
+                    spec.site_labels)
 
 
-def build_sawtooth_hamiltonian(spec: SawtoothSpec) -> BandedOperator:
+def build_sawtooth_hamiltonian(spec: SawtoothSpec) -> Operator:
     """Assemble the two-sublattice operator on the interleaved basis.
 
     State ordering is (a_1, b_1, a_2, b_2, ...), which keeps the bandwidth
     at 2: the a-a couplings sit on offsets +/-2 (zero on b rows) and every
     offset +/-1 entry is j*e^{+/-i*theta}.
     """
-    m = spec.n_cells
-    if m < 2:
-        raise ValueError(f"n_cells must be >= 2, got {m}")
-    dim = 2 * m
+    dim = 2 * spec.n_cells
     phase = cmath.exp(1j * spec.theta)
     diag = np.empty(dim, dtype=complex)
     diag[0::2] = np.asarray(spec.v_a, dtype=complex) - 1j * spec.gamma_a
     diag[1::2] = spec.u_b
-    band_p1 = np.full(dim - 1, spec.j * phase, dtype=complex)
-    band_m1 = np.full(dim - 1, spec.j * phase.conjugate(), dtype=complex)
-    band_p2 = np.zeros(dim - 2, dtype=complex)
-    band_p2[0::2] = spec.kappa  # a_n -> a_{n+1}; b rows have no second-neighbour coupling
-    band_m2 = np.zeros(dim - 2, dtype=complex)
-    band_m2[0::2] = spec.kappa
-    return BandedOperator(
-        dim=dim,
-        offsets=(-2, -1, 0, 1, 2),
-        bands=(band_m2, band_m1, diag, band_p1, band_p2),
-        site_labels=np.arange(dim),
-    )
+    band_2 = np.zeros(dim - 2, dtype=complex)
+    band_2[0::2] = spec.kappa  # a_n <-> a_{n+1}; b rows have no second-neighbour coupling
+    bands = (band_2, np.full(dim - 1, spec.j * phase.conjugate()), diag,
+             np.full(dim - 1, spec.j * phase), band_2)
+    return Operator(scipy.sparse.diags_array(bands, offsets=(-2, -1, 0, 1, 2), format="csr"),
+                    np.arange(dim))
 
 
-def build_sandwich_hamiltonian(spec: SandwichSpec) -> Hamiltonian:
+def build_sandwich_hamiltonian(spec: SandwichSpec) -> Operator:
     """Assemble the five-region capture operator.
 
     Outer rows carry -i*gamma with phase -q0 hoppings on the left lead and
@@ -442,18 +316,9 @@ def build_sandwich_hamiltonian(spec: SandwichSpec) -> Hamiltonian:
         return (-1j * ch.gamma, hop_q_plus, hop_q_minus)
 
     labels = ch.site_labels
-    dim = ch.n_sites
-    diag = np.empty(dim, dtype=complex)
-    upper = np.empty(dim - 1, dtype=complex)
-    lower = np.empty(dim - 1, dtype=complex)
-    for i, n in enumerate(labels):
-        d, to_next, to_prev = row(int(n))
-        diag[i] = d
-        if i < dim - 1:
-            upper[i] = to_next
-        if i > 0:
-            lower[i - 1] = to_prev
-    return Hamiltonian(dim=dim, diag=diag, upper=upper, lower=lower, site_labels=labels)
+    diag, to_next, to_prev = np.array([row(int(n)) for n in labels], dtype=complex).T
+    bands = (to_prev[1:], diag, to_next[:-1])
+    return Operator(scipy.sparse.diags_array(bands, offsets=(-1, 0, 1), format="csr"), labels)
 
 
 def dispersion(kappa: float, beta: float, gamma: float, phi: float, q):

@@ -11,7 +11,7 @@ the result bit-identically on the same platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -288,11 +288,6 @@ def _base_metrics(config: ExperimentConfig, manifest: str, method_tag: str) -> d
     }
 
 
-def _finalize(config, manifest, trajectory=None, table=None, metrics=None) -> ExperimentResult:
-    return ExperimentResult(config=config, trajectory=trajectory, table=table,
-                            metrics=metrics, manifest=manifest)
-
-
 def run_dispersion_scan(config: ExperimentConfig) -> ExperimentResult:
     """Tabulate (phi, q, Re E, Im E, v_g) on a symmetric q grid.
 
@@ -318,7 +313,7 @@ def run_dispersion_scan(config: ExperimentConfig) -> ExperimentResult:
         metrics[f"phi[{i}].q_max_im"] = float(q_grid[arg])
         metrics[f"phi[{i}].max_im"] = float(e.imag[arg])
     table = (("phi", "q", "reE", "imE", "vg"), np.asarray(rows, dtype=float))
-    return _finalize(cfg, manifest, table=table, metrics=metrics)
+    return ExperimentResult(config=cfg, table=table, metrics=metrics, manifest=manifest)
 
 
 def _default_velocity_window(t_final: float) -> tuple:
@@ -332,8 +327,7 @@ def run_transport(config: ExperimentConfig) -> ExperimentResult:
     h = build_chain_hamiltonian(spec)
     state0 = make_excitation(cfg.excitation, spec.site_labels)
     traj = evolve_exact(h, state0, cfg.timing.t_final, cfg.timing.sample_dt)
-    manifest = configio.render_manifest(cfg, method_tag=traj.method_tag,
-                                        method_detail=traj.method_detail)
+    manifest = configio.render_manifest(cfg, method_tag=traj.method_tag)
 
     cents = centroid_series(traj)
     window = _default_velocity_window(cfg.timing.t_final)
@@ -361,7 +355,7 @@ def run_transport(config: ExperimentConfig) -> ExperimentResult:
         interior_fraction=interior,
     )
     metrics = _base_metrics(cfg, manifest, traj.method_tag)
-    metrics.update(tmetrics.as_dict())
+    metrics.update(asdict(tmetrics))
     metrics["velocity_window_start"] = window[0]
     metrics["velocity_window_end"] = window[1]
     metrics["fractions_t_eval"] = t_eval
@@ -369,7 +363,7 @@ def run_transport(config: ExperimentConfig) -> ExperimentResult:
     metrics["barrier_hi"] = barrier_hi
     metrics["norm_final"] = float(traj.norm_series[-1])
     _record_edges(cfg, traj, metrics)
-    return _finalize(cfg, manifest, trajectory=traj, metrics=metrics)
+    return ExperimentResult(config=cfg, trajectory=traj, metrics=metrics, manifest=manifest)
 
 
 def _record_edges(cfg: ExperimentConfig, traj: Trajectory, metrics: dict) -> None:
@@ -472,11 +466,12 @@ def run_storage(config: ExperimentConfig) -> ExperimentResult:
                  np.asarray(rows, dtype=float))
     else:
         traj, smetrics = _storage_single(cfg, cfg.storage.xi)
-    metrics.update(smetrics.as_dict())
+    metrics.update(asdict(smetrics))
     metrics["t_prime"] = cfg.timing.t_prime
     metrics["norm_final"] = float(traj.norm_series[-1])
     _record_edges(cfg, traj, metrics)
-    return _finalize(cfg, manifest, trajectory=traj, table=table, metrics=metrics)
+    return ExperimentResult(config=cfg, trajectory=traj, table=table, metrics=metrics,
+                            manifest=manifest)
 
 
 def _slaved_b(a: np.ndarray, spec: SawtoothSpec) -> np.ndarray:
@@ -539,7 +534,8 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
     _record_edges(cfg, chain_traj, metrics)
     table = (("j", "u_b_abs", "adiabaticity_ratio", "profile_error", "warned"),
              np.asarray(rows, dtype=float))
-    return _finalize(cfg, manifest, trajectory=chain_traj, table=table, metrics=metrics)
+    return ExperimentResult(config=cfg, trajectory=chain_traj, table=table, metrics=metrics,
+                            manifest=manifest)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -1,6 +1,6 @@
 """Independent dense constructions, written directly from the evolution
-equations site by site.  These are the oracles the banded builders are
-checked against, plus a fixed-step RK4 and a dense-expm schedule
+equations site by site.  These are the oracles the sparse Hamiltonian
+builders are checked against, plus a fixed-step RK4 and a dense-expm schedule
 propagator for the dynamics; they share no code with the package."""
 
 import numpy as np

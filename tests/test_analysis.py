@@ -106,8 +106,7 @@ def test_centroid_within_label_range(seed):
 
 def test_centroid_velocity_stationary():
     h = build_chain_hamiltonian(ChainSpec(kappa=1, beta=0, gamma=0, phi=0, n_sites=9))
-    zero_h = type(h)(dim=9, diag=np.zeros(9), upper=np.zeros(8), lower=np.zeros(8),
-                     site_labels=h.site_labels)
+    zero_h = type(h)(0 * h.matrix, h.site_labels)
     c0 = make_excitation(ExcitationSpec(kind="single_site", n0=4), h.site_labels)
     traj = evolve_exact(zero_h, c0, 3.0, 0.5)
     assert centroid_velocity(traj, (0.0, 3.0)) == pytest.approx(0.0, abs=1e-6)
@@ -288,7 +287,7 @@ def test_efficiency_phase_invariance_exact():
     base = storage_efficiency(traj, 0.0, 4.0, full, (2, 30))
     rotated = type(traj)(times=traj.times, amplitudes=1j * traj.amplitudes,
                          site_labels=traj.site_labels, norm_series=traj.norm_series,
-                         method_tag=traj.method_tag, method_detail=traj.method_detail)
+                         method_tag=traj.method_tag)
     assert storage_efficiency(rotated, 0.0, 4.0, full, (2, 30)) == base
 
 
@@ -300,7 +299,7 @@ def test_efficiency_scaling_behaviour():
     scaled = type(traj)(times=traj.times, amplitudes=3.0 * traj.amplitudes,
                         site_labels=traj.site_labels,
                         norm_series=9.0 * traj.norm_series,
-                        method_tag=traj.method_tag, method_detail=traj.method_detail)
+                        method_tag=traj.method_tag)
     # the ratio is scale-free while the raw out-region intensity is quadratic
     assert storage_efficiency(scaled, 0.0, 4.0, full, out) == pytest.approx(base, rel=1e-12)
     raw_base = np.sum(np.abs(traj.amplitudes[-1]) ** 2)

@@ -133,8 +133,7 @@ def test_trajectory_csv_roundtrip_bit_exact(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,site,re,im"
     assert len(lines) - 1 == traj.n_samples * len(traj.site_labels)
-    back = read_trajectory_csv(path, method_tag=traj.method_tag,
-                               method_detail=traj.method_detail)
+    back = read_trajectory_csv(path, method_tag=traj.method_tag)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.site_labels, traj.site_labels)
     assert np.array_equal(back.amplitudes, traj.amplitudes)

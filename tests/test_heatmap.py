@@ -14,7 +14,7 @@ def _trajectory(amplitudes, times=None):
     norms = np.sum(np.abs(amplitudes) ** 2, axis=1)
     return Trajectory(times=times, amplitudes=amplitudes,
                       site_labels=np.arange(dim), norm_series=norms,
-                      method_tag="exact", method_detail=("eig",))
+                      method_tag="exact")
 
 
 def test_color_table_luminance_monotone():

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, strategies as st
 
 from nhlattice import (
     ChainSpec,
     DefectSpec,
+    Operator,
     SandwichSpec,
     SawtoothSpec,
     adiabatic_reduce,
@@ -27,21 +29,43 @@ finite_phases = st.floats(-math.pi, math.pi)
 small_rates = st.floats(0.0, 2.0)
 
 
+# ---------------------------------------------------------------- operator
+
+
+@pytest.mark.parametrize("matrix, labels", [
+    (scipy.sparse.csr_array((2, 3), dtype=complex), np.arange(2)),
+    (scipy.sparse.eye_array(3, format="csr"), np.arange(2)),
+    (scipy.sparse.csr_array(np.array([[1.0, math.nan], [0.0, 1.0]])), np.arange(2)),
+    (scipy.sparse.csr_array(np.array([[1.0, 0.0], [math.inf, 1.0]])), np.arange(2)),
+], ids=["non_square", "label_count", "nan_entry", "inf_entry"])
+def test_operator_rejects_bad_inputs(matrix, labels):
+    with pytest.raises(ValueError):
+        Operator(matrix, labels)
+
+
+def test_operator_is_read_only():
+    h = Operator(scipy.sparse.eye_array(3, format="csr"), [4, 5, 6])
+    assert h.dim == 3
+    assert h.matrix.dtype == complex
+    for arr in (h.matrix.data, h.matrix.indices, h.matrix.indptr, h.site_labels):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+
+
 # ---------------------------------------------------------------- chain
 
 
 def test_chain_example_nonhermitian():
     h = build_chain_hamiltonian(ChainSpec(phi=math.pi / 2, n_sites=3, **NH))
-    assert np.allclose(h.diag, [-0.8j, -0.8j, -0.8j], atol=1e-15)
-    assert np.allclose(h.upper, [0.6, 0.6], atol=1e-15)
-    assert np.allclose(h.lower, [1.4, 1.4], atol=1e-15)
+    assert np.allclose(h.matrix.diagonal(), [-0.8j, -0.8j, -0.8j], atol=1e-15)
+    assert np.allclose(h.matrix.diagonal(1), [0.6, 0.6], atol=1e-15)
+    assert np.allclose(h.matrix.diagonal(-1), [1.4, 1.4], atol=1e-15)
 
 
 def test_chain_example_hermitian_limit():
     h = build_chain_hamiltonian(ChainSpec(kappa=1, beta=0, gamma=0, phi=1.3, n_sites=4))
-    dense = h.to_dense()
+    dense = h.matrix.toarray()
     assert np.array_equal(dense, dense.conj().T)
-    assert h.is_hermitian
     assert np.allclose(np.diag(dense), 0)
     assert np.allclose(np.diag(dense, 1), 1.0)
 
@@ -50,8 +74,8 @@ def test_chain_example_defect_site():
     spec = ChainSpec(phi=math.pi / 2, n_sites=31, index_origin=0,
                      defects=(DefectSpec(10, 2.0, 0.0),), **NH)
     h = build_chain_hamiltonian(spec)
-    assert h.diag[10] == pytest.approx(2.0 - 0.8j)
-    assert np.allclose(np.delete(h.diag, 10), -0.8j)
+    assert h.matrix.diagonal()[10] == pytest.approx(2.0 - 0.8j)
+    assert np.allclose(np.delete(h.matrix.diagonal(), 10), -0.8j)
 
 
 def test_chain_rejects_bad_inputs():
@@ -95,28 +119,31 @@ def test_chain_matches_reference_dense(beta, gamma, phi, n, periodic):
                      index_origin=-2, boundary="periodic" if periodic else "open")
     h = build_chain_hamiltonian(spec)
     want = dense_chain(1.0, beta, gamma, spec.phi, list(spec.site_labels), periodic=periodic)
-    assert np.array_equal(h.to_dense(), want)
-    assert np.array_equal(h.to_csr().toarray(), want)
+    assert np.array_equal(h.matrix.toarray(), want)
 
 
 def test_chain_defects_match_reference_dense():
     defects = ((3, 2.0, 0.0), (-1, -0.5, 0.3))
     spec = ChainSpec(phi=math.pi / 4, n_sites=9, index_origin=-4,
                      defects=tuple(DefectSpec(*d) for d in defects), **NH)
-    got = build_chain_hamiltonian(spec).to_dense()
+    got = build_chain_hamiltonian(spec).matrix.toarray()
     want = dense_chain(1.0, 0.4, 0.8, spec.phi, list(spec.site_labels), defects=defects)
     assert np.array_equal(got, want)
 
 
 def test_hermitian_detection_iff():
+    def is_hermitian(spec):
+        dense = build_chain_hamiltonian(spec).matrix.toarray()
+        return np.array_equal(dense, dense.conj().T)
+
     base = dict(kappa=1.0, phi=0.7, n_sites=6)
-    assert build_chain_hamiltonian(ChainSpec(beta=0.0, gamma=0.0, **base)).is_hermitian
-    assert not build_chain_hamiltonian(ChainSpec(beta=0.1, gamma=0.0, **base)).is_hermitian
-    assert not build_chain_hamiltonian(ChainSpec(beta=0.0, gamma=0.1, **base)).is_hermitian
-    with_gain = ChainSpec(beta=0.0, gamma=0.0, defects=(DefectSpec(2, 0.0, 0.2),), **base)
-    assert not build_chain_hamiltonian(with_gain).is_hermitian
-    real_defect = ChainSpec(beta=0.0, gamma=0.0, defects=(DefectSpec(2, 1.5, 0.0),), **base)
-    assert build_chain_hamiltonian(real_defect).is_hermitian
+    assert is_hermitian(ChainSpec(beta=0.0, gamma=0.0, **base))
+    assert not is_hermitian(ChainSpec(beta=0.1, gamma=0.0, **base))
+    assert not is_hermitian(ChainSpec(beta=0.0, gamma=0.1, **base))
+    assert not is_hermitian(ChainSpec(beta=0.0, gamma=0.0,
+                                      defects=(DefectSpec(2, 0.0, 0.2),), **base))
+    assert is_hermitian(ChainSpec(beta=0.0, gamma=0.0,
+                                  defects=(DefectSpec(2, 1.5, 0.0),), **base))
 
 
 @given(k=st.integers(0, 15), phi=finite_phases)
@@ -127,14 +154,13 @@ def test_ring_eigenmodes(k, phi):
     q = 2.0 * math.pi * k / n
     mode = np.exp(1j * q * spec.site_labels)
     energy = dispersion(1.0, 0.4, 0.8, spec.phi, q)
-    residual = h.to_csr() @ mode - energy * mode
+    residual = h.matrix @ mode - energy * mode
     assert np.max(np.abs(residual)) <= 1e-12 * max(1.0, abs(energy))
 
 
 def test_periodic_two_sites_rejected():
     with pytest.raises(ValueError):
-        build_chain_hamiltonian(
-            ChainSpec(kappa=1, beta=0, gamma=0, phi=0, n_sites=2, boundary="periodic"))
+        ChainSpec(kappa=1, beta=0, gamma=0, phi=0, n_sites=2, boundary="periodic")
 
 
 # ---------------------------------------------------------------- sawtooth
@@ -142,7 +168,7 @@ def test_periodic_two_sites_rejected():
 
 def test_sawtooth_dense_theta_zero():
     saw = SawtoothSpec(kappa=1, j=1, theta=0.0, gamma_a=0.0, u_b=5.0, n_cells=2)
-    dense = build_sawtooth_hamiltonian(saw).to_dense()
+    dense = build_sawtooth_hamiltonian(saw).matrix.toarray()
     # interleaved order (a1, b1, a2, b2)
     expected = np.array([
         [0, 1, 1, 0],
@@ -155,7 +181,7 @@ def test_sawtooth_dense_theta_zero():
 
 def test_sawtooth_phase_factors():
     saw = SawtoothSpec(kappa=1, j=1, theta=math.pi / 4, gamma_a=0.0, u_b=5.0, n_cells=3)
-    dense = build_sawtooth_hamiltonian(saw).to_dense()
+    dense = build_sawtooth_hamiltonian(saw).matrix.toarray()
     a, b = (lambda m: 2 * m), (lambda m: 2 * m + 1)
     assert dense[b(0), a(1)] == pytest.approx(cmath.exp(1j * math.pi / 4))
     assert dense[b(0), a(0)] == pytest.approx(cmath.exp(-1j * math.pi / 4))
@@ -175,19 +201,17 @@ def test_sawtooth_matches_reference_dense(theta, j, gamma_a, ub_re, ub_im, m):
         u_b = 5.0
     saw = SawtoothSpec(kappa=1.0, j=j, theta=theta, gamma_a=gamma_a, u_b=u_b, n_cells=m)
     h = build_sawtooth_hamiltonian(saw)
-    got = h.to_dense()
+    got = h.matrix.toarray()
     want = dense_sawtooth(1.0, j, theta, gamma_a, u_b, m)
     assert np.array_equal(got, want)
-    assert np.array_equal(h.to_csr().toarray(), want)
     # bandwidth <= 2 in the interleaved layout
     for k in range(3, 2 * m):
         assert np.all(np.diag(got, k) == 0)
 
 
 def test_sawtooth_rejects_single_cell():
-    saw = SawtoothSpec(kappa=1, j=1, theta=0.0, gamma_a=0.0, u_b=5.0, n_cells=1)
     with pytest.raises(ValueError):
-        build_sawtooth_hamiltonian(saw)
+        SawtoothSpec(kappa=1, j=1, theta=0.0, gamma_a=0.0, u_b=5.0, n_cells=1)
 
 
 def test_sawtooth_rejects_bad_va_length():
@@ -205,7 +229,7 @@ def _sandwich(n_sites=13, origin=-6, q0=-math.pi / 2, v_c=1.0, xi=0.4, n_half=3)
 
 def test_sandwich_example_rows():
     h = build_sandwich_hamiltonian(_sandwich())
-    d = h.to_dense()
+    d = h.matrix.toarray()
     idx = lambda n: n + 6
     assert d[idx(0), idx(0)] == 0
     assert d[idx(0), idx(1)] == pytest.approx(1.0)
@@ -220,7 +244,7 @@ def test_sandwich_example_rows():
 
 def test_sandwich_phase_zero_degenerates():
     h = build_sandwich_hamiltonian(_sandwich(q0=0.0))
-    d = h.to_dense()
+    d = h.matrix.toarray()
     outer = [i for i, lab in enumerate(h.site_labels) if abs(lab) > 3]
     for i in outer:
         if i + 1 < h.dim and abs(h.site_labels[i + 1]) > 3:
@@ -230,7 +254,7 @@ def test_sandwich_phase_zero_degenerates():
 
 def test_sandwich_interior_rows_hermitian():
     h = build_sandwich_hamiltonian(_sandwich())
-    d = h.to_dense()
+    d = h.matrix.toarray()
     core = [i for i, lab in enumerate(h.site_labels) if -3 < lab < 3]
     sub = d[np.ix_(core, core)]
     assert np.array_equal(sub, sub.conj().T)
@@ -245,8 +269,7 @@ def test_sandwich_matches_reference_dense(q0, xi, v_c, n_half):
     h = build_sandwich_hamiltonian(spec)
     want = dense_sandwich(1.0, 0.4, 0.8, spec.q0, n_half, v_c, xi,
                           list(spec.chain.site_labels))
-    assert np.array_equal(h.to_dense(), want)
-    assert np.array_equal(h.to_csr().toarray(), want)
+    assert np.array_equal(h.matrix.toarray(), want)
 
 
 def test_sandwich_requires_containing_range():
@@ -295,9 +318,9 @@ def test_reduce_example_hoppings():
     chain = red.to_chain_spec()
     assert chain.beta == pytest.approx(0.4)
     assert chain.phi == pytest.approx(math.pi / 2)
-    got = build_chain_hamiltonian(chain).to_dense()
+    got = build_chain_hamiltonian(chain).matrix.toarray()
     want = build_chain_hamiltonian(
-        ChainSpec(kappa=1, beta=0.4, gamma=0.8, phi=math.pi / 2, n_sites=4)).to_dense()
+        ChainSpec(kappa=1, beta=0.4, gamma=0.8, phi=math.pi / 2, n_sites=4)).matrix.toarray()
     assert np.allclose(got, want, atol=1e-14)
 
 
@@ -339,8 +362,8 @@ def test_reduction_consistency(beta, theta, j, gamma_a, kappa):
     chain = adiabatic_reduce(saw).to_chain_spec(index_origin=-2)
     direct = ChainSpec(kappa=kappa, beta=beta, gamma=gamma_a - 2 * beta,
                        phi=2 * theta, n_sites=5, index_origin=-2)
-    got = build_chain_hamiltonian(chain).to_dense()
-    want = build_chain_hamiltonian(direct).to_dense()
+    got = build_chain_hamiltonian(chain).matrix.toarray()
+    want = build_chain_hamiltonian(direct).matrix.toarray()
     scale = max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import nhlattice as nh
 from nhlattice import (
@@ -278,9 +279,9 @@ def test_reduction_hermitian_limit_real_detuning():
     red = nh.adiabatic_reduce(saw)
     assert red.j1 == red.j2
     labels = np.arange(m) - m // 2
-    eff = nh.Hamiltonian(
-        dim=m, diag=np.full(m, red.u_eff[0]), upper=np.full(m - 1, red.j1),
-        lower=np.full(m - 1, red.j2), site_labels=labels)
+    eff = nh.Operator(scipy.sparse.diags_array(
+        (np.full(m - 1, red.j2), np.full(m, red.u_eff[0]), np.full(m - 1, red.j1)),
+        offsets=(-1, 0, 1), format="csr"), labels)
     exc = nh.make_excitation(
         ExcitationSpec(kind="gaussian", n0=0, w0=4.0, q0=-math.pi / 2), labels)
     eff_traj = nh.evolve_exact(eff, exc, 8.0, 0.5)
