@@ -404,50 +404,41 @@ def write_text_atomic(path, text: str) -> None:
 
 def write_trajectory_csv(traj, path) -> None:
     """One row per (sample time, site), time-major, 17 significant digits."""
-    lines = ["t,site,re,im"]
-    labels = traj.site_labels
-    for k in range(traj.n_samples):
-        t_str = _fmt_float(traj.times[k])
-        row = traj.amplitudes[k]
-        for i in range(len(labels)):
-            a = row[i]
-            lines.append(f"{t_str},{labels[i]},{_fmt_float(a.real)},{_fmt_float(a.imag)}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    rows = [f",{label},%.17g,%.17g\n" for label in traj.site_labels]
+    values = np.ascontiguousarray(traj.amplitudes, dtype=complex).view(float)  # re, im interleaved
+    chunks = ["t,site,re,im\n"]
+    for t, row in zip(traj.times, values):
+        t_str = _fmt_float(t)
+        chunks.append((t_str + t_str.join(rows)) % tuple(row.tolist()))
+    write_text_atomic(path, "".join(chunks))
 
 
 def read_trajectory_csv(path, method_tag: str = METHOD_TAG):
     """Rebuild a Trajectory from its CSV; bit-exact for doubles."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "t,site,re,im":
-        raise ConfigError(f"{path}: missing 't,site,re,im' header")
-    body = lines[1:]
-    if not body:
-        raise ConfigError(f"{path}: no data rows")
-    t_first = body[0].split(",", 1)[0]
-    n_sites = 0
-    for line in body:
-        if line.split(",", 1)[0] == t_first:
-            n_sites += 1
-        else:
-            break
-    if n_sites == 0 or len(body) % n_sites != 0:
-        raise ConfigError(f"{path}: row count {len(body)} is not a multiple of the site count")
-    n_samples = len(body) // n_sites
-    times = np.empty(n_samples)
-    labels = np.empty(n_sites, dtype=int)
-    amps = np.empty((n_samples, n_sites), dtype=complex)
-    for k in range(n_samples):
-        for i in range(n_sites):
-            parts = body[k * n_sites + i].split(",")
-            if len(parts) != 4:
-                raise ConfigError(f"{path}: malformed row {body[k * n_sites + i]!r}")
-            if k == 0:
-                labels[i] = int(parts[1])
-            amps[k, i] = complex(float(parts[2]), float(parts[3]))
-        times[k] = float(parts[0])
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != "t,site,re,im":
+            raise ConfigError(f"{path}: missing 't,site,re,im' header")
+        start = fh.tell()
+        if not fh.readline().strip():
+            raise ConfigError(f"{path}: no data rows")
+        fh.seek(start)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed row: {exc}") from exc
+    if data.shape[1] != 4:
+        raise ConfigError(f"{path}: malformed rows of {data.shape[1]} columns, expected 4")
+    n_sites = int(np.argmax(data[:, 0] != data[0, 0])) or len(data)
+    if len(data) % n_sites != 0:
+        raise ConfigError(f"{path}: row count {len(data)} is not a multiple of the site count")
+    data = data.reshape(-1, n_sites, 4)
+    amps = np.empty(data.shape[:2], dtype=complex)
+    amps.real = data[:, :, 2]
+    amps.imag = data[:, :, 3]
     norms = np.sum(np.abs(amps) ** 2, axis=1)
-    return Trajectory(times=times, amplitudes=amps, site_labels=labels,
-                      norm_series=norms, method_tag=method_tag)
+    return Trajectory(times=data[:, 0, 0].copy(), amplitudes=amps,
+                      site_labels=data[0, :, 1].astype(int), norm_series=norms,
+                      method_tag=method_tag)
 
 
 def write_table_csv(table, path) -> None:

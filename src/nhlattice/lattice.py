@@ -245,6 +245,9 @@ class Operator:
     def dim(self) -> int:
         return self.site_labels.size
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
+
 
 def build_chain_hamiltonian(spec: ChainSpec) -> Operator:
     """Assemble the homogeneous chain operator.

@@ -7,6 +7,7 @@ from nhlattice import (
     ChainSpec,
     ConfigError,
     ExcitationSpec,
+    Trajectory,
     build_chain_hamiltonian,
     evolve_exact,
     make_excitation,
@@ -28,6 +29,8 @@ from nhlattice.configio import (
     write_text_atomic,
     write_trajectory_csv,
 )
+
+import reference
 
 
 # ---------------------------------------------------------------- phases
@@ -156,6 +159,39 @@ def test_trajectory_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError, match="header"):
         read_trajectory_csv(path)
+
+
+def test_trajectory_csv_bytes_match_per_element_writer_and_read_back_bitwise(tmp_path):
+    specials = np.array([-0.0, 0.0, 5e-324, 1e-300, 1e300, -1e300, -5e-324, 1 / 3])
+    amps = np.array([specials[:4] + 1j * specials[4:], specials[::-1][:4] + 1j * specials[:4],
+                     specials[2:6] - 1j * specials[1:5]])
+    amps[0, 1] = complex(-0.0, -0.0)
+    labels = np.array([-3, -2, 0, 7])
+    times = np.array([0.0, 0.1, 0.30000000000000004])
+    traj = Trajectory(times=times, amplitudes=amps, site_labels=labels,
+                      norm_series=np.zeros(3), method_tag="expm_multiply")
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == reference.trajectory_csv_text(times, amps, labels).encode()
+    with np.errstate(over="ignore"):  # the 1e300 entries overflow the norm series
+        back = read_trajectory_csv(path)
+    assert back.amplitudes.tobytes() == amps.tobytes()
+    assert back.times.tobytes() == times.tobytes()
+    assert np.array_equal(back.site_labels, labels)
+
+
+@pytest.mark.parametrize("body,match", [
+    ("", "no data rows"),
+    ("0,0,1,0\n0,1,oops,0\n", "malformed row"),
+    ("0,0,1,0\n0,1,1\n", "malformed row"),
+    ("0,0,1,0\n0,1,1,0\n0.5,0,1,0\n", "row count 3 is not a multiple"),
+], ids=["no_rows", "bad_number", "short_row", "bad_row_count"])
+def test_trajectory_csv_reader_errors_name_the_path(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,site,re,im\n" + body)
+    with pytest.raises(ConfigError, match=match) as err:
+        read_trajectory_csv(path)
+    assert str(path) in str(err.value)
 
 
 # ---------------------------------------------------------------- tables, metrics

@@ -9,11 +9,13 @@ from nhlattice import (
     ChainSpec,
     GainRunawayError,
     Operator,
+    SandwichSpec,
     SawtoothSpec,
     Schedule,
     ScheduleSegment,
     StateVector,
     build_chain_hamiltonian,
+    build_sandwich_hamiltonian,
     build_sawtooth_hamiltonian,
     dispersion,
     evolve_exact,
@@ -24,6 +26,7 @@ from nhlattice import (
 )
 
 import reference
+from nhlattice.dynamics import STEP_NORM_LIMIT
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
 
@@ -118,6 +121,52 @@ def test_stiff_step_is_split_and_leaves_global_rng_alone():
     dense = reference.dense_sawtooth(1.0, 8.0, -math.pi / 4, 0.0, -1j * 64.0 / 0.4, 40)
     want = reference.expm_schedule([(0.0, dense)], c0.amplitudes, [6.0])[0]
     assert np.max(np.abs(runs[0][-1] - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _saw(theta=-math.pi / 4, u_b=-40.0j, j=2.0, n_cells=12):
+    return build_sawtooth_hamiltonian(SawtoothSpec(kappa=1.0, j=j, theta=theta, gamma_a=0.0,
+                                                   u_b=u_b, n_cells=n_cells))
+
+
+def _sandwich(xi):
+    chain = ChainSpec(phi=0.0, n_sites=31, index_origin=-15, **NH)
+    return build_sandwich_hamiltonian(SandwichSpec(chain=chain, n_half=4, q0=-math.pi / 2,
+                                                   v_c=1.0, xi=xi))
+
+
+_ZERO = Operator(scipy.sparse.csr_array((5, 5), dtype=complex), np.arange(5))
+# a unit gap has shifted 1-norm 29.85, where degrees 40 and 50 tie in cost
+_TIE = Operator(scipy.sparse.csr_array(np.array([[0.0, 29.85], [29.85, 0.0]])), np.arange(2))
+
+
+@pytest.mark.parametrize("before,after,sample_dt", [
+    pytest.param(lambda: _chain(phi=math.pi / 2), lambda: _chain(phi=-math.pi / 2), 0.25,
+                 id="open_chain"),
+    pytest.param(lambda: _chain(n=24, boundary="periodic"),
+                 lambda: _chain(n=24, phi=0.3, boundary="periodic"), 0.25, id="periodic_chain"),
+    pytest.param(lambda: _saw(), lambda: _saw(theta=math.pi / 4), 0.25, id="sawtooth"),
+    pytest.param(lambda: _sandwich(0.4), lambda: _sandwich(-0.4), 0.25, id="sandwich"),
+    pytest.param(lambda: _ZERO, lambda: _ZERO, 0.25, id="zero"),
+    pytest.param(lambda: _TIE, lambda: _TIE, 1.0, id="theta_tie"),
+    pytest.param(lambda: _saw(j=8.0, u_b=-1j * 64.0 / 0.4, n_cells=40),
+                 lambda: _saw(j=8.0, u_b=-1j * 64.0 / 0.4, n_cells=40, theta=math.pi / 4), 1.0,
+                 id="stiff_split"),
+])
+def test_propagator_bitwise_equals_gap_by_gap_expm_multiply(before, after, sample_dt):
+    # the off-grid switch at 3.1 adds gaps 0.1 and 0.15 (or 0.1 and 0.9) to
+    # sample_dt; every state must match scipy's expm_multiply bit for bit,
+    # which also guards the scipy theta table the propagator sizes steps from
+    h1, h2 = before(), after()
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=h1.dim) + 1j * rng.normal(size=h1.dim)
+    amps[::3] = complex(-0.0, -0.0)  # signed zeros that the final eta * f must keep
+    c0 = StateVector(amps, h1.site_labels)
+    traj = evolve_schedule(Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.1, h2))),
+                           c0, 5.0, sample_dt)
+    want = reference.expm_multiply_schedule([(0.0, h1.matrix), (3.1, h2.matrix)],
+                                            c0.amplitudes, 5.0, sample_dt, STEP_NORM_LIMIT)
+    assert traj.amplitudes.shape == want.shape
+    assert traj.amplitudes.tobytes() == want.tobytes()
 
 
 def test_gain_runaway_guard_catches_non_finite_amplitudes():
