@@ -30,6 +30,7 @@ from .dynamics import (
     ScheduleSegment,
     Trajectory,
     GainRunawayError,
+    NormUnderflowError,
     evolve_exact,
     evolve_schedule,
 )

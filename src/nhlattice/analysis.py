@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dynamics import StateVector, Trajectory
 from .lattice import reduce_phase
@@ -192,8 +191,12 @@ def fit_gaussian(c: StateVector) -> GaussianFit:
     def model(n, amp, center, width):
         return amp * np.exp(-(((n - center) / width) ** 2))
 
+    # imported here, not at module level: loading scipy.optimize is most of
+    # the package's import time, and only storage runs fit
+    from scipy.optimize import curve_fit
+
     try:
-        popt, _ = scipy.optimize.curve_fit(
+        popt, _ = curve_fit(
             model, labels, values, p0=guess,
             bounds=([0.0, labels[0] - 1.0, 1e-6], [np.inf, labels[-1] + 1.0, 4.0 * span]),
             maxfev=10000,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__, configio, protocols
 from .configio import ConfigError
-from .dynamics import GainRunawayError
+from .dynamics import GainRunawayError, NormUnderflowError
 from .heatmap import render_heatmap
 
 _SUBCOMMAND_EXPERIMENTS = {
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except GainRunawayError as exc:
+    except (GainRunawayError, NormUnderflowError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -5,7 +5,9 @@ propagator, algorithm 3.2 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2),
 It is the arithmetic of ``scipy.sparse.linalg.expm_multiply``, so states are
 bit-identical to calling it gap by gap, but the set-up scipy redoes on every
 call (trace shift, shifted matrix, 1-norm, Taylor degree and scaling) is done
-once per distinct step length and kept."""
+once per distinct step length and kept.  The theta_m table that picks the
+Taylor degree is a copy of scipy's, so importing this module loads
+scipy.sparse but not scipy.sparse.linalg or scipy.linalg."""
 
 from __future__ import annotations
 
@@ -14,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg._expm_multiply import _theta
 
 from .lattice import Operator
 
 __all__ = ["StateVector", "ScheduleSegment", "Schedule", "Trajectory", "GainRunawayError",
-           "evolve_exact", "evolve_schedule"]
+           "NormUnderflowError", "evolve_exact", "evolve_schedule"]
 
 #: any |c_n| beyond this aborts the run as gain runaway
 OVERFLOW_LIMIT = 1e150
@@ -34,10 +35,30 @@ STEP_NORM_LIMIT = 60.0
 _TIME_EPS = 1e-9
 #: scipy's Taylor truncation tolerance, the double-precision unit roundoff
 _TAYLOR_TOL = 2.0**-53
+#: theta_m, the largest 1-norm for which degree m meets _TAYLOR_TOL: m <= 30
+#: from table A.3 of Higham, "Functions of Matrices" (2008), the rest from
+#: table 3.1 of Al-Mohy & Higham.  Copied, in order, from scipy 1.17.1's private
+#: scipy.sparse.linalg._expm_multiply._theta; importing that would load
+#: scipy.sparse.linalg and scipy.linalg.  A test checks the copy against the
+#: installed scipy.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 class GainRunawayError(RuntimeError):
     """Raised when amplitudes overflow (net gain exceeding attenuation)."""
+
+
+class NormUnderflowError(RuntimeError):
+    """Raised when a sample's intensity underflows to 0 (attenuation so strong
+    that no normalized observable of that sample exists)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +158,8 @@ class _Step:
         if norm == 0.0:
             m_star, s = 0, 1
         else:
-            m_star = min(_theta, key=lambda m: m * math.ceil(norm / _theta[m]))
-            s = math.ceil(norm / _theta[m_star])
+            m_star = min(_THETA, key=lambda m: m * math.ceil(norm / _THETA[m]))
+            s = math.ceil(norm / _THETA[m_star])
         self.op = Operator(shifted, site_labels)
         self.s = s
         self.coeffs = [1.0 / float(s * (j + 1)) for j in range(m_star)]
@@ -195,7 +216,8 @@ def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
 
     Each segment's operator acts on [t_start_k, t_start_{k+1}).  A sample gap
     that contains a switch is split there, so switch times are exact.
-    Amplitudes that turn non-finite or exceed 1e150 raise GainRunawayError.
+    Amplitudes that turn non-finite or exceed 1e150 raise GainRunawayError; a
+    sample whose intensity underflows to 0 raises NormUnderflowError.
     """
     segments = schedule.segments
     h0 = segments[0].hamiltonian
@@ -224,5 +246,10 @@ def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
                 seg += 1
             gap = sample_dt if t == times[k - 1] else times[k] - t
             states[k] = state = steppers[seg](gap, state)
+    norm_series = np.sum(np.abs(states) ** 2, axis=1)
+    if not norm_series.all():
+        t = float(times[np.argmin(norm_series)])  # the first zero
+        raise NormUnderflowError(f"intensity sum |c_n|^2 underflows to 0 at t = {t!r}; "
+                                 "attenuation outruns the double-precision range")
     return Trajectory(times=times, amplitudes=states, site_labels=h0.site_labels,
-                      norm_series=np.sum(np.abs(states) ** 2, axis=1), method_tag=METHOD_TAG)
+                      norm_series=norm_series, method_tag=METHOD_TAG)

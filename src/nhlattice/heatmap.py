@@ -66,6 +66,11 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
+#: the end of a heatmap cell's <rect>, one per color level
+_CELL_TAILS = tuple(f'" width="{_CELL}" height="{_CELL}" fill="{_hex(rgb)}"/>'
+                    for rgb in COLOR_TABLE)
+
+
 def render_heatmap(traj: Trajectory, title: str = "") -> str:
     """Render the trajectory's profile as an SVG document string."""
     if traj.n_samples < 1 or len(traj.site_labels) < 1:
@@ -101,17 +106,12 @@ def render_heatmap(traj: Trajectory, title: str = "") -> str:
         f'<rect x="{x0}" y="{y0}" width="{grid_w}" height="{grid_h}" '
         f'fill="{_hex(COLOR_TABLE[0])}"/>'
     )
-    for k in range(n_t):
-        col_x = x0 + k * _CELL
-        for i in range(n_x):
-            level = idx[k, i]
-            if level == 0:
-                continue
-            cy = y0 + (n_max - int(labels[i])) * _CELL
-            out.append(
-                f'<rect x="{col_x}" y="{cy}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{_hex(COLOR_TABLE[level])}"/>'
-            )
+    # each cell is '<rect x="col" y="row" width=.. height=.. fill=../>'
+    row_ys = [f'" y="{y0 + (n_max - n) * _CELL}' for n in labels.tolist()]
+    for k, levels in enumerate(idx.tolist()):
+        head = f'<rect x="{x0 + k * _CELL}'
+        out.extend(head + row_ys[i] + _CELL_TAILS[level]
+                   for i, level in enumerate(levels) if level)
 
     # axes
     axis_y = y0 + grid_h

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +123,30 @@ def test_gain_runaway_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerical:")
 
 
+UNDERFLOW_TRANSPORT_CFG = """\
+experiment = transport_single_site
+kappa = 1
+beta = 0.4
+gamma = 20
+phi = pi/2
+excitation.kind = single_site
+timing.t_final = 60
+"""
+
+
+def test_norm_underflow_exits_3_naming_the_time(tmp_path, capsys):
+    cfg = tmp_path / "underflow.cfg"
+    cfg.write_text(UNDERFLOW_TRANSPORT_CFG)
+    code = main(["transport", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical:")
+    assert "at t = 19.5;" in err
+    # 19.5 is the first such sample: the run up to the one before succeeds
+    assert main(["transport", "--config", str(cfg), "--out", str(tmp_path / "p"),
+                 "--t-final", "19.25"]) == 0
+
+
 def test_preset_listing_and_dump(tmp_path, capsys):
     assert main(["preset"]) == 0
     listing = capsys.readouterr().out
@@ -159,6 +185,18 @@ def test_dt_and_tfinal_overrides(tmp_path, capsys):
         main(["transport", "--config", str(cfg), "--out", str(out), "--dt", "0.002"])
     assert exc.value.code == 2
     assert "--dt" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_optimize_and_linalg():
+    # a fresh interpreter, since other tests load scipy.optimize into this one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, nhlattice.cli, nhlattice; print(' '.join(sorted(m for m in "
+            "('scipy.optimize', 'scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_module_entry_point_runs():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nhlattice import (
     ChainSpec,
     GainRunawayError,
+    NormUnderflowError,
     Operator,
     SandwichSpec,
     SawtoothSpec,
@@ -26,7 +27,7 @@ from nhlattice import (
 )
 
 import reference
-from nhlattice.dynamics import STEP_NORM_LIMIT
+from nhlattice.dynamics import _THETA, STEP_NORM_LIMIT
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
 
@@ -182,6 +183,27 @@ def test_exact_gain_runaway_guard():
     c0 = StateVector(np.array([1.0 + 0j]), np.array([0]))
     with pytest.raises(GainRunawayError):
         evolve_exact(h, c0, 10.0, 0.25)
+
+
+def test_norm_underflow_names_first_zero_intensity_sample():
+    # S(t) = e^{-40 t} rounds to 0 below 2^-1075, i.e. for t > 18.63:
+    # S(18.5) ~ 4e-322 is still subnormal, S(18.75) ~ 5e-326 is 0
+    h = _single_site_h(-20j)
+    c0 = StateVector(np.array([1.0 + 0j]), np.array([0]))
+    assert evolve_exact(h, c0, 18.5, 0.25).norm_series[-1] > 0.0
+    with pytest.raises(NormUnderflowError, match=r"at t = 18\.75;"):
+        evolve_exact(h, c0, 30.0, 0.25)
+
+
+def test_vendored_theta_table_equals_installed_scipy():
+    # the one import of this private name; the package holds a copy of it
+    try:
+        from scipy.sparse.linalg._expm_multiply import _theta
+    except ImportError:
+        pytest.skip(f"scipy {scipy.__version__} has no "
+                    "scipy.sparse.linalg._expm_multiply._theta")
+    # order matters: the degree choice takes the first minimum
+    assert list(_THETA.items()) == list(_theta.items())
 
 
 # ---------------------------------------------------------------- reference rk4
