@@ -10,15 +10,7 @@ import time
 from pathlib import Path
 
 from nhlattice import PRESETS
-from nhlattice.cli import main as cli_main
-
-SUBCOMMANDS = {
-    "dispersion_scan": "dispersion",
-    "transport_single_site": "transport",
-    "transport_gaussian": "transport",
-    "storage": "storage",
-    "reduction_check": "reduce-check",
-}
+from nhlattice.cli import EXPERIMENT_SUBCOMMAND, main as cli_main
 
 
 def main() -> int:
@@ -29,8 +21,9 @@ def main() -> int:
 
     root = Path(args.out)
     failures = 0
+    start = time.perf_counter()
     for name, config in PRESETS.items():
-        sub = SUBCOMMANDS[config.experiment]
+        sub = EXPERIMENT_SUBCOMMAND[config.experiment]
         out_dir = root / name
         t0 = time.perf_counter()
         code = cli_main([sub, "--preset", name, "--out", str(out_dir),
@@ -39,6 +32,8 @@ def main() -> int:
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{name:10s} {config.experiment:22s} {elapsed:6.1f}s  {status}")
         failures += code != 0
+    status = "ok" if not failures else f"{failures} failed"
+    print(f"{'total':33s} {time.perf_counter() - start:6.1f}s  {status}")
     return 1 if failures else 0
 
 

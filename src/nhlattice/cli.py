@@ -18,12 +18,14 @@ from .configio import ConfigError
 from .dynamics import GainRunawayError, NormUnderflowError
 from .heatmap import render_heatmap
 
-_SUBCOMMAND_EXPERIMENTS = {
+SUBCOMMAND_EXPERIMENTS = {
     "dispersion": ("dispersion_scan",),
     "transport": ("transport_single_site", "transport_gaussian"),
     "storage": ("storage",),
     "reduce-check": ("reduction_check",),
 }
+#: the subcommand that runs each experiment kind
+EXPERIMENT_SUBCOMMAND = {exp: sub for sub, exps in SUBCOMMAND_EXPERIMENTS.items() for exp in exps}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +64,7 @@ def _load_config(args) -> protocols.ExperimentConfig:
         config = protocols.preset_config(args.preset)
     else:
         config = configio.read_config(args.config)
-    allowed = _SUBCOMMAND_EXPERIMENTS[args.command]
+    allowed = SUBCOMMAND_EXPERIMENTS[args.command]
     if config.experiment not in allowed:
         raise ConfigError(
             f"experiment: {config.experiment!r} cannot run under '{args.command}' "

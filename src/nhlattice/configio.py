@@ -10,10 +10,13 @@ bit-reproducible.  All writes go through write-temp-then-rename.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
 import re
+import shutil
+import signal
 import tempfile
 from pathlib import Path
 
@@ -387,14 +390,14 @@ def _default_tokens() -> dict:
     return _DEFAULT_TOKEN_CACHE
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    path = Path(path)
+@contextlib.contextmanager
+def _atomic_file(path: Path):
+    """Yield a binary temp file beside ``path``; rename it onto ``path`` on success."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -402,15 +405,74 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write via a temp file in the same directory, then rename."""
+    with _atomic_file(Path(path)) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def _second_cpu() -> bool:
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _format_samples(fh, times, values, rows) -> None:
+    for t, row in zip(times, values):
+        t_str = _fmt_float(t)
+        fh.write(((t_str + t_str.join(rows)) % tuple(row.tolist())).encode())
+
+
+def _fork_formatter(side, times, values, rows) -> int:
+    """Fork a helper that formats the samples into ``side``; 0 if fork fails.
+
+    The helper leaves through ``os._exit``, so it never flushes the
+    parent's stdio buffers or runs its atexit handlers.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        return 0
+    if pid == 0:
+        code = 1
+        try:
+            _format_samples(side, times, values, rows)
+            side.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
 def write_trajectory_csv(traj, path) -> None:
-    """One row per (sample time, site), time-major, 17 significant digits."""
+    """One row per (sample time, site), time-major, 17 significant digits.
+
+    With a second CPU, a forked helper formats the second half of the
+    samples into an unlinked side file while this process formats the
+    first half; if the helper cannot start or fails, this process formats
+    that half itself.  The bytes are the same on every path.
+    """
+    path = Path(path)
     rows = [f",{label},%.17g,%.17g\n" for label in traj.site_labels]
     values = np.ascontiguousarray(traj.amplitudes, dtype=complex).view(float)  # re, im interleaved
-    chunks = ["t,site,re,im\n"]
-    for t, row in zip(traj.times, values):
-        t_str = _fmt_float(t)
-        chunks.append((t_str + t_str.join(rows)) % tuple(row.tolist()))
-    write_text_atomic(path, "".join(chunks))
+    times, n = traj.times, len(values)
+    half = n // 2 if n >= 2 and _second_cpu() else n
+    with _atomic_file(path) as out, tempfile.TemporaryFile(dir=path.parent) as side:
+        pid = _fork_formatter(side, times[half:], values[half:], rows) if half < n else 0
+        try:
+            out.write(b"t,site,re,im\n")
+            _format_samples(out, times[:half], values[:half], rows)
+            helper_ok = pid and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        except BaseException:
+            if pid:
+                with contextlib.suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            raise
+        if helper_ok:
+            side.seek(0)
+            shutil.copyfileobj(side, out)
+        else:
+            _format_samples(out, times[half:], values[half:], rows)
 
 
 def read_trajectory_csv(path, method_tag: str = METHOD_TAG):

@@ -34,7 +34,7 @@ from nhlattice import (
     measure_reflection,
     preset_config,
 )
-from nhlattice.cli import main as cli_main
+from nhlattice.cli import EXPERIMENT_SUBCOMMAND, main as cli_main
 from nhlattice.configio import read_metrics, read_table_csv, read_trajectory_csv
 
 import reference
@@ -288,20 +288,11 @@ def test_c8_hermitian_drift_and_dissipative_monotonicity(preset_results):
 # ------------------------------------------------------------------ 9
 
 
-_SUBCOMMANDS = {
-    "dispersion_scan": "dispersion",
-    "transport_single_site": "transport",
-    "transport_gaussian": "transport",
-    "storage": "storage",
-    "reduction_check": "reduce-check",
-}
-
-
 def test_c9_cli_round_trip_every_preset(tmp_path):
     failures = []
     for name in nh.PRESETS:
         cfg = preset_config(name)
-        sub = _SUBCOMMANDS[cfg.experiment]
+        sub = EXPERIMENT_SUBCOMMAND[cfg.experiment]
         out1 = tmp_path / name / "run1"
         out2 = tmp_path / name / "run2"
         code = cli_main([sub, "--preset", name, "--out", str(out1), "--format", "csv+svg"])

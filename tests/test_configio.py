@@ -1,4 +1,9 @@
+import errno
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from nhlattice import (
     preset_config,
     resolve_config,
 )
+from nhlattice import configio
 from nhlattice.configio import (
     config_hash,
     parse_config_text,
@@ -178,6 +184,114 @@ def test_trajectory_csv_bytes_match_per_element_writer_and_read_back_bitwise(tmp
     assert back.amplitudes.tobytes() == amps.tobytes()
     assert back.times.tobytes() == times.tobytes()
     assert np.array_equal(back.site_labels, labels)
+
+
+_SPECIALS = np.array([-0.0, 0.0, 5e-324, 1e-300, 1e300, -1e300, -5e-324, 1 / 3])
+
+
+def _special_trajectory(n_samples):
+    labels = np.array([-3, -2, 0, 7])
+    cells = np.resize(_SPECIALS, 2 * n_samples * len(labels)).reshape(n_samples, len(labels), 2)
+    amps = cells[:, :, 0] + 1j * cells[:, :, 1]
+    amps[0, 1] = complex(-0.0, -0.0)
+    times = np.arange(n_samples) * 0.1
+    return Trajectory(times=times, amplitudes=amps, site_labels=labels,
+                      norm_series=np.zeros(n_samples), method_tag="expm_multiply")
+
+
+def _reference_bytes(traj):
+    return reference.trajectory_csv_text(traj.times, traj.amplitudes, traj.site_labels).encode()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Take the forked path whatever the CPU count; count the forks."""
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork is not available")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 241])
+def test_two_process_csv_bytes_match_reference(tmp_path, two_cpus, n_samples):
+    traj = _special_trajectory(n_samples)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _reference_bytes(traj)
+    assert len(two_cpus) == (n_samples >= 2)
+    # the helper's side file is unlinked and the temp file renamed; no child is left
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_csv_bytes_same_when_fork_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork, raising=False)
+    traj = _special_trajectory(241)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _reference_bytes(traj)
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+
+
+def test_csv_bytes_same_when_helper_fails(tmp_path, monkeypatch, two_cpus):
+    parent = os.getpid()
+    real_format = configio._format_samples
+
+    def failing_in_helper(fh, times, values, rows):
+        if os.getpid() != parent:
+            fh.write(b"partial garbage\n")
+            fh.flush()
+            raise RuntimeError("helper failed")
+        real_format(fh, times, values, rows)
+
+    monkeypatch.setattr(configio, "_format_samples", failing_in_helper)
+    traj = _special_trajectory(241)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path)
+    assert len(two_cpus) == 1
+    assert path.read_bytes() == _reference_bytes(traj)
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_csv_helper_does_not_flush_parent_stdout(tmp_path):
+    # stdout is a pipe, so the marker sits unflushed in the buffer across the fork
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork is not available")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        "import os, sys, numpy as np\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from nhlattice import Trajectory\n"
+        "from nhlattice.configio import write_trajectory_csv\n"
+        "sys.stdout.write('unflushed marker\\n')\n"
+        "traj = Trajectory(times=np.arange(8.0), amplitudes=np.ones((8, 3), complex),\n"
+        "                  site_labels=np.arange(3), norm_series=np.ones(8), method_tag='x')\n"
+        "write_trajectory_csv(traj, sys.argv[1])\n"
+    )
+    path = tmp_path / "trajectory.csv"
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "unflushed marker\n"
+    assert path.read_text().count("\n") == 1 + 8 * 3
 
 
 @pytest.mark.parametrize("body,match", [
