@@ -7,7 +7,13 @@ bit-identical to calling it gap by gap, but the set-up scipy redoes on every
 call (trace shift, shifted matrix, 1-norm, Taylor degree and scaling) is done
 once per distinct step length and kept.  The theta_m table that picks the
 Taylor degree is a copy of scipy's, so importing this module loads
-scipy.sparse but not scipy.sparse.linalg or scipy.linalg."""
+scipy.sparse but not scipy.sparse.linalg or scipy.linalg.
+
+Each Taylor term costs a product through scipy's CSR kernel (see
+Operator.matvec) and one max|b|.  max|f| enters only scipy's stop test,
+so it is computed only when that test could pass against a running upper
+bound on it; the bound is never below the computed max|f| (proof in
+_Step.__call__), so the loop breaks on the same term as scipy's."""
 
 from __future__ import annotations
 
@@ -35,6 +41,10 @@ STEP_NORM_LIMIT = 60.0
 _TIME_EPS = 1e-9
 #: scipy's Taylor truncation tolerance, the double-precision unit roundoff
 _TAYLOR_TOL = 2.0**-53
+#: growth factor of the running bound on max|f| in _Step, 1 + 32 * 2^-53
+_BOUND_GROWTH = 1.0 + 2.0**-48
+#: smallest normal double; below it tol * bound is no longer trusted
+_NORMAL_MIN = 2.0**-1022
 #: theta_m, the largest 1-norm for which degree m meets _TAYLOR_TOL: m <= 30
 #: from table A.3 of Higham, "Functions of Matrices" (2008), the rest from
 #: table 3.1 of Al-Mohy & Higham.  Copied, in order, from scipy 1.17.1's private
@@ -166,15 +176,43 @@ class _Step:
         self.eta = np.exp(1.0 * mu / float(s))  # scipy's exp(t*mu/s) at t = 1
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
+        # scipy breaks when c1 + c2 <= tol * max|f|, with max|f| computed as
+        # np.abs(f).max().  `bound` is kept >= that computed max|f|.  Rounding
+        # is monotone, underflow included, so then tol * bound >= tol * max|f|
+        # and, while c1 + c2 > tol * bound, scipy's test is false without
+        # computing max|f|.  Otherwise max|f| is computed, scipy's test is
+        # applied as it stands and bound restarts from max|f|.  The breaks,
+        # and so the states, are scipy's.
+        #
+        # bound >= max|f| by induction over the terms of a sub-step, with
+        # u = 2^-53 and d = 2^-1074, the smallest subnormal:
+        # - at the start f = b and bound = c1 is the computed max|f|.
+        # - f + b rounds each part with relative error <= u (subnormal sums
+        #   are exact), so |f_k[i]| <= (1 + u)(|f_{k-1}[i]| + |b_k[i]|).
+        # - numpy's complex abs is within e = 2^-50 = 8u of the modulus,
+        #   relative, plus d absolute where it is subnormal; a test checks
+        #   this.  So the computed |f_k[i]| <= g (bound_{k-1} + c2) + 4d,
+        #   with g = (1 + e)(1 + u) / (1 - e) < 1 + 18u.
+        # - the update rounds a sum and, while bound_k is normal, a product,
+        #   each within u: bound_k >= (1 - u)^2 (1 + 32u)(bound_{k-1} + c2)
+        #   >= (1 + 29u)(bound_{k-1} + c2).
+        # - the lead 11u (bound_{k-1} + c2) exceeds 4d once bound_{k-1} + c2
+        #   >= 2^-1022, which holds when tol * bound_k is normal, i.e.
+        #   bound_k >= 2^-969.  Below that, max|f| is computed.
+        # - if a part of f_k overflows, the same lead carries bound_k to inf.
+        #   inf and NaN fail `>`, so they take the exact path too.
         f = b
         for _ in range(self.s):
-            c1 = np.abs(b).max()
+            c1 = bound = np.abs(b).max()
             for coeff in self.coeffs:
                 b = coeff * self.op.matvec(b)
                 c2 = np.abs(b).max()
                 f = f + b
-                if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
-                    break
+                bound = (bound + c2) * _BOUND_GROWTH
+                if not (c1 + c2 > _TAYLOR_TOL * bound >= _NORMAL_MIN):
+                    bound = np.abs(f).max()
+                    if c1 + c2 <= _TAYLOR_TOL * bound:
+                        break
                 c1 = c2
             f = self.eta * f
             b = f

@@ -27,6 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+# the C++ CSR product kernel behind ``csr_array @ x``; ``import scipy.sparse``
+# has already loaded it
+from scipy.sparse._sparsetools import csr_matvec
 
 __all__ = [
     "DefectSpec",
@@ -246,7 +249,19 @@ class Operator:
         return self.site_labels.size
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
+        """H @ x for an array x of shape (dim,), as complex128.
+
+        Calls the kernel that ``matrix @ x`` ends in, with the same zeroed
+        complex output, so the bytes are the same; it skips scipy's dispatch,
+        which costs as much as the product on a few hundred sites.  The kernel
+        reads x without bounds checks, hence the shape check."""
+        n = self.dim
+        if x.shape != (n,):
+            raise ValueError(f"matvec needs an array of shape ({n},), got {x.shape}")
+        out = np.zeros(n, dtype=complex)
+        m = self.matrix
+        csr_matvec(n, n, m.indptr, m.indices, m.data, x, out)
+        return out
 
 
 def build_chain_hamiltonian(spec: ChainSpec) -> Operator:

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nhlattice import (
     ChainSpec,
@@ -27,7 +28,7 @@ from nhlattice import (
 )
 
 import reference
-from nhlattice.dynamics import _THETA, STEP_NORM_LIMIT
+from nhlattice.dynamics import _THETA, STEP_NORM_LIMIT, _Step
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
 
@@ -204,6 +205,85 @@ def test_vendored_theta_table_equals_installed_scipy():
                     "scipy.sparse.linalg._expm_multiply._theta")
     # order matters: the degree choice takes the first minimum
     assert list(_THETA.items()) == list(_theta.items())
+
+
+# ---------------------------------------------------------------- Taylor stop decisions
+
+
+def _shifted_norm(m):
+    n = m.shape[0]
+    return float(abs(m - m.trace() / n * scipy.sparse.eye_array(n, format="csr"))
+                 .sum(axis=0).max())
+
+
+@st.composite
+def _stop_cases(draw):
+    """An operator scaled so that its trace-shifted 1-norm lies anywhere
+    from 1e-3 to STEP_NORM_LIMIT, where one sample gap of 1 takes every
+    Taylor degree of the theta table from 5 up, and a state whose entries
+    mix magnitudes from about 1e300 down to subnormal, with signed zeros."""
+    kind = draw(st.sampled_from(("chain", "periodic_chain", "sawtooth", "sandwich")))
+    phase = draw(st.floats(-math.pi, math.pi))
+    if kind == "sawtooth":
+        h = _saw(theta=phase, u_b=complex(draw(st.floats(-5.0, 5.0)), -draw(st.floats(0.5, 40.0))),
+                 n_cells=draw(st.integers(2, 12)))
+    elif kind == "sandwich":
+        h = _sandwich(draw(st.floats(-1.0, 1.0)))
+    else:
+        h = _chain(n=draw(st.integers(3, 24)), phi=phase, gamma=draw(st.floats(-1.0, 1.0)),
+                   boundary="periodic" if kind == "periodic_chain" else "open")
+    target = STEP_NORM_LIMIT * 10.0 ** draw(st.floats(math.log10(1e-3 / STEP_NORM_LIMIT), 0.0))
+    matrix = h.matrix * (target / _shifted_norm(h.matrix))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.integers(-1074, 996))  # 2**996 ~ 7e299
+    spread = draw(st.integers(0, 2100))
+    parts = np.ldexp(rng.uniform(1.0, 2.0, (2, h.dim)) * rng.choice([-1.0, 1.0], (2, h.dim)),
+                     np.maximum(top - rng.integers(0, spread + 1, (2, h.dim)), -1074))
+    parts[rng.random((2, h.dim)) < 0.2] = -0.0
+    parts[rng.random((2, h.dim)) < 0.1] = 0.0
+    state = np.empty(h.dim, dtype=complex)
+    state.real, state.imag = parts
+    return Operator(matrix, h.site_labels), state
+
+
+# gain that overflows 1e300 amplitudes to inf, then NaN, within the step
+_OVERFLOW_CASE = (Operator(scipy.sparse.csr_array(np.array([[60j, 1.0], [1.0, 0.0]])),
+                           np.arange(2)), np.array([1e300, -1e300j]))
+
+
+@given(case=_stop_cases())
+@example(case=_OVERFLOW_CASE)
+@settings(derandomize=True, max_examples=120)
+def test_step_stop_decisions_bitwise_equal_expm_multiply(case):
+    # _Step computes max|f| only where scipy's stop test might pass; every
+    # break must still fall on scipy's term, so the bytes are scipy's
+    h, c0 = case
+    assume(_shifted_norm(h.matrix) <= STEP_NORM_LIMIT)  # one expm_multiply call
+    with np.errstate(all="ignore"):
+        got = _Step(h.matrix * -1j, h.site_labels)(c0)
+        want = reference.expm_multiply_schedule([(0.0, h.matrix)], c0, 1.0, 1.0,
+                                                STEP_NORM_LIMIT)[-1]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_complex_abs_error_within_step_bound_assumption():
+    # _Step's running bound on max|f| assumes numpy's complex abs on arrays
+    # (where numpy may use a SIMD loop) is within 2^-50 of the modulus,
+    # relative, plus 2^-1074 absolute; checked here in exact rationals
+    rng = np.random.default_rng(9)
+    n = 2000
+    exps = rng.integers(-1074, 997, n)
+    z = np.empty(n, dtype=complex)
+    z.real = np.ldexp(rng.uniform(1.0, 2.0, n), exps) * rng.choice([-1.0, 1.0], n)
+    z.imag = np.ldexp(rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n),
+                      np.clip(exps + rng.integers(-30, 31, n), -1074, 996))
+    e, d = Fraction(2) ** -50, Fraction(2) ** -1074
+    for x, y, r in zip(z.real.tolist(), z.imag.tolist(), np.abs(z).tolist()):
+        mod2 = Fraction(x) ** 2 + Fraction(y) ** 2
+        r = Fraction(r)
+        # (1 - e)|z| - d <= r <= (1 + e)|z| + d, squared
+        assert r <= d or (r - d) ** 2 <= (1 + e) ** 2 * mod2
+        assert (r + d) ** 2 >= (1 - e) ** 2 * mod2
 
 
 # ---------------------------------------------------------------- reference rk4

@@ -6,7 +6,8 @@ before the propagator's per-step set-up and the CSV writer were rewritten, and
 those of ``heatmap.svg`` before the SVG cell loop was rewritten; they must stay
 unchanged by any change that claims bit-identical outputs.  The
 digests hold only for the numpy and scipy versions they were recorded with;
-under any other version the test skips and names both.
+under any other version the test skips and names both.  The same holds for
+the pinned matvec counts of three presets.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 import scipy
 
+from nhlattice import Operator, run_preset
 from nhlattice.cli import main as cli_main
 
 #: versions the digests below were recorded with
@@ -48,3 +50,26 @@ def test_preset_artifacts_match_golden_digests(tmp_path, sub, preset):
     assert cli_main([sub, "--preset", preset, "--out", str(tmp_path), "--format", "csv+svg"]) == 0
     for name, digest in GOLDEN[(sub, preset)].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+#: Operator.matvec calls of one run of each preset, recorded with the
+#: versions above before the propagator's stop test was made lazy; a
+#: changed Taylor stop decision shows here as a count, not only as a digest
+MATVEC_COUNTS = {"fig4c": 1741, "fig7": 10046, "reduction": 13155}
+
+
+@pytest.mark.parametrize("preset", sorted(MATVEC_COUNTS))
+def test_preset_matvec_count_matches_recorded(monkeypatch, preset):
+    if (np.__version__, scipy.__version__) != (GOLDEN_NUMPY, GOLDEN_SCIPY):
+        pytest.skip(f"counts recorded with numpy {GOLDEN_NUMPY}, scipy {GOLDEN_SCIPY}; "
+                    f"installed numpy {np.__version__}, scipy {scipy.__version__}")
+    calls = []
+    matvec = Operator.matvec
+
+    def counted(self, x):
+        calls.append(None)
+        return matvec(self, x)
+
+    monkeypatch.setattr(Operator, "matvec", counted)
+    run_preset(preset)
+    assert len(calls) == MATVEC_COUNTS[preset]

@@ -52,6 +52,47 @@ def test_operator_is_read_only():
             arr[0] = 7
 
 
+_MATVEC_OPERATORS = {
+    "chain": lambda: build_chain_hamiltonian(ChainSpec(phi=0.7, n_sites=31, **NH)),
+    "periodic_chain": lambda: build_chain_hamiltonian(
+        ChainSpec(phi=0.7, n_sites=31, boundary="periodic", **NH)),
+    "sawtooth": lambda: build_sawtooth_hamiltonian(
+        SawtoothSpec(kappa=1.0, j=2.0, theta=0.4, gamma_a=0.1, u_b=-40j, n_cells=16)),
+    "sandwich": lambda: build_sandwich_hamiltonian(SandwichSpec(
+        chain=ChainSpec(phi=0.0, n_sites=31, index_origin=-15, **NH),
+        n_half=4, q0=-math.pi / 2, v_c=1.0, xi=0.4)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MATVEC_OPERATORS))
+def test_matvec_bytes_equal_sparse_matmul(kind):
+    h = _MATVEC_OPERATORS[kind]()
+    n = h.dim
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    z[::4] = complex(-0.0, -0.0)
+    z[1::5] = complex(0.0, -0.0)
+    wide = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+    inputs = {
+        "complex128": z,
+        "float64": rng.normal(size=n),
+        "complex64": z.astype(np.complex64),
+        "strided": wide[::2],
+        "negative_zeros": np.full(n, -0.0),
+    }
+    for name, x in inputs.items():
+        got, want = h.matvec(x), h.matrix @ x
+        assert got.dtype == want.dtype == complex, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("shape", [(30,), (32,), (31, 1), (1, 31), ()], ids=str)
+def test_matvec_rejects_wrong_shape(shape):
+    h = _MATVEC_OPERATORS["chain"]()
+    with pytest.raises(ValueError, match=r"shape \(31,\)"):
+        h.matvec(np.ones(shape, dtype=complex))
+
+
 # ---------------------------------------------------------------- chain
 
 
