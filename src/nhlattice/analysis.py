@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,16 +61,20 @@ def normalized_profile_matrix(traj: Trajectory) -> np.ndarray:
 class ExcitationSpec:
     """Initial condition: kind is 'single_site' or 'gaussian'."""
 
-    kind: str
+    kind: str = field(metadata={"options": ("single_site", "gaussian")})
     n0: int = 0
-    w0: float = None
-    q0: float = None
+    # a config document writes an unset w0/q0 as 5 and 0
+    w0: float = field(default=None, metadata={"unset": 5.0})
+    q0: float = field(default=None, metadata={"phase": True, "unset": 0.0})
     normalize: bool = True
 
     def __post_init__(self):
         if self.kind not in ("single_site", "gaussian"):
             raise ValueError(f"kind must be 'single_site' or 'gaussian', got {self.kind!r}")
-        if self.kind == "gaussian":
+        if self.kind == "single_site":  # a site kick has no width or wavenumber
+            object.__setattr__(self, "w0", None)
+            object.__setattr__(self, "q0", None)
+        else:
             if self.w0 is None or not (math.isfinite(self.w0) and self.w0 > 0):
                 raise ValueError(f"gaussian excitation needs w0 > 0, got {self.w0!r}")
             if self.q0 is None or not math.isfinite(self.q0):

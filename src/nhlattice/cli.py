@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="config document to run")
         p.add_argument("--preset", metavar="NAME", help="named preset to run")
         p.add_argument("--out", metavar="DIR", required=True, help="output directory")
-        p.add_argument("--t-final", type=float, default=None, help="override final time")
+        p.add_argument("--t-final", metavar="T", help="override timing.t_final")
         p.add_argument("--format", choices=("csv", "csv+svg"), default="csv",
                        help="artifact set to emit (default: csv)")
         return p
@@ -71,7 +71,8 @@ def _load_config(args) -> protocols.ExperimentConfig:
             f"(expected one of: {', '.join(allowed)})"
         )
     if args.t_final is not None:
-        config = replace(config, timing=replace(config.timing, t_final=args.t_final))
+        t_final = configio.parse_value("timing.t_final", args.t_final)
+        config = replace(config, timing=replace(config.timing, t_final=t_final))
     return config
 
 

@@ -1,7 +1,8 @@
 """Config documents, trajectory/table CSV, and metrics serialization.
 
 The config format is flat ``key = value`` text with ``#`` comments, a
-strict schema (unknown keys are rejected by name), and pi-literal phases
+strict schema read off the config dataclasses (unknown keys are rejected
+by name, non-finite numbers by key), and pi-literal phases
 ("pi/2", "-pi/4", "3*pi/4").  Floats are printed with 17 significant
 digits so every double round-trips exactly; a manifest is just a config
 document with every default materialized, which makes re-runs
@@ -11,6 +12,8 @@ bit-reproducible.  All writes go through write-temp-then-rename.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -18,6 +21,7 @@ import re
 import shutil
 import signal
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,7 @@ from .dynamics import METHOD_TAG, Trajectory
 __all__ = [
     "ConfigError",
     "parse_phase",
+    "parse_value",
     "parse_config_text",
     "read_config",
     "render_config",
@@ -72,249 +77,156 @@ def parse_phase(token: str) -> float:
         raise ConfigError(f"cannot parse phase value {token!r}") from None
 
 
-def _parse_float(key: str, token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {token!r} as a number") from None
-
-
-def _parse_int(key: str, token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {token!r} as an integer") from None
-
-
-def _parse_bool(key: str, token: str) -> bool:
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {token!r}")
-
-
 def _split_list(token: str) -> list:
     return [part.strip() for part in token.split(",") if part.strip()]
 
 
-# Schema: (key, kind).  Order is the canonical render order.
-_SCHEMA = (
-    ("experiment", "experiment"),
-    ("preset", "str"),
-    ("kappa", "float"),
-    ("beta", "float"),
-    ("gamma", "float"),
-    ("phi", "phase"),
-    ("boundary", "enum:open,periodic"),
-    ("chain_length", "int_or_auto"),
-    ("index_origin", "int_or_auto"),
-    ("defects", "defects"),
-    ("excitation.kind", "enum:none,single_site,gaussian"),
-    ("excitation.n0", "int"),
-    ("excitation.w0", "float"),
-    ("excitation.q0", "phase"),
-    ("excitation.normalize", "bool"),
-    ("timing.t_final", "float"),
-    ("timing.sample_dt", "float"),
-    ("timing.t_prime", "float_or_none"),
-    ("storage.n_half", "int"),
-    ("storage.v_c", "float"),
-    ("storage.xi", "float"),
-    ("storage.retrieval_phase_sign", "enum:forward,reversed"),
-    ("storage.xi_sweep", "float_list_or_none"),
-    ("reduction.j_values", "float_list"),
-    ("reduction.theta", "phase_or_none"),
-    ("reduction.b_init", "enum:slaved,zero"),
-    ("reduction.aux_sign", "enum:gain,loss"),
-    ("dispersion.phi_values", "phase_list"),
-    ("dispersion.q_points", "int"),
-)
+# The schema is declared once, on the config dataclasses: each field of
+# protocols.ExperimentConfig is a key, the fields of a nested dataclass are
+# keys ``outer.inner``, field order is the render order, and the annotation
+# gives the kind (``tuple[X, ...]`` is a comma list; a dataclass list item
+# is written ``a:b:c``).  Field metadata adds what an annotation cannot say:
+#   phase    the value is a phase (pi literals accepted);
+#   options  the strings an enum allows;
+#   none     the token for None or for an empty list; on a nested dataclass,
+#            the token of its first key that makes the whole of it None;
+#   unset    the value written in place of a None that has no token.
 
-_SCHEMA_KEYS = {key for key, _ in _SCHEMA}
+_PARSERS = {float: float, int: int, str: str, "phase": parse_phase,
+            bool: {"true": True, "false": False}.__getitem__}
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true/false", "phase": "a phase"}
 
 
-def _parse_value(key: str, kind: str, token: str):
-    if kind == "str":
-        return token
-    if kind == "experiment" or kind.startswith("enum:"):
-        options = kind.split(":", 1)[1].split(",") if ":" in kind else None
-        if kind == "experiment":
-            from .protocols import EXPERIMENTS
+@functools.cache
+def _fields(cls) -> tuple:
+    """(field, kind, many, nested) for each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        kind, many = hints[f.name], False
+        if typing.get_origin(kind) is tuple:
+            kind, many = typing.get_args(kind)[0], True
+        if f.metadata.get("phase"):
+            kind = "phase"
+        out.append((f, kind, many, dataclasses.is_dataclass(kind) and not many))
+    return tuple(out)
 
-            options = list(EXPERIMENTS)
+
+@functools.cache
+def _schema() -> dict:
+    """key -> (kind, many, tags) for every config key, in canonical order."""
+    from .protocols import ExperimentConfig
+
+    schema = {}
+
+    def walk(cls, prefix, none):
+        for i, (f, kind, many, nested) in enumerate(_fields(cls)):
+            if nested:
+                walk(kind, f"{prefix}{f.name}.", f.metadata.get("none"))
+            else:
+                tags = {**f.metadata, "none": none} if i == 0 and none else f.metadata
+                schema[prefix + f.name] = (kind, many, tags)
+
+    walk(ExperimentConfig, "", None)
+    return schema
+
+
+def _flatten(cls, obj, prefix: str = "", out: dict = None) -> dict:
+    """{key: value} of a config; a None nested config reads as its defaults."""
+    out = {} if out is None else out
+    for f, kind, _, nested in _fields(cls):
+        if obj is not None:
+            value = getattr(obj, f.name)
+        else:
+            value = None if f.default is dataclasses.MISSING else f.default
+        if nested:
+            _flatten(kind, value, f"{prefix}{f.name}.", out)
+        else:
+            out[prefix + f.name] = f.metadata.get("unset") if value is None else value
+    return out
+
+
+def _build(cls, values: dict, prefix: str = ""):
+    """The inverse of _flatten: a nested config whose first key is None is None."""
+    kwargs = {}
+    for f, kind, _, nested in _fields(cls):
+        key = prefix + f.name
+        if nested:
+            first = f"{key}.{_fields(kind)[0][0].name}"
+            kwargs[f.name] = None if values[first] is None else _build(kind, values, key + ".")
+        else:
+            kwargs[f.name] = values[key]
+    return cls(**kwargs)
+
+
+@functools.cache
+def _defaults() -> dict:
+    """Values of a probe config: what an omitted key reads as."""
+    from .protocols import ExperimentConfig
+
+    return _flatten(ExperimentConfig, ExperimentConfig(experiment="dispersion_scan"))
+
+
+def _parse_scalar(key: str, kind, tags, token: str):
+    options = tags.get("options")
+    if options:
         if token not in options:
-            raise ConfigError(f"{key}: {token!r} is not one of {', '.join(options)}")
+            shown = ([tags["none"]] if "none" in tags else []) + list(options)
+            raise ConfigError(f"{key}: {token!r} is not one of {', '.join(shown)}")
         return token
-    if kind == "float":
-        return _parse_float(key, token)
-    if kind == "int":
-        return _parse_int(key, token)
-    if kind == "bool":
-        return _parse_bool(key, token)
-    if kind == "phase":
-        try:
-            return parse_phase(token)
-        except ConfigError:
-            raise ConfigError(f"{key}: cannot parse {token!r} as a phase") from None
-    if kind == "int_or_auto":
-        return None if token == "auto" else _parse_int(key, token)
-    if kind == "float_or_none":
-        return None if token == "none" else _parse_float(key, token)
-    if kind == "phase_or_none":
-        if token == "none":
-            return None
-        try:
-            return parse_phase(token)
-        except ConfigError:
-            raise ConfigError(f"{key}: cannot parse {token!r} as a phase") from None
-    if kind == "defects":
-        if token == "none":
-            return ()
-        out = []
-        for item in _split_list(token):
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"{key}: defect {item!r} must be site:v_real:xi_imag")
-            out.append((_parse_int(key, parts[0]), _parse_float(key, parts[1]),
-                        _parse_float(key, parts[2])))
-        return tuple(out)
-    if kind == "float_list" or kind == "float_list_or_none":
-        if token == "none" and kind.endswith("_or_none"):
-            return ()
-        return tuple(_parse_float(key, item) for item in _split_list(token))
-    if kind == "phase_list":
-        return tuple(parse_phase(item) for item in _split_list(token))
-    raise AssertionError(f"unhandled kind {kind}")
-
-
-def _render_value(kind: str, value) -> str:
-    if kind == "str":
-        return str(value)
-    if kind == "experiment" or kind.startswith("enum:"):
-        return str(value)
-    if kind in ("float", "phase"):
-        return _fmt_float(value)
-    if kind == "int":
-        return str(int(value))
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "int_or_auto":
-        return "auto" if value is None else str(int(value))
-    if kind in ("float_or_none", "phase_or_none"):
-        return "none" if value is None else _fmt_float(value)
-    if kind == "defects":
-        if not value:
-            return "none"
-        return ", ".join(f"{site}:{_fmt_float(v)}:{_fmt_float(xi)}" for site, v, xi in value)
-    if kind == "float_list_or_none":
-        if not value:
-            return "none"
-        return ", ".join(_fmt_float(v) for v in value)
-    if kind in ("float_list", "phase_list"):
-        return ", ".join(_fmt_float(v) for v in value)
-    raise AssertionError(f"unhandled kind {kind}")
-
-
-def _config_to_values(config) -> dict:
-    exc = config.excitation
-    return {
-        "experiment": config.experiment,
-        "preset": config.preset,
-        "kappa": config.kappa,
-        "beta": config.beta,
-        "gamma": config.gamma,
-        "phi": config.phi,
-        "boundary": config.boundary,
-        "chain_length": config.chain_length,
-        "index_origin": config.index_origin,
-        "defects": tuple((d.site, d.v_real, d.xi_imag) for d in config.defects),
-        "excitation.kind": exc.kind if exc is not None else "none",
-        "excitation.n0": exc.n0 if exc is not None else 0,
-        "excitation.w0": exc.w0 if exc is not None and exc.w0 is not None else 5.0,
-        "excitation.q0": exc.q0 if exc is not None and exc.q0 is not None else 0.0,
-        "excitation.normalize": exc.normalize if exc is not None else True,
-        "timing.t_final": config.timing.t_final,
-        "timing.sample_dt": config.timing.sample_dt,
-        "timing.t_prime": config.timing.t_prime,
-        "storage.n_half": config.storage.n_half,
-        "storage.v_c": config.storage.v_c,
-        "storage.xi": config.storage.xi,
-        "storage.retrieval_phase_sign": config.storage.retrieval_phase_sign,
-        "storage.xi_sweep": config.storage.xi_sweep,
-        "reduction.j_values": config.reduction.j_values,
-        "reduction.theta": config.reduction.theta,
-        "reduction.b_init": config.reduction.b_init,
-        "reduction.aux_sign": config.reduction.aux_sign,
-        "dispersion.phi_values": config.dispersion.phi_values,
-        "dispersion.q_points": config.dispersion.q_points,
-    }
-
-
-def _values_to_config(values: dict):
-    from .analysis import ExcitationSpec
-    from .lattice import DefectSpec
-    from .protocols import (
-        DispersionParams,
-        ExperimentConfig,
-        ReductionParams,
-        StorageParams,
-        Timing,
-    )
-
-    kind = values["excitation.kind"]
-    if kind == "none":
-        excitation = None
-    elif kind == "single_site":
-        excitation = ExcitationSpec(kind="single_site", n0=values["excitation.n0"],
-                                    normalize=values["excitation.normalize"])
-    else:
-        excitation = ExcitationSpec(kind="gaussian", n0=values["excitation.n0"],
-                                    w0=values["excitation.w0"], q0=values["excitation.q0"],
-                                    normalize=values["excitation.normalize"])
+    if kind not in _PARSERS:  # a dataclass list item, written a:b:c
+        fields = _fields(kind)
+        parts = token.split(":")
+        if len(parts) != len(fields):
+            names = ":".join(f.name for f, *_ in fields)
+            raise ConfigError(f"{key}: {token!r} must be {names}")
+        return kind(*(_parse_scalar(key, k, f.metadata, part)
+                      for (f, k, *_), part in zip(fields, parts)))
     try:
-        return ExperimentConfig(
-            experiment=values["experiment"],
-            preset=values["preset"],
-            kappa=values["kappa"],
-            beta=values["beta"],
-            gamma=values["gamma"],
-            phi=values["phi"],
-            boundary=values["boundary"],
-            chain_length=values["chain_length"],
-            index_origin=values["index_origin"],
-            defects=tuple(DefectSpec(site, v, xi) for site, v, xi in values["defects"]),
-            excitation=excitation,
-            timing=Timing(
-                t_final=values["timing.t_final"],
-                sample_dt=values["timing.sample_dt"],
-                t_prime=values["timing.t_prime"],
-            ),
-            storage=StorageParams(
-                n_half=values["storage.n_half"],
-                v_c=values["storage.v_c"],
-                xi=values["storage.xi"],
-                retrieval_phase_sign=values["storage.retrieval_phase_sign"],
-                xi_sweep=values["storage.xi_sweep"],
-            ),
-            reduction=ReductionParams(
-                j_values=values["reduction.j_values"],
-                theta=values["reduction.theta"],
-                b_init=values["reduction.b_init"],
-                aux_sign=values["reduction.aux_sign"],
-            ),
-            dispersion=DispersionParams(
-                phi_values=values["dispersion.phi_values"],
-                q_points=values["dispersion.q_points"],
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        value = _PARSERS[kind](token)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{key}: cannot parse {token!r} as {_KIND_NAMES[kind]}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: {token!r} is not a finite number")
+    return value
+
+
+def parse_value(key: str, token: str):
+    """Parse one value token of a schema key, as a config document would."""
+    kind, many, tags = _schema()[key]
+    if token == tags.get("none"):
+        return () if many else None
+    if many:
+        return tuple(_parse_scalar(key, kind, tags, item) for item in _split_list(token))
+    return _parse_scalar(key, kind, tags, token)
+
+
+def _render_scalar(kind, value) -> str:
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(int(value))
+    if kind is str:
+        return str(value)
+    if kind is float or kind == "phase":
+        return _fmt_float(value)
+    return ":".join(_render_scalar(k, getattr(value, f.name)) for f, k, *_ in _fields(kind))
+
+
+def _render_value(kind, many, tags, value) -> str:
+    if "none" in tags and (value is None or many and not value):
+        return tags["none"]
+    if many:
+        return ", ".join(_render_scalar(kind, v) for v in value)
+    return _render_scalar(kind, value)
 
 
 def parse_config_text(text: str):
     """Parse a config document; unknown or duplicate keys are rejected."""
-    values = {}
+    from .protocols import ExperimentConfig
+
+    schema = _schema()
+    tokens = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -323,20 +235,18 @@ def parse_config_text(text: str):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, token = line.partition("=")
         key = key.strip()
-        token = token.strip()
-        if key not in _SCHEMA_KEYS:
+        if key not in schema:
             raise ConfigError(f"unknown key {key!r} (line {lineno})")
-        if key in values:
+        if key in tokens:
             raise ConfigError(f"duplicate key {key!r} (line {lineno})")
-        values[key] = token
-    if "experiment" not in values:
+        tokens[key] = token.strip()
+    if "experiment" not in tokens:
         raise ConfigError("missing required key 'experiment'")
-    defaults = _default_tokens()
-    parsed = {}
-    for key, kind in _SCHEMA:
-        token = values.get(key, defaults[key])
-        parsed[key] = _parse_value(key, kind, token)
-    return _values_to_config(parsed)
+    values = _defaults() | {key: parse_value(key, token) for key, token in tokens.items()}
+    try:
+        return _build(ExperimentConfig, values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def read_config(path):
@@ -350,10 +260,10 @@ def read_config(path):
 
 def render_config(config) -> str:
     """Render every schema key (defaults materialized) in canonical order."""
-    values = _config_to_values(config)
+    schema = _schema()
     lines = [f"# {UNITS_HEADER}"]
-    for key, kind in _SCHEMA:
-        lines.append(f"{key} = {_render_value(kind, values[key])}")
+    for key, value in _flatten(type(config), config).items():
+        lines.append(f"{key} = {_render_value(*schema[key], value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -371,23 +281,6 @@ def config_hash(manifest_text: str) -> str:
         line for line in manifest_text.splitlines() if line.strip() and not line.startswith("#")
     )
     return "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-
-
-_DEFAULT_TOKEN_CACHE = {}
-
-
-def _default_tokens() -> dict:
-    """Default tokens exactly as they would be rendered; parsing them yields
-    the schema defaults, so partial config files are legal input while
-    manifests stay fully materialized."""
-    if not _DEFAULT_TOKEN_CACHE:
-        from .protocols import ExperimentConfig
-
-        probe = ExperimentConfig(experiment="dispersion_scan")
-        values = _config_to_values(probe)
-        for key, kind in _SCHEMA:
-            _DEFAULT_TOKEN_CACHE[key] = _render_value(kind, values[key])
-    return _DEFAULT_TOKEN_CACHE
 
 
 @contextlib.contextmanager

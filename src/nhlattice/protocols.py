@@ -11,7 +11,7 @@ the result bit-identically on the same platform.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -88,11 +88,19 @@ V_MAX_FACTOR = 2.0
 EDGE_FRACTION_LIMIT = 1e-6
 
 
+def _check_options(config) -> None:
+    """Reject a value outside the options its field's metadata declares."""
+    for f in fields(config):
+        options = f.metadata.get("options")
+        if options and getattr(config, f.name) not in options:
+            raise ValueError(f"bad {f.name} {getattr(config, f.name)!r}")
+
+
 @dataclass(frozen=True)
 class Timing:
     t_final: float = 60.0
     sample_dt: float = 0.25
-    t_prime: float = None
+    t_prime: float = field(default=None, metadata={"none": "none"})
 
 
 @dataclass(frozen=True)
@@ -100,12 +108,12 @@ class StorageParams:
     n_half: int = 3
     v_c: float = 1.0
     xi: float = 0.4
-    retrieval_phase_sign: str = "forward"
-    xi_sweep: tuple = ()
+    retrieval_phase_sign: str = field(default="forward",
+                                      metadata={"options": ("forward", "reversed")})
+    xi_sweep: tuple[float, ...] = field(default=(), metadata={"none": "none"})
 
     def __post_init__(self):
-        if self.retrieval_phase_sign not in ("forward", "reversed"):
-            raise ValueError(f"bad retrieval_phase_sign {self.retrieval_phase_sign!r}")
+        _check_options(self)
         object.__setattr__(self, "xi_sweep", tuple(float(x) for x in self.xi_sweep))
 
 
@@ -122,22 +130,20 @@ class ReductionParams:
     transport-scale comparisons.
     """
 
-    j_values: tuple = (4.0, 8.0)
-    theta: float = None
-    b_init: str = "slaved"
-    aux_sign: str = "gain"
+    j_values: tuple[float, ...] = (4.0, 8.0)
+    theta: float = field(default=None, metadata={"phase": True, "none": "none"})
+    b_init: str = field(default="slaved", metadata={"options": ("slaved", "zero")})
+    aux_sign: str = field(default="gain", metadata={"options": ("gain", "loss")})
 
     def __post_init__(self):
-        if self.b_init not in ("slaved", "zero"):
-            raise ValueError(f"bad b_init {self.b_init!r}")
-        if self.aux_sign not in ("gain", "loss"):
-            raise ValueError(f"bad aux_sign {self.aux_sign!r}")
+        _check_options(self)
         object.__setattr__(self, "j_values", tuple(float(j) for j in self.j_values))
 
 
 @dataclass(frozen=True)
 class DispersionParams:
-    phi_values: tuple = (0.0, math.pi / 4, math.pi / 2)
+    phi_values: tuple[float, ...] = field(default=(0.0, math.pi / 4, math.pi / 2),
+                                          metadata={"phase": True})
     q_points: int = 257
 
     def __post_init__(self):
@@ -153,27 +159,29 @@ class ExperimentConfig:
     chain_length/index_origin of None mean "auto": the chain is sized so
     that less than 1e-6 of the normalized intensity ever reaches the ends
     (excitation extent + ballistic horizon 2*kappa*t_final + padding).
+
+    The fields of this dataclass and of those nested in it are the keys of
+    a config document; see configio for how their metadata tags them.
     """
 
-    experiment: str
+    experiment: str = field(metadata={"options": EXPERIMENTS})
     preset: str = ""
     kappa: float = 1.0
     beta: float = 0.0
     gamma: float = 0.0
-    phi: float = 0.0
-    boundary: str = "open"
-    chain_length: int = None
-    index_origin: int = None
-    defects: tuple = ()
-    excitation: ExcitationSpec = None
+    phi: float = field(default=0.0, metadata={"phase": True})
+    boundary: str = field(default="open", metadata={"options": ("open", "periodic")})
+    chain_length: int = field(default=None, metadata={"none": "auto"})
+    index_origin: int = field(default=None, metadata={"none": "auto"})
+    defects: tuple[DefectSpec, ...] = field(default=(), metadata={"none": "none"})
+    excitation: ExcitationSpec = field(default=None, metadata={"none": "none"})
     timing: Timing = field(default_factory=Timing)
     storage: StorageParams = field(default_factory=StorageParams)
     reduction: ReductionParams = field(default_factory=ReductionParams)
     dispersion: DispersionParams = field(default_factory=DispersionParams)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+        _check_options(self)
         object.__setattr__(self, "phi", reduce_phase(self.phi))
         object.__setattr__(self, "defects", tuple(self.defects))
 
@@ -224,6 +232,10 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
                 "(sublattice loss gamma_a = gamma - 2*beta must be >= 0)")
         cfg = replace(cfg, phi=phi, reduction=replace(cfg.reduction, theta=theta))
     if _needs_chain(cfg) and (cfg.chain_length is None or cfg.index_origin is None):
+        if cfg.chain_length is not None or cfg.index_origin is not None:
+            key = "chain_length" if cfg.index_origin is None else "index_origin"
+            raise configio.ConfigError(
+                f"{key}: set both chain_length and index_origin, or neither (auto)")
         lo, hi = _auto_extent(cfg)
         cfg = replace(cfg, chain_length=hi - lo + 1, index_origin=lo)
     if _needs_chain(cfg):

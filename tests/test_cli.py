@@ -109,6 +109,59 @@ def test_removed_integrator_keys_exit_2(tmp_path, capsys, line, key):
     assert f"unknown key {key!r}" in err
 
 
+def _run_fast_transport_with(tmp_path, line, *extra):
+    """Run FAST_TRANSPORT_CFG with ``line`` replacing or adding its key."""
+    key = line.split(" = ")[0]
+    kept = [l for l in FAST_TRANSPORT_CFG.splitlines() if l.split(" = ")[0] != key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(kept + [line]) + "\n")
+    return main(["transport", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
+
+
+def _single_config_error(capsys, key):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: config: {key}: "), lines[0]
+    return lines[0]
+
+
+@pytest.mark.parametrize("line", [
+    "kappa = inf",
+    "kappa = nan",
+    "timing.t_final = -inf",
+    "timing.sample_dt = nan",
+    "defects = 3:nan:0",
+    "storage.xi_sweep = 0.4, inf",
+    "dispersion.phi_values = 0, 1e999",
+])
+def test_non_finite_number_exits_2_naming_the_key(tmp_path, capsys, line):
+    assert _run_fast_transport_with(tmp_path, line) == 2
+    assert "not a finite number" in _single_config_error(capsys, line.split(" = ")[0])
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e999"])
+def test_non_finite_t_final_flag_fails_like_the_key(tmp_path, capsys, value):
+    code = main(["transport", "--preset", "fig3a", f"--t-final={value}",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "not a finite number" in _single_config_error(capsys, "timing.t_final")
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_phase_list_item_names_the_key(tmp_path, capsys):
+    assert _run_fast_transport_with(tmp_path, "dispersion.phi_values = 0, foo") == 2
+    assert "'foo'" in _single_config_error(capsys, "dispersion.phi_values")
+
+
+@pytest.mark.parametrize("line", [
+    "chain_length = 41", "chain_length = 0", "chain_length = -5", "index_origin = -20",
+])
+def test_half_set_chain_extent_exits_2_naming_the_key(tmp_path, capsys, line):
+    assert _run_fast_transport_with(tmp_path, line) == 2
+    assert "set both" in _single_config_error(capsys, line.split(" = ")[0])
+    assert not (tmp_path / "o").exists()
+
+
 def test_subcommand_experiment_mismatch_exits_2(tmp_path, capsys):
     code = main(["storage", "--preset", "fig3d", "--out", str(tmp_path / "o")])
     assert code == 2

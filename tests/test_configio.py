@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhlattice import (
     ChainSpec,
@@ -109,6 +110,81 @@ def test_defect_parsing():
     assert sites == [(10, 2.0, 0.0), (-5, 1.5, 0.25)]
     with pytest.raises(ConfigError, match="defect"):
         parse_config_text("experiment = storage\ndefects = 10:2\n")
+
+
+_FLOAT_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300, 1 / 3]),
+).map(repr)
+_PI_TOKENS = st.builds("{}{}pi{}".format, st.sampled_from(["", "-", "+"]),
+                       st.sampled_from(["", "3*", "2", "0.5*"]),
+                       st.sampled_from(["", "/2", "/4", "/3"]))
+_PHASE_TOKENS = st.one_of(_FLOAT_TOKENS, _PI_TOKENS)
+_INT_TOKENS = st.integers(-10**6, 10**6).map(str)
+_DEFECT_TOKENS = st.builds("{}:{}:{}".format, _INT_TOKENS, _FLOAT_TOKENS, _FLOAT_TOKENS)
+
+
+def _lists(tokens):
+    return st.lists(tokens, max_size=4).map(", ".join)
+
+
+def _token_or(token, tokens):
+    return st.one_of(st.just(token), tokens)
+
+
+#: every config key in canonical order, with tokens drawn from its kind
+_KEY_TOKENS = {
+    "experiment": st.sampled_from(["dispersion_scan", "transport_single_site",
+                                   "transport_gaussian", "storage", "reduction_check"]),
+    "preset": st.from_regex(r"[A-Za-z0-9_.-]*", fullmatch=True),
+    "kappa": _FLOAT_TOKENS,
+    "beta": _FLOAT_TOKENS,
+    "gamma": _FLOAT_TOKENS,
+    "phi": _PHASE_TOKENS,
+    "boundary": st.sampled_from(["open", "periodic"]),
+    "chain_length": _token_or("auto", _INT_TOKENS),
+    "index_origin": _token_or("auto", _INT_TOKENS),
+    "defects": _token_or("none", _lists(_DEFECT_TOKENS)),
+    "excitation.kind": st.sampled_from(["none", "single_site", "gaussian"]),
+    "excitation.n0": _INT_TOKENS,
+    "excitation.w0": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
+    "excitation.q0": _PHASE_TOKENS,
+    "excitation.normalize": st.sampled_from(["true", "false"]),
+    "timing.t_final": _FLOAT_TOKENS,
+    "timing.sample_dt": _FLOAT_TOKENS,
+    "timing.t_prime": _token_or("none", _FLOAT_TOKENS),
+    "storage.n_half": _INT_TOKENS,
+    "storage.v_c": _FLOAT_TOKENS,
+    "storage.xi": _FLOAT_TOKENS,
+    "storage.retrieval_phase_sign": st.sampled_from(["forward", "reversed"]),
+    "storage.xi_sweep": _token_or("none", _lists(_FLOAT_TOKENS)),
+    "reduction.j_values": _lists(_FLOAT_TOKENS),
+    "reduction.theta": _token_or("none", _PHASE_TOKENS),
+    "reduction.b_init": st.sampled_from(["slaved", "zero"]),
+    "reduction.aux_sign": st.sampled_from(["gain", "loss"]),
+    "dispersion.phi_values": _lists(_PHASE_TOKENS),
+    "dispersion.q_points": st.integers(3, 10**6).map(str),
+}
+
+
+@st.composite
+def _config_documents(draw):
+    optional = {key: tokens for key, tokens in _KEY_TOKENS.items() if key != "experiment"}
+    tokens = draw(st.fixed_dictionaries({"experiment": _KEY_TOKENS["experiment"]},
+                                        optional=optional))
+    lines = draw(st.permutations([f"{key} = {token}" for key, token in tokens.items()]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=100)
+@given(document=_config_documents())
+def test_render_parse_round_trip_over_generated_configs(document):
+    config = parse_config_text(document)
+    text = render_config(config)
+    assert [line.split(" = ")[0] for line in text.splitlines()[1:]] == list(_KEY_TOKENS)
+    back = parse_config_text(text)
+    assert back == config
+    assert render_config(back) == text
 
 
 def test_read_config_missing_file_names_it(tmp_path):

@@ -7,7 +7,10 @@ those of ``heatmap.svg`` before the SVG cell loop was rewritten; they must stay
 unchanged by any change that claims bit-identical outputs.  The
 digests hold only for the numpy and scipy versions they were recorded with;
 under any other version the test skips and names both.  The same holds for
-the pinned matvec counts of three presets.
+the pinned matvec counts of three presets.  The digests of the 15 resolved
+preset config documents were recorded before the config schema moved onto
+the config dataclasses; rendering uses neither numpy nor scipy, so they
+hold under any version.
 """
 
 import hashlib
@@ -16,8 +19,9 @@ import numpy as np
 import pytest
 import scipy
 
-from nhlattice import Operator, run_preset
+from nhlattice import PRESETS, Operator, preset_config, resolve_config, run_preset
 from nhlattice.cli import main as cli_main
+from nhlattice.configio import render_config
 
 #: versions the digests below were recorded with
 GOLDEN_NUMPY = "2.4.6"
@@ -73,3 +77,34 @@ def test_preset_matvec_count_matches_recorded(monkeypatch, preset):
     monkeypatch.setattr(Operator, "matvec", counted)
     run_preset(preset)
     assert len(calls) == MATVEC_COUNTS[preset]
+
+
+#: sha256 of render_config(resolve_config(preset_config(name))); these fix
+#: each preset's manifest body, and with it its config_hash
+MANIFEST_DIGESTS = {
+    "fig2": "3e4b7874dc7ede2abd1f7c7991269a7784a997da88345cde2aca4c08e0238bae",
+    "fig3a": "4649d27c807f1663fa8189f5668c8556cb357ed8d09a66855fb66913a75ed03c",
+    "fig3b": "c85c954aba5ac8aa2749a115fc54ed5bdf53de36a427c5064e46d4b5407f295a",
+    "fig3c": "3a7c1c7421635bd36bb77850b2c6bd64125a0600517a00e5261da48dff3de5f8",
+    "fig3d": "9c9751d3c5fbd603891095b277e9372e188b97d87783312dc31f08e50bd0dc87",
+    "fig3e": "ed1043dfc3eb65cb0dbc60a9b50e1668bbe9be0234f1fff08cdf123287985594",
+    "fig3f": "3776b3132f0f1e39ad2a2a972bccc4c03996fc64baed124b3617e0a538fda380",
+    "fig4a": "3f13fbde55dd8822fb760a4295032dfccc70980ba0b3c846d73aae8f71889dad",
+    "fig4b": "ff9b012ceb5473a0ed9df9e0a368090d10616b4a5bf8cdeea4c13df60500fb12",
+    "fig4c": "2e7be9d0c261c4ad9ee5010dbf007398845379545e1e849a4b78f956036ee35f",
+    "fig4d": "ea3241829d759afdf58fd0022bec628cc7aee39646bc232bf33713ba811c7aff",
+    "fig6a": "6fd9138eaa70852cf1eca034c4ff33ac58346ac2aedc3a74690153d76d9671a1",
+    "fig6b": "ed6a5080014c89802229530c9ca8f56a7105546329724e7b1b062223dbd567a0",
+    "fig7": "c9e4aea9076d1ebaf8473ce228f60ed5c5daf0cc7e5d065fbaed14403057d894",
+    "reduction": "dc5172ecfd3db819cd0a6048900adbc338eca10cdd8282116e9d70337d727379",
+}
+
+
+def test_manifest_digests_cover_every_preset():
+    assert sorted(MANIFEST_DIGESTS) == sorted(PRESETS)
+
+
+@pytest.mark.parametrize("preset", sorted(MANIFEST_DIGESTS))
+def test_preset_config_document_matches_golden_digest(preset):
+    text = render_config(resolve_config(preset_config(preset)))
+    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST_DIGESTS[preset]
