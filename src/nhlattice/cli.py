@@ -9,6 +9,7 @@ errors print one machine-parseable line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -76,24 +77,37 @@ def _load_config(args) -> protocols.ExperimentConfig:
     return config
 
 
-def _write_artifacts(result, out_dir: Path, fmt: str) -> None:
+def _write_artifacts(result, out_dir: Path, fmt: str, sink) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     configio.write_text_atomic(out_dir / "manifest.cfg", result.manifest)
     configio.write_metrics(result.metrics, out_dir / "metrics.txt")
     if result.table is not None:
         configio.write_table_csv(result.table, out_dir / "scan.csv")
     if result.trajectory is not None:
-        configio.write_trajectory_csv(result.trajectory, out_dir / "trajectory.csv")
         if fmt == "csv+svg":
             title = result.config.preset or result.config.experiment
             svg = render_heatmap(result.trajectory, title=title)
             configio.write_text_atomic(out_dir / "heatmap.svg", svg)
+        # last: the sink's helper formats the CSV through all of the above
+        configio.write_trajectory_csv(result.trajectory, out_dir / "trajectory.csv", sink)
 
 
 def _run(args) -> int:
-    config = _load_config(args)
-    result = protocols.run_experiment(config)
-    _write_artifacts(result, Path(args.out), args.format)
+    config = protocols.resolve_config(_load_config(args))  # config errors before any write
+    out_dir = Path(args.out)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    try:
+        with contextlib.ExitStack() as stack:
+            sink = None
+            if config.experiment != "dispersion_scan":  # every other run has a trajectory
+                sink = stack.enter_context(configio.TrajectorySink(out_dir / "trajectory.csv"))
+            result = protocols.run_experiment(config, sink=sink)
+            _write_artifacts(result, out_dir, args.format, sink)
+    except BaseException:
+        for d in made:  # leave no directory this run made; one holding files stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     print(f"wrote {args.out} ({result.metrics['experiment']}, "
           f"preset={result.metrics['preset']})")
     return 0

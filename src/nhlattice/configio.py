@@ -7,6 +7,12 @@ by name, non-finite numbers by key), and pi-literal phases
 digits so every double round-trips exactly; a manifest is just a config
 document with every default materialized, which makes re-runs
 bit-reproducible.  All writes go through write-temp-then-rename.
+
+The trajectory CSV is written by a TrajectorySink, which can take the
+states of a run as they are computed: a forked helper formats samples
+from 0 up while the run propagates, analyses and renders, and the run
+formats the part of the rest that the helper leaves to it (see
+TrajectorySink).  The bytes are the same on every path.
 """
 
 from __future__ import annotations
@@ -16,10 +22,13 @@ import dataclasses
 import functools
 import hashlib
 import math
+import mmap
 import os
 import re
+import select
 import shutil
 import signal
+import struct
 import tempfile
 import typing
 from pathlib import Path
@@ -38,6 +47,7 @@ __all__ = [
     "render_manifest",
     "config_hash",
     "write_text_atomic",
+    "TrajectorySink",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "write_table_csv",
@@ -283,30 +293,41 @@ def config_hash(manifest_text: str) -> str:
     return "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
 
 
-@contextlib.contextmanager
-def _atomic_file(path: Path):
-    """Yield a binary temp file beside ``path``; rename it onto ``path`` on success."""
+def _temp_beside(path: Path):
+    """A binary temp file in ``path``'s directory (made if missing), and its name."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    return os.fdopen(fd, "wb"), tmp
 
 
 def write_text_atomic(path, text: str) -> None:
     """Write via a temp file in the same directory, then rename."""
-    with _atomic_file(Path(path)) as fh:
-        fh.write(text.encode("utf-8"))
+    path = Path(path)
+    fh, tmp = _temp_beside(path)
+    try:
+        with fh:
+            fh.write(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+_CSV_HEADER = b"t,site,re,im\n"
+#: one message on a helper pipe: a count of samples, or _FINISH
+_MSG = struct.Struct("q")
+#: asks the streaming helper how far it got; it replies with that count
+_FINISH = -1
 
 
 def _second_cpu() -> bool:
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _rows(site_labels) -> list:
+    return [f",{label},%.17g,%.17g\n" for label in site_labels]
 
 
 def _format_samples(fh, times, values, rows) -> None:
@@ -315,57 +336,210 @@ def _format_samples(fh, times, values, rows) -> None:
         fh.write(((t_str + t_str.join(rows)) % tuple(row.tolist())).encode())
 
 
-def _fork_formatter(side, times, values, rows) -> int:
-    """Fork a helper that formats the samples into ``side``; 0 if fork fails.
+def _split(done: int, n: int) -> int:
+    """Where the helper stops: it takes the larger half of what is left."""
+    return done + (n - done + 1) // 2
 
-    The helper leaves through ``os._exit``, so it never flushes the
-    parent's stdio buffers or runs its atexit handlers.
+
+def _helper(fd, inbox, outbox, times, values, rows, ready, stop) -> None:
+    """Append samples [0, stop) to ``fd`` from sample 0 up, in a forked helper.
+
+    Samples up to ``ready`` are in ``values``.  While ``stop`` is None the
+    run streams: each message on ``inbox`` is a larger ``ready``, and
+    _FINISH is answered on ``outbox`` with the samples done so far, from
+    which both sides take the stop by _split.
     """
-    try:
-        pid = os.fork()
-    except OSError:
-        return 0
-    if pid == 0:
-        code = 1
+    n = len(times)
+    inbox_ready = select.poll()
+    inbox_ready.register(inbox, select.POLLIN)
+    with open(fd, "wb", closefd=False) as out:
+        k = 0
+        while stop is None or k < stop:
+            if stop is None and (k == ready or inbox_ready.poll(0)):
+                data = os.read(inbox, 1 << 16)  # whole messages: each write is one
+                if not data:
+                    raise EOFError("the run closed the pipe")
+                for (msg,) in _MSG.iter_unpack(data):
+                    if msg == _FINISH:
+                        os.write(outbox, _MSG.pack(k))
+                        stop = _split(k, n)
+                    else:
+                        ready = msg
+            else:
+                _format_samples(out, times[k:k + 1], values[k:k + 1], rows)
+                k += 1
+
+
+class TrajectorySink:
+    """``trajectory.csv`` formatted while its trajectory is computed.
+
+    The file is opened (as a temp file beside ``path``, header written) on
+    construction.  ``evolve_schedule(..., sink=sink)`` takes its states
+    buffer from ``states``, a shared anonymous mmap, and calls ``publish``
+    after each sample.  With a second CPU, ``states`` forks a helper that
+    formats samples from 0 up as they are published.  ``finish`` asks the
+    helper how far it got, lets it format half of what is left, formats
+    the other half itself, appends it after the helper's rows and renames
+    the file onto ``path``.  A trajectory that was not streamed (no
+    ``states`` call, or another trajectory) gets a helper forked at finish
+    with the split fixed.  If the fork fails or the helper dies, this
+    process formats the helper's part itself; the bytes are the same on
+    every path.  ``abort`` (also on leaving a ``with`` block) kills the
+    helper and removes the temp file.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._out, self._tmp = _temp_beside(self.path)
+        self._buffer = None
+        self._pid = 0  # the helper; 0 while none runs
+        self._to_helper = self._from_helper = -1
         try:
-            _format_samples(side, times, values, rows)
-            side.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+            self._out.write(_CSV_HEADER)
+            self._out.flush()
+        except BaseException:
+            self.abort()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.abort()
+
+    def states(self, times, site_labels) -> np.ndarray:
+        """The (len(times), len(site_labels)) complex buffer to fill, in shared memory."""
+        if self._buffer is not None:
+            raise ValueError("a TrajectorySink takes one trajectory")
+        n, dim = len(times), len(site_labels)
+        self._buffer = np.frombuffer(mmap.mmap(-1, 16 * n * dim), dtype=complex).reshape(n, dim)
+        self._fork(times, self._buffer.view(float), _rows(site_labels), 0, None)
+        return self._buffer
+
+    def publish(self, count: int) -> None:
+        """Samples [0, count) of the states buffer are final."""
+        if self._pid:
+            try:
+                os.write(self._to_helper, _MSG.pack(count))
+            except OSError:  # the helper is gone; its part is formatted again
+                self._drop_helper()
+
+    def finish(self, traj) -> None:
+        """Write ``traj`` (the streamed trajectory or any other) and rename onto path."""
+        try:
+            values = np.ascontiguousarray(traj.amplitudes, dtype=complex).view(float)
+            times, rows, n = traj.times, _rows(traj.site_labels), len(traj.times)
+            if self._pid and traj.amplitudes is not self._buffer:
+                self._drop_helper()
+            stop = self._ask_stop(n) if self._pid else None
+            if stop is None and self._fork(times, values, rows, n, _split(0, n)):
+                stop = _split(0, n)
+            if stop is None:
+                _format_samples(self._out, times, values, rows)
+            else:
+                with tempfile.TemporaryFile(dir=self.path.parent) as tail:
+                    _format_samples(tail, times[stop:], values[stop:], rows)
+                    if self._reap():
+                        self._out.seek(0, os.SEEK_END)
+                    else:
+                        self._restart()
+                        _format_samples(self._out, times[:stop], values[:stop], rows)
+                    tail.seek(0)
+                    shutil.copyfileobj(tail, self._out)
+            self._out.close()
+            os.replace(self._tmp, self.path)
+            self._tmp = None
+        except BaseException:
+            self.abort()
+            raise
+
+    def abort(self) -> None:
+        """Kill the helper and remove the temp file; ``path`` is left as it was."""
+        self._reap(kill=True)
+        self._out.close()
+        if self._tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self._tmp)
+            self._tmp = None
+
+    def _fork(self, times, values, rows, ready, stop) -> bool:
+        """Fork the helper on samples [0, stop); False if none could start.
+
+        The helper leaves through ``os._exit``, so it never flushes the
+        parent's stdio buffers or runs its atexit handlers.
+        """
+        if len(times) < 2 or not _second_cpu():
+            return False
+        self._out.flush()  # the helper appends at the shared file offset
+        to_helper, from_helper = os.pipe(), os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (*to_helper, *from_helper):
+                os.close(fd)
+            return False
+        if pid == 0:
+            code = 1
+            try:
+                os.close(to_helper[1])  # so that a run that dies leaves the helper EOF
+                os.close(from_helper[0])
+                _helper(self._out.fileno(), to_helper[0], from_helper[1],
+                        times, values, rows, ready, stop)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(to_helper[0])
+        os.close(from_helper[1])
+        self._pid, self._to_helper, self._from_helper = pid, to_helper[1], from_helper[0]
+        return True
+
+    def _ask_stop(self, n: int):
+        """Where the streaming helper stops; None, with it dropped, if it is gone."""
+        try:
+            os.write(self._to_helper, _MSG.pack(_FINISH))
+            reply = os.read(self._from_helper, _MSG.size)
+        except OSError:
+            reply = b""
+        if len(reply) == _MSG.size:
+            return _split(_MSG.unpack(reply)[0], n)
+        self._drop_helper()
+        return None
+
+    def _reap(self, kill: bool = False) -> bool:
+        """Wait for the helper, killing it first if asked; True if it exited 0."""
+        if not self._pid:
+            return False
+        if kill:
+            with contextlib.suppress(OSError):
+                os.kill(self._pid, signal.SIGKILL)
+        status = os.waitpid(self._pid, 0)[1]  # interrupted, abort() kills and reaps it
+        self._pid = 0
+        os.close(self._to_helper)
+        os.close(self._from_helper)
+        return os.waitstatus_to_exitcode(status) == 0 and not kill
+
+    def _restart(self) -> None:
+        """Drop every row after the header."""
+        self._out.seek(len(_CSV_HEADER))
+        self._out.truncate()
+
+    def _drop_helper(self) -> None:
+        self._reap(kill=True)
+        self._restart()
 
 
-def write_trajectory_csv(traj, path) -> None:
+def write_trajectory_csv(traj, path, sink=None) -> None:
     """One row per (sample time, site), time-major, 17 significant digits.
 
-    With a second CPU, a forked helper formats the second half of the
-    samples into an unlinked side file while this process formats the
-    first half; if the helper cannot start or fails, this process formats
-    that half itself.  The bytes are the same on every path.
+    ``sink``, if given, is the TrajectorySink on ``path`` that streamed
+    ``traj`` while it was computed; without one, ``traj`` is written by a
+    new sink with the helper's share fixed when it forks.
     """
-    path = Path(path)
-    rows = [f",{label},%.17g,%.17g\n" for label in traj.site_labels]
-    values = np.ascontiguousarray(traj.amplitudes, dtype=complex).view(float)  # re, im interleaved
-    times, n = traj.times, len(values)
-    half = n // 2 if n >= 2 and _second_cpu() else n
-    with _atomic_file(path) as out, tempfile.TemporaryFile(dir=path.parent) as side:
-        pid = _fork_formatter(side, times[half:], values[half:], rows) if half < n else 0
-        try:
-            out.write(b"t,site,re,im\n")
-            _format_samples(out, times[:half], values[:half], rows)
-            helper_ok = pid and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        except BaseException:
-            if pid:
-                with contextlib.suppress(OSError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            raise
-        if helper_ok:
-            side.seek(0)
-            shutil.copyfileobj(side, out)
-        else:
-            _format_samples(out, times[half:], values[half:], rows)
+    if sink is None:
+        sink = TrajectorySink(path)
+    elif sink.path != Path(path):
+        raise ValueError(f"sink writes {sink.path}, not {path}")
+    sink.finish(traj)
 
 
 def read_trajectory_csv(path, method_tag: str = METHOD_TAG):

@@ -13,7 +13,12 @@ Each Taylor term costs a product through scipy's CSR kernel (see
 Operator.matvec) and one max|b|.  max|f| enters only scipy's stop test,
 so it is computed only when that test could pass against a running upper
 bound on it; the bound is never below the computed max|f| (proof in
-_Step.__call__), so the loop breaks on the same term as scipy's."""
+_Step.__call__), so the loop breaks on the same term as scipy's.
+
+A run can stream its trajectory out while it propagates: given a sink
+(configio.TrajectorySink), evolve_schedule writes the samples into the
+sink's shared states buffer and publishes the count of finished samples
+after each one, so a forked helper formats trajectory.csv meanwhile."""
 
 from __future__ import annotations
 
@@ -243,19 +248,26 @@ class _Stepper:
         return state
 
 
-def evolve_exact(h, c0: StateVector, t_final: float, sample_dt: float) -> Trajectory:
+def evolve_exact(h, c0: StateVector, t_final: float, sample_dt: float, *,
+                 sink=None) -> Trajectory:
     """Snapshots exp(-iH t_k) @ c0 at t_k = k*sample_dt under one operator."""
-    return evolve_schedule(Schedule((ScheduleSegment(0.0, h),)), c0, t_final, sample_dt)
+    return evolve_schedule(Schedule((ScheduleSegment(0.0, h),)), c0, t_final, sample_dt,
+                           sink=sink)
 
 
 def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
-                    sample_dt: float) -> Trajectory:
+                    sample_dt: float, *, sink=None) -> Trajectory:
     """Evolve under a piecewise-constant schedule, sampled every sample_dt.
 
     Each segment's operator acts on [t_start_k, t_start_{k+1}).  A sample gap
     that contains a switch is split there, so switch times are exact.
     Amplitudes that turn non-finite or exceed 1e150 raise GainRunawayError; a
     sample whose intensity underflows to 0 raises NormUnderflowError.
+
+    A ``sink`` (configio.TrajectorySink) streams the trajectory out while it
+    is computed: the states are written into ``sink.states(times,
+    site_labels)``, and ``sink.publish(k + 1)`` follows sample k.  The
+    states, and so the trajectory, are the same with or without it.
     """
     segments = schedule.segments
     h0 = segments[0].hamiltonian
@@ -268,7 +280,10 @@ def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
     if c0.norm <= 0.0:
         raise ValueError("initial state must have positive norm")
     times = np.arange(math.floor(t_final / sample_dt + _TIME_EPS) + 1) * sample_dt
-    states = np.empty((len(times), h0.dim), dtype=complex)
+    if sink is None:
+        states = np.empty((len(times), h0.dim), dtype=complex)
+    else:
+        states = sink.states(times, h0.site_labels)
     states[0] = state = c0.amplitudes
     steppers = [_Stepper(s.hamiltonian) for s in segments]
     switches = [s.t_start for s in segments[1:]]
@@ -284,6 +299,8 @@ def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
                 seg += 1
             gap = sample_dt if t == times[k - 1] else times[k] - t
             states[k] = state = steppers[seg](gap, state)
+            if sink is not None:
+                sink.publish(k + 1)
     norm_series = np.sum(np.abs(states) ** 2, axis=1)
     if not norm_series.all():
         t = float(times[np.argmin(norm_series)])  # the first zero

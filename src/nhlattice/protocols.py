@@ -86,6 +86,8 @@ SIZE_PAD_SINGLE_SITE = 30
 V_MAX_FACTOR = 2.0
 #: max tolerated normalized intensity on the two end sites of a sized chain
 EDGE_FRACTION_LIMIT = 1e-6
+#: longest chain numpy can size a complex state of the sawtooth (2 sites per cell) for
+MAX_CHAIN_LENGTH = np.iinfo(np.intp).max // 32
 
 
 def _check_options(config) -> None:
@@ -204,8 +206,13 @@ def _needs_chain(config: ExperimentConfig) -> bool:
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     """Materialize every automatic field so manifests are self-contained."""
     cfg = config
-    if cfg.experiment in ("transport_single_site", "transport_gaussian",
-                          "storage", "reduction_check"):
+    if _needs_chain(cfg):
+        if not cfg.timing.sample_dt > 0.0:
+            raise configio.ConfigError(
+                f"timing.sample_dt: must be > 0, got {cfg.timing.sample_dt!r}")
+        if not cfg.timing.t_final >= 0.0:
+            raise configio.ConfigError(
+                f"timing.t_final: must be >= 0, got {cfg.timing.t_final!r}")
         if cfg.excitation is None:
             raise configio.ConfigError("excitation.kind: experiment needs an excitation")
         if cfg.experiment == "transport_single_site" and cfg.excitation.kind != "single_site":
@@ -241,6 +248,9 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     if _needs_chain(cfg):
         if cfg.chain_length < 2:
             raise configio.ConfigError("chain_length: must be >= 2")
+        if cfg.chain_length > MAX_CHAIN_LENGTH:
+            raise configio.ConfigError(
+                f"chain_length: more than the {MAX_CHAIN_LENGTH} sites a chain can be built with")
         lo = cfg.index_origin
         hi = cfg.index_origin + cfg.chain_length - 1
         exc = cfg.excitation
@@ -264,8 +274,11 @@ def _auto_extent(config: ExperimentConfig) -> tuple:
     w0 = exc.w0 if exc.kind == "gaussian" else 0.0
     pad = SIZE_PAD_GAUSSIAN if exc.kind == "gaussian" else SIZE_PAD_SINGLE_SITE
     travel = V_MAX_FACTOR * config.kappa * config.timing.t_final
-    lo = math.floor(n0 - 4.0 * w0 - travel) - pad
-    hi = math.ceil(n0 + 4.0 * w0 + travel) + pad
+    lo, hi = n0 - 4.0 * w0 - travel, n0 + 4.0 * w0 + travel
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise configio.ConfigError(f"chain_length: auto extent [{lo!r}, {hi!r}] is not finite")
+    lo = math.floor(lo) - pad
+    hi = math.ceil(hi) + pad
     if config.experiment == "storage":
         n_half = config.storage.n_half
         lo = min(lo, -n_half - 1 - pad)
@@ -300,8 +313,10 @@ def _base_metrics(config: ExperimentConfig, manifest: str, method_tag: str) -> d
     }
 
 
-def run_dispersion_scan(config: ExperimentConfig) -> ExperimentResult:
+def run_dispersion_scan(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
     """Tabulate (phi, q, Re E, Im E, v_g) on a symmetric q grid.
+
+    There is no trajectory, so ``sink`` is not used.
 
     The grid is built as (k - (P-1)/2) * (2*pi/(P-1)) so that for the
     default P=257 the values 0, +/-pi/4, +/-pi/2, +/-pi are grid points
@@ -332,13 +347,13 @@ def _default_velocity_window(t_final: float) -> tuple:
     return (max(2.0, 0.1 * t_final), 0.95 * t_final)
 
 
-def run_transport(config: ExperimentConfig) -> ExperimentResult:
+def run_transport(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
     """Evolve one excitation through the (possibly defective) chain."""
     cfg = resolve_config(config)
     spec = _chain_spec(cfg)
     h = build_chain_hamiltonian(spec)
     state0 = make_excitation(cfg.excitation, spec.site_labels)
-    traj = evolve_exact(h, state0, cfg.timing.t_final, cfg.timing.sample_dt)
+    traj = evolve_exact(h, state0, cfg.timing.t_final, cfg.timing.sample_dt, sink=sink)
     manifest = configio.render_manifest(cfg, method_tag=traj.method_tag)
 
     cents = centroid_series(traj)
@@ -411,12 +426,12 @@ def _storage_schedule(cfg: ExperimentConfig, xi: float) -> tuple:
     return schedule, release_spec
 
 
-def _storage_single(cfg: ExperimentConfig, xi: float) -> tuple:
+def _storage_single(cfg: ExperimentConfig, xi: float, sink=None) -> tuple:
     """One capture/release cycle; returns (trajectory, StorageMetrics)."""
     t = cfg.timing
     schedule, _ = _storage_schedule(cfg, xi)
     state0 = make_excitation(cfg.excitation, schedule.segments[0].hamiltonian.site_labels)
-    traj = evolve_schedule(schedule, state0, t.t_final, t.sample_dt)
+    traj = evolve_schedule(schedule, state0, t.t_final, t.sample_dt, sink=sink)
 
     exc = cfg.excitation
     sp = cfg.storage
@@ -452,12 +467,15 @@ def _storage_single(cfg: ExperimentConfig, xi: float) -> tuple:
     return traj, metrics
 
 
-def run_storage(config: ExperimentConfig) -> ExperimentResult:
+def run_storage(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
     """Two-stage capture/release run; sweeps the boundary offset if asked.
 
     Stage 1 (t < t_prime) is the sandwich structure with capture phase
     -q0; stage 2 is the homogeneous chain with real defects v_c at the old
     boundary sites and the retrieval phase (-q0 forward, +q0 reversed).
+    The returned trajectory, the one ``sink`` streams, is the last sweep
+    member's; that member runs first, so the sink formats it while the
+    others run.
     """
     cfg = resolve_config(config)
     sweep = cfg.storage.xi_sweep
@@ -465,19 +483,19 @@ def run_storage(config: ExperimentConfig) -> ExperimentResult:
     metrics = _base_metrics(cfg, manifest, METHOD_TAG)
     table = None
     if sweep:
+        traj, smetrics = _storage_single(cfg, sweep[-1], sink)
+        members = [_storage_single(cfg, xi)[1] for xi in sweep[:-1]] + [smetrics]
         rows = []
-        traj = smetrics = None
-        for i, xi in enumerate(sweep):
-            traj, smetrics = _storage_single(cfg, xi)
-            rows.append((xi, smetrics.efficiency, smetrics.shape_fidelity,
-                         smetrics.release_velocity))
+        for i, (xi, member) in enumerate(zip(sweep, members)):
+            rows.append((xi, member.efficiency, member.shape_fidelity,
+                         member.release_velocity))
             metrics[f"sweep[{i}].xi"] = xi
-            metrics[f"sweep[{i}].efficiency"] = smetrics.efficiency
-            metrics[f"sweep[{i}].shape_fidelity"] = smetrics.shape_fidelity
+            metrics[f"sweep[{i}].efficiency"] = member.efficiency
+            metrics[f"sweep[{i}].shape_fidelity"] = member.shape_fidelity
         table = (("xi", "efficiency", "shape_fidelity", "release_velocity"),
                  np.asarray(rows, dtype=float))
     else:
-        traj, smetrics = _storage_single(cfg, cfg.storage.xi)
+        traj, smetrics = _storage_single(cfg, cfg.storage.xi, sink)
     metrics.update(asdict(smetrics))
     metrics["t_prime"] = cfg.timing.t_prime
     metrics["norm_final"] = float(traj.norm_series[-1])
@@ -494,7 +512,7 @@ def _slaved_b(a: np.ndarray, spec: SawtoothSpec) -> np.ndarray:
     return -spec.j * (phase * a_next + np.conj(phase) * a) / spec.u_b
 
 
-def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
+def run_reduction_check(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
     """Compare the full two-sublattice model against the effective chain.
 
     For each j in the sweep, u_b = i*j^2/beta so the effective chain is
@@ -512,7 +530,7 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
     chain = _chain_spec(cfg, defects=())
     h_chain = build_chain_hamiltonian(chain)
     state0 = make_excitation(cfg.excitation, chain.site_labels)
-    chain_traj = evolve_exact(h_chain, state0, t.t_final, t.sample_dt)
+    chain_traj = evolve_exact(h_chain, state0, t.t_final, t.sample_dt, sink=sink)
     rho_chain = normalized_profile_matrix(chain_traj)
 
     rows = []
@@ -550,7 +568,9 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
                             manifest=manifest)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
+    """Run ``config``; a ``sink`` (configio.TrajectorySink) streams out the
+    trajectory the result returns while it is computed."""
     runner = {
         "dispersion_scan": run_dispersion_scan,
         "transport_single_site": run_transport,
@@ -558,7 +578,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "storage": run_storage,
         "reduction_check": run_reduction_check,
     }[config.experiment]
-    return runner(config)
+    return runner(config, sink=sink)
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -22,3 +23,15 @@ def preset_results():
         return _CACHE[name]
 
     return get
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process unreaped (a CSV helper, say)."""
+    yield
+    if hasattr(os, "fork"):
+        try:
+            left = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        pytest.fail(f"the test left a child process behind (waitpid: {left})")

@@ -162,6 +162,28 @@ def test_half_set_chain_extent_exits_2_naming_the_key(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line,key", [
+    ("timing.sample_dt = 0", "timing.sample_dt"),
+    ("timing.sample_dt = -1", "timing.sample_dt"),
+    ("timing.t_final = -5", "timing.t_final"),
+    ("kappa = 1e308", "chain_length"),  # the auto extent overflows to inf
+    ("kappa = 1e300", "chain_length"),  # finite, but past what numpy can size
+])
+def test_bad_timing_or_auto_extent_exits_2_naming_the_key(tmp_path, capsys, line, key):
+    assert _run_fast_transport_with(tmp_path, line) == 2
+    _single_config_error(capsys, key)
+    assert not (tmp_path / "o").exists()
+
+
+def _assert_left_nothing(tmp_path, out):
+    """No --out directory, no temp file and no child process after a failed run."""
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 def test_subcommand_experiment_mismatch_exits_2(tmp_path, capsys):
     code = main(["storage", "--preset", "fig3d", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -171,9 +193,11 @@ def test_subcommand_experiment_mismatch_exits_2(tmp_path, capsys):
 def test_gain_runaway_exits_3(tmp_path, capsys):
     cfg = tmp_path / "runaway.cfg"
     cfg.write_text(RUNAWAY_STORAGE_CFG)
-    code = main(["storage", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    out = tmp_path / "o" / "nested"
+    code = main(["storage", "--config", str(cfg), "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: numerical:")
+    _assert_left_nothing(tmp_path, tmp_path / "o")
 
 
 UNDERFLOW_TRANSPORT_CFG = """\
@@ -195,6 +219,7 @@ def test_norm_underflow_exits_3_naming_the_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: numerical:")
     assert "at t = 19.5;" in err
+    _assert_left_nothing(tmp_path, tmp_path / "o")
     # 19.5 is the first such sample: the run up to the one before succeeds
     assert main(["transport", "--config", str(cfg), "--out", str(tmp_path / "p"),
                  "--t-final", "19.25"]) == 0

@@ -1,18 +1,24 @@
+import contextlib
 import errno
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from nhlattice import (
     ChainSpec,
     ConfigError,
     ExcitationSpec,
+    GainRunawayError,
+    Operator,
+    StateVector,
     Trajectory,
     build_chain_hamiltonian,
     evolve_exact,
@@ -285,12 +291,14 @@ def two_cpus(monkeypatch):
     if not hasattr(os, "fork"):
         pytest.skip("os.fork is not available")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    forks = []
+    forks = []  # the pids of the helpers forked
     real_fork = os.fork
 
     def counting_fork():
-        forks.append(None)
-        return real_fork()
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return forks
@@ -343,6 +351,106 @@ def test_csv_bytes_same_when_helper_fails(tmp_path, monkeypatch, two_cpus):
     assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _stream(path, t_final=12.0, before_finish=lambda: None):
+    """Evolve a small chain into a TrajectorySink on ``path`` and finish it."""
+    spec = ChainSpec(kappa=1.0, beta=0.4, gamma=0.8, phi=math.pi / 2,
+                     n_sites=21, index_origin=-10)
+    h = build_chain_hamiltonian(spec)
+    c0 = make_excitation(ExcitationSpec(kind="single_site", n0=0), spec.site_labels)
+    with configio.TrajectorySink(path) as sink:
+        traj = evolve_exact(h, c0, t_final, 0.25, sink=sink)
+        before_finish()
+        write_trajectory_csv(traj, path, sink)
+    assert traj.amplitudes.tobytes() == evolve_exact(h, c0, t_final, 0.25).amplitudes.tobytes()
+    return traj
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_streamed_csv_bytes_match_reference(tmp_path, two_cpus, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    path = tmp_path / "trajectory.csv"
+    traj = _stream(path)
+    assert path.read_bytes() == _reference_bytes(traj)
+    assert len(two_cpus) == (cpus == 2)
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+
+
+def test_streamed_csv_bytes_same_when_fork_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork, raising=False)
+    path = tmp_path / "trajectory.csv"
+    traj = _stream(path)
+    assert path.read_bytes() == _reference_bytes(traj)
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+
+
+@pytest.mark.parametrize("death", ["exits_1", "killed"])
+def test_streamed_csv_bytes_same_when_helper_dies_mid_stream(tmp_path, monkeypatch, two_cpus,
+                                                            death):
+    parent = os.getpid()
+    if death == "exits_1":
+        real_format = configio._format_samples
+
+        def failing_in_helper(fh, times, values, rows):
+            if os.getpid() != parent and len(times) and times[0] >= 2.0:
+                fh.write(b"partial garbage\n")
+                fh.flush()
+                raise RuntimeError("helper failed")
+            real_format(fh, times, values, rows)
+
+        monkeypatch.setattr(configio, "_format_samples", failing_in_helper)
+    else:
+        real_publish = configio.TrajectorySink.publish
+
+        def killing_publish(sink, count):
+            if count == 10:
+                os.kill(two_cpus[0], signal.SIGKILL)
+            real_publish(sink, count)
+
+        monkeypatch.setattr(configio.TrajectorySink, "publish", killing_publish)
+    path = tmp_path / "trajectory.csv"
+
+    def wait_for_death():  # so that it falls before finish; WNOWAIT leaves the helper unreaped
+        with contextlib.suppress(ChildProcessError):  # publish already reaped it
+            os.waitid(os.P_PID, two_cpus[0], os.WEXITED | os.WNOWAIT)
+
+    traj = _stream(path, before_finish=wait_for_death)
+    # the streaming helper died; finish forked a second one on a fixed split
+    assert len(two_cpus) == 2
+    assert path.read_bytes() == _reference_bytes(traj)
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+
+
+def test_streamed_csv_abort_when_the_run_raises_mid_propagation(tmp_path, two_cpus):
+    h = Operator(scipy.sparse.csr_array(40j * np.eye(3)), np.arange(3))
+    c0 = StateVector(np.ones(3, dtype=complex), np.arange(3))
+    with pytest.raises(GainRunawayError):
+        with configio.TrajectorySink(tmp_path / "trajectory.csv") as sink:
+            evolve_exact(h, c0, 10.0, 0.25, sink=sink)
+    assert len(two_cpus) == 1
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sink_finished_with_another_trajectory_writes_that_one(tmp_path, two_cpus):
+    spec = ChainSpec(kappa=1.0, beta=0.4, gamma=0.8, phi=math.pi / 2,
+                     n_sites=21, index_origin=-10)
+    h = build_chain_hamiltonian(spec)
+    c0 = make_excitation(ExcitationSpec(kind="single_site", n0=0), spec.site_labels)
+    other = _special_trajectory(30)
+    path = tmp_path / "trajectory.csv"
+    with configio.TrajectorySink(path) as sink:
+        evolve_exact(h, c0, 12.0, 0.25, sink=sink)
+        write_trajectory_csv(other, path, sink)
+    assert len(two_cpus) == 2
+    assert path.read_bytes() == _reference_bytes(other)
 
 
 def test_csv_helper_does_not_flush_parent_stdout(tmp_path):

@@ -3,8 +3,10 @@
 Criterion 9 only compares two runs of the same code.  These sha256 digests of
 ``trajectory.csv`` and ``metrics.txt`` were recorded for three fast presets
 before the propagator's per-step set-up and the CSV writer were rewritten, and
-those of ``heatmap.svg`` before the SVG cell loop was rewritten; they must stay
-unchanged by any change that claims bit-identical outputs.  The
+those of ``heatmap.svg`` before the SVG cell loop was rewritten; those of the
+storage presets fig6a, fig6b and fig7 (a schedule switch, and for fig7 the last
+member of an xi sweep) before the CSV was streamed out during propagation.  They
+must stay unchanged by any change that claims bit-identical outputs.  The
 digests hold only for the numpy and scipy versions they were recorded with;
 under any other version the test skips and names both.  The same holds for
 the pinned matvec counts of three presets.  The digests of the 15 resolved
@@ -42,6 +44,21 @@ GOLDEN = {
         "trajectory.csv": "102202d7c0fc460cb91556d79c1853ea95c3e66492cd550030bb7915d0476dbb",
         "metrics.txt": "6c7f760c315edd8655b16a5cbfa4dbeba559e915cbf7ed19287eb1cea95b815b",
         "heatmap.svg": "5f549a3948efcc292260191e3bbdd5f5d136d7b22534eff9f350982ca407dc10",
+    },
+    ("storage", "fig6a"): {
+        "trajectory.csv": "bcc60edbc6aa67b6b7824e204446478f648cfb61feed49bd08ebfcf05e87c0ea",
+        "metrics.txt": "d86b1d5ef88e1f08e8ad04080145a0d0700e5fb5c5f64b5a814e3016732964d1",
+        "heatmap.svg": "28444b2b18dc6e0312ca8a668a690498b91061f4eda4279ef7bee22f904925a2",
+    },
+    ("storage", "fig6b"): {
+        "trajectory.csv": "fd1016afd55348c04a2ca412e63751095f71ff61dac753552afdfedbd1c4840e",
+        "metrics.txt": "3a34489665239901cf85d57da8cc4d3309773b2a54f29d7c20f85587aefbab3b",
+        "heatmap.svg": "6c9fb225b921b744f94cf22f858d62f890ad0a652fb4070280a11e0812a25afc",
+    },
+    ("storage", "fig7"): {
+        "trajectory.csv": "a7febdb0182f353d8e29f6c62010de7516474899019555fe818ae7c41ab5f58c",
+        "metrics.txt": "1dd799ed0d2d92a96afa922ca47917aa8870cbc02c2d79637630fb65df494fa0",
+        "heatmap.svg": "f65d448f67b5092754b652308d8f494b9058795c36cd6b8f4adc43f3e28cdd4f",
     },
 }
 
