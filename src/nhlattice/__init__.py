@@ -36,8 +36,6 @@ from .dynamics import (
 )
 from .analysis import (
     ExcitationSpec,
-    TransportMetrics,
-    StorageMetrics,
     GaussianFit,
     make_excitation,
     centroid,

@@ -21,8 +21,6 @@ from .lattice import reduce_phase
 
 __all__ = [
     "ExcitationSpec",
-    "TransportMetrics",
-    "StorageMetrics",
     "GaussianFit",
     "make_excitation",
     "centroid",
@@ -136,12 +134,18 @@ def centroid_velocity(traj: Trajectory, t_window) -> float:
     return float(np.polyfit(traj.times[mask], cents, 1)[0])
 
 
-def region_norm_fraction(c: StateVector, region) -> float:
-    """Fraction of the intensity inside the inclusive label interval."""
+def _region_mask(site_labels: np.ndarray, region) -> np.ndarray:
+    """The sites inside the inclusive label interval; there must be one."""
     lo, hi = region
-    mask = (c.site_labels >= lo) & (c.site_labels <= hi)
+    mask = (site_labels >= lo) & (site_labels <= hi)
     if not np.any(mask):
         raise ValueError(f"region [{lo}, {hi}] contains no sites")
+    return mask
+
+
+def region_norm_fraction(c: StateVector, region) -> float:
+    """Fraction of the intensity inside the inclusive label interval."""
+    mask = _region_mask(c.site_labels, region)
     s = c.norm
     if s <= 0.0:
         raise ValueError("zero-norm state")
@@ -227,41 +231,10 @@ def storage_efficiency(traj: Trajectory, t_in: float, t_out: float,
     k_out = traj.index_at_time(t_out)
 
     def region_sum(k, region):
-        lo, hi = region
-        mask = (traj.site_labels >= lo) & (traj.site_labels <= hi)
-        if not np.any(mask):
-            raise ValueError(f"region [{lo}, {hi}] contains no sites")
+        mask = _region_mask(traj.site_labels, region)
         return float(np.sum(np.abs(traj.amplitudes[k, mask]) ** 2))
 
     denom = region_sum(k_in, in_region)
     if denom <= 0.0:
         raise ValueError("input region holds zero norm at t_in")
     return region_sum(k_out, out_region) / denom
-
-
-@dataclass(frozen=True)
-class TransportMetrics:
-    """Observables of one transport run; the three fractions come from a
-    single normalized snapshot, so they sum to 1."""
-
-    velocity_estimate: float
-    reflection_fraction: float
-    transmission_fraction: float
-    interior_fraction: float
-    centroid_series: tuple
-
-
-@dataclass(frozen=True)
-class StorageMetrics:
-    """Observables of one capture/release cycle."""
-
-    efficiency: float
-    shape_fidelity: float
-    release_velocity: float
-    release_direction: str
-    incident_velocity: float
-    capture_confinement_min: float
-
-    def __post_init__(self):
-        if self.release_direction not in ("forward", "reversed"):
-            raise ValueError(f"bad release_direction {self.release_direction!r}")

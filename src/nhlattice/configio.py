@@ -341,15 +341,15 @@ def _split(done: int, n: int) -> int:
     return done + (n - done + 1) // 2
 
 
-def _helper(fd, inbox, outbox, times, values, rows, ready, stop) -> None:
-    """Append samples [0, stop) to ``fd`` from sample 0 up, in a forked helper.
+def _helper(fd, inbox, outbox, times, values, rows, ready) -> None:
+    """Append samples to ``fd`` from sample 0 up, in a forked helper.
 
-    Samples up to ``ready`` are in ``values``.  While ``stop`` is None the
-    run streams: each message on ``inbox`` is a larger ``ready``, and
-    _FINISH is answered on ``outbox`` with the samples done so far, from
-    which both sides take the stop by _split.
+    Samples up to ``ready`` are in ``values``; each message on ``inbox`` is
+    a larger ``ready`` (a run that streams), or _FINISH.  _FINISH is
+    answered on ``outbox`` with the samples done so far, from which both
+    sides take the stop by _split; the helper returns once it reaches it.
     """
-    n = len(times)
+    n, stop = len(times), None
     inbox_ready = select.poll()
     inbox_ready.register(inbox, select.POLLIN)
     with open(fd, "wb", closefd=False) as out:
@@ -380,12 +380,12 @@ class TrajectorySink:
     formats samples from 0 up as they are published.  ``finish`` asks the
     helper how far it got, lets it format half of what is left, formats
     the other half itself, appends it after the helper's rows and renames
-    the file onto ``path``.  A trajectory that was not streamed (no
-    ``states`` call, or another trajectory) gets a helper forked at finish
-    with the split fixed.  If the fork fails or the helper dies, this
-    process formats the helper's part itself; the bytes are the same on
-    every path.  ``abort`` (also on leaving a ``with`` block) kills the
-    helper and removes the temp file.
+    the file onto ``path``.  A trajectory with no live streaming helper
+    (none streamed, another did, or it died) gets a helper forked at finish
+    with every sample published, and is split the same way.  If the fork
+    fails or the helper dies, this process formats the helper's part
+    itself; the bytes are the same on every path.  ``abort`` (also on
+    leaving a ``with`` block) kills the helper and removes the temp file.
     """
 
     def __init__(self, path):
@@ -413,7 +413,7 @@ class TrajectorySink:
             raise ValueError("a TrajectorySink takes one trajectory")
         n, dim = len(times), len(site_labels)
         self._buffer = np.frombuffer(mmap.mmap(-1, 16 * n * dim), dtype=complex).reshape(n, dim)
-        self._fork(times, self._buffer.view(float), _rows(site_labels), 0, None)
+        self._fork(times, self._buffer.view(float), _rows(site_labels), 0)
         return self._buffer
 
     def publish(self, count: int) -> None:
@@ -432,8 +432,8 @@ class TrajectorySink:
             if self._pid and traj.amplitudes is not self._buffer:
                 self._drop_helper()
             stop = self._ask_stop(n) if self._pid else None
-            if stop is None and self._fork(times, values, rows, n, _split(0, n)):
-                stop = _split(0, n)
+            if stop is None and self._fork(times, values, rows, n):
+                stop = self._ask_stop(n)
             if stop is None:
                 _format_samples(self._out, times, values, rows)
             else:
@@ -462,8 +462,8 @@ class TrajectorySink:
                 os.unlink(self._tmp)
             self._tmp = None
 
-    def _fork(self, times, values, rows, ready, stop) -> bool:
-        """Fork the helper on samples [0, stop); False if none could start.
+    def _fork(self, times, values, rows, ready) -> bool:
+        """Fork the helper with samples [0, ready) published; False if none could start.
 
         The helper leaves through ``os._exit``, so it never flushes the
         parent's stdio buffers or runs its atexit handlers.
@@ -484,7 +484,7 @@ class TrajectorySink:
                 os.close(to_helper[1])  # so that a run that dies leaves the helper EOF
                 os.close(from_helper[0])
                 _helper(self._out.fileno(), to_helper[0], from_helper[1],
-                        times, values, rows, ready, stop)
+                        times, values, rows, ready)
                 code = 0
             finally:
                 os._exit(code)
@@ -533,7 +533,7 @@ def write_trajectory_csv(traj, path, sink=None) -> None:
 
     ``sink``, if given, is the TrajectorySink on ``path`` that streamed
     ``traj`` while it was computed; without one, ``traj`` is written by a
-    new sink with the helper's share fixed when it forks.
+    new sink.
     """
     if sink is None:
         sink = TrajectorySink(path)

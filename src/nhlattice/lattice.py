@@ -131,11 +131,6 @@ class ChainSpec:
     def site_labels(self) -> np.ndarray:
         return np.arange(self.index_origin, self.index_origin + self.n_sites)
 
-    @property
-    def is_purely_dissipative(self) -> bool:
-        """True when no Bloch mode is net-amplified (gamma >= 2*beta)."""
-        return self.gamma >= 2.0 * self.beta
-
 
 @dataclass(frozen=True)
 class SawtoothSpec:

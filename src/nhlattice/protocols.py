@@ -11,15 +11,15 @@ the result bit-identically on the same platform.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+import os
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import configio
 from .analysis import (
+    DEFAULT_REFLECTION_MARGIN,
     ExcitationSpec,
-    StorageMetrics,
-    TransportMetrics,
     centroid_series,
     centroid_velocity,
     fit_gaussian,
@@ -86,8 +86,6 @@ SIZE_PAD_SINGLE_SITE = 30
 V_MAX_FACTOR = 2.0
 #: max tolerated normalized intensity on the two end sites of a sized chain
 EDGE_FRACTION_LIMIT = 1e-6
-#: longest chain numpy can size a complex state of the sawtooth (2 sites per cell) for
-MAX_CHAIN_LENGTH = np.iinfo(np.intp).max // 32
 
 
 def _check_options(config) -> None:
@@ -199,27 +197,21 @@ class ExperimentResult:
     manifest: str = None
 
 
-def _needs_chain(config: ExperimentConfig) -> bool:
-    return config.experiment != "dispersion_scan"
-
-
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     """Materialize every automatic field so manifests are self-contained."""
     cfg = config
-    if _needs_chain(cfg):
-        if not cfg.timing.sample_dt > 0.0:
-            raise configio.ConfigError(
-                f"timing.sample_dt: must be > 0, got {cfg.timing.sample_dt!r}")
-        if not cfg.timing.t_final >= 0.0:
-            raise configio.ConfigError(
-                f"timing.t_final: must be >= 0, got {cfg.timing.t_final!r}")
-        if cfg.excitation is None:
-            raise configio.ConfigError("excitation.kind: experiment needs an excitation")
-        if cfg.experiment == "transport_single_site" and cfg.excitation.kind != "single_site":
-            raise configio.ConfigError("excitation.kind: must be single_site for this experiment")
-        if cfg.experiment in ("transport_gaussian", "storage", "reduction_check") \
-                and cfg.excitation.kind != "gaussian":
-            raise configio.ConfigError("excitation.kind: must be gaussian for this experiment")
+    if cfg.experiment == "dispersion_scan":  # the one experiment without a chain
+        return cfg
+    if not cfg.timing.sample_dt > 0.0:
+        raise configio.ConfigError(f"timing.sample_dt: must be > 0, got {cfg.timing.sample_dt!r}")
+    if not cfg.timing.t_final >= 0.0:
+        raise configio.ConfigError(f"timing.t_final: must be >= 0, got {cfg.timing.t_final!r}")
+    if cfg.excitation is None:
+        raise configio.ConfigError("excitation.kind: experiment needs an excitation")
+    if cfg.experiment == "transport_single_site" and cfg.excitation.kind != "single_site":
+        raise configio.ConfigError("excitation.kind: must be single_site for this experiment")
+    if cfg.experiment != "transport_single_site" and cfg.excitation.kind != "gaussian":
+        raise configio.ConfigError("excitation.kind: must be gaussian for this experiment")
     if cfg.experiment == "storage":
         if cfg.timing.t_prime is None:
             raise configio.ConfigError("timing.t_prime: storage needs a switch time")
@@ -238,34 +230,50 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
                 "gamma: the lossy-auxiliary variant needs gamma >= 2*beta "
                 "(sublattice loss gamma_a = gamma - 2*beta must be >= 0)")
         cfg = replace(cfg, phi=phi, reduction=replace(cfg.reduction, theta=theta))
-    if _needs_chain(cfg) and (cfg.chain_length is None or cfg.index_origin is None):
+    if cfg.chain_length is None or cfg.index_origin is None:
         if cfg.chain_length is not None or cfg.index_origin is not None:
             key = "chain_length" if cfg.index_origin is None else "index_origin"
             raise configio.ConfigError(
                 f"{key}: set both chain_length and index_origin, or neither (auto)")
         lo, hi = _auto_extent(cfg)
         cfg = replace(cfg, chain_length=hi - lo + 1, index_origin=lo)
-    if _needs_chain(cfg):
-        if cfg.chain_length < 2:
-            raise configio.ConfigError("chain_length: must be >= 2")
-        if cfg.chain_length > MAX_CHAIN_LENGTH:
+    if cfg.chain_length < 2:
+        raise configio.ConfigError("chain_length: must be >= 2")
+    _check_trajectory_fits(cfg)
+    lo = cfg.index_origin
+    hi = cfg.index_origin + cfg.chain_length - 1
+    if not (lo <= cfg.excitation.n0 <= hi):
+        raise configio.ConfigError(f"excitation.n0: {cfg.excitation.n0} outside chain [{lo}, {hi}]")
+    for d in cfg.defects:
+        if not (lo <= d.site <= hi):
+            raise configio.ConfigError(f"defects: site {d.site} outside chain [{lo}, {hi}]")
+    if cfg.experiment == "storage":
+        n_half = cfg.storage.n_half
+        if not (lo < -n_half and hi > n_half):
             raise configio.ConfigError(
-                f"chain_length: more than the {MAX_CHAIN_LENGTH} sites a chain can be built with")
-        lo = cfg.index_origin
-        hi = cfg.index_origin + cfg.chain_length - 1
-        exc = cfg.excitation
-        if exc is not None and not (lo <= exc.n0 <= hi):
-            raise configio.ConfigError(f"excitation.n0: {exc.n0} outside chain [{lo}, {hi}]")
-        for d in cfg.defects:
-            if not (lo <= d.site <= hi):
-                raise configio.ConfigError(f"defects: site {d.site} outside chain [{lo}, {hi}]")
-        if cfg.experiment == "storage":
-            n_half = cfg.storage.n_half
-            if not (lo < -n_half and hi > n_half):
-                raise configio.ConfigError(
-                    f"storage.n_half: chain [{lo}, {hi}] must strictly contain "
-                    f"[-{n_half}, {n_half}]")
+                f"storage.n_half: chain [{lo}, {hi}] must strictly contain [-{n_half}, {n_half}]")
     return cfg
+
+
+def _check_trajectory_fits(cfg: ExperimentConfig) -> None:
+    """Reject a run whose trajectory (16 bytes a site and sample) outgrows physical memory."""
+    try:
+        memory = float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):  # no sysconf: what numpy can index
+        memory = float(np.iinfo(np.intp).max)
+    sites = cfg.chain_length * (2 if cfg.experiment == "reduction_check" else 1)  # sawtooth
+    if sites > memory / 16:  # compared exactly, however large the int
+        raise configio.ConfigError(
+            f"chain_length: {cfg.chain_length} sites do not fit in memory ({memory:.3g} bytes)")
+    t, default = cfg.timing, Timing()
+    samples = t.t_final / t.sample_dt + 1.0  # inf when the quotient overflows
+    if 16 * sites * samples > memory:
+        # name whichever of the two keys lies further from its default
+        key = ("timing.t_final" if t.t_final / default.t_final > default.sample_dt / t.sample_dt
+               else "timing.sample_dt")
+        raise configio.ConfigError(
+            f"{key}: {samples:.3g} samples of {sites} sites do not fit in memory "
+            f"({memory:.3g} bytes)")
 
 
 def _auto_extent(config: ExperimentConfig) -> tuple:
@@ -286,12 +294,12 @@ def _auto_extent(config: ExperimentConfig) -> tuple:
     return lo, hi
 
 
-def _chain_spec(config: ExperimentConfig, phi: float = None, defects=None) -> ChainSpec:
+def _chain_spec(config: ExperimentConfig, defects=None) -> ChainSpec:
     return ChainSpec(
         kappa=config.kappa,
         beta=config.beta,
         gamma=config.gamma,
-        phi=config.phi if phi is None else phi,
+        phi=config.phi,
         n_sites=config.chain_length,
         index_origin=config.index_origin,
         boundary=config.boundary,
@@ -299,37 +307,43 @@ def _chain_spec(config: ExperimentConfig, phi: float = None, defects=None) -> Ch
     )
 
 
-def _edge_fraction_max(traj: Trajectory) -> float:
-    rho = normalized_profile_matrix(traj)
-    return float(np.max(rho[:, 0] ** 2 + rho[:, -1] ** 2))
-
-
-def _base_metrics(config: ExperimentConfig, manifest: str, method_tag: str) -> dict:
-    return {
-        "preset": config.preset if config.preset else "custom",
+def _start(config: ExperimentConfig, method_tag: str = METHOD_TAG) -> tuple:
+    """The resolved config, its manifest and the metrics every run leads with."""
+    cfg = resolve_config(config)
+    manifest = configio.render_manifest(cfg, method_tag=method_tag)
+    metrics = {
+        "preset": cfg.preset if cfg.preset else "custom",
         "config_hash": configio.config_hash(manifest),
-        "experiment": config.experiment,
+        "experiment": cfg.experiment,
         "method_tag": method_tag,
     }
+    return cfg, manifest, metrics
 
 
-def run_dispersion_scan(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
+def _chain_result(cfg: ExperimentConfig, manifest: str, metrics: dict, traj: Trajectory,
+                  table=None) -> ExperimentResult:
+    """Record the most intensity the two end sites ever hold, and bundle the run."""
+    rho = normalized_profile_matrix(traj)
+    edge = float(np.max(rho[:, 0] ** 2 + rho[:, -1] ** 2))
+    metrics["edge_fraction_max"] = edge
+    metrics["edge_fraction_ok"] = cfg.boundary != "open" or not edge > EDGE_FRACTION_LIMIT
+    return ExperimentResult(config=cfg, trajectory=traj, table=table, metrics=metrics,
+                            manifest=manifest)
+
+
+def run_dispersion_scan(config: ExperimentConfig) -> ExperimentResult:
     """Tabulate (phi, q, Re E, Im E, v_g) on a symmetric q grid.
-
-    There is no trajectory, so ``sink`` is not used.
 
     The grid is built as (k - (P-1)/2) * (2*pi/(P-1)) so that for the
     default P=257 the values 0, +/-pi/4, +/-pi/2, +/-pi are grid points
     exactly, making argmax comparisons exact.
     """
-    cfg = resolve_config(config)
-    manifest = configio.render_manifest(cfg, method_tag="closed_form")
+    cfg, manifest, metrics = _start(config, "closed_form")
     p = cfg.dispersion.q_points
     half = (p - 1) // 2
     step = 2.0 * math.pi / (p - 1)
     q_grid = np.array([(k - half) * step for k in range(p)])
     rows = []
-    metrics = _base_metrics(cfg, manifest, "closed_form")
     for i, phi in enumerate(cfg.dispersion.phi_values):
         e = dispersion(cfg.kappa, cfg.beta, cfg.gamma, phi, q_grid)
         vg = group_velocity(cfg.kappa, q_grid)
@@ -343,67 +357,48 @@ def run_dispersion_scan(config: ExperimentConfig, *, sink=None) -> ExperimentRes
     return ExperimentResult(config=cfg, table=table, metrics=metrics, manifest=manifest)
 
 
-def _default_velocity_window(t_final: float) -> tuple:
-    return (max(2.0, 0.1 * t_final), 0.95 * t_final)
-
-
 def run_transport(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
-    """Evolve one excitation through the (possibly defective) chain."""
-    cfg = resolve_config(config)
-    spec = _chain_spec(cfg)
-    h = build_chain_hamiltonian(spec)
-    state0 = make_excitation(cfg.excitation, spec.site_labels)
-    traj = evolve_exact(h, state0, cfg.timing.t_final, cfg.timing.sample_dt, sink=sink)
-    manifest = configio.render_manifest(cfg, method_tag=traj.method_tag)
+    """Evolve one excitation through the (possibly defective) chain.
 
-    cents = centroid_series(traj)
-    window = _default_velocity_window(cfg.timing.t_final)
-    velocity = centroid_velocity(traj, window)
-    margin = 3
+    The three region fractions come from one normalized snapshot, so they
+    sum to 1.
+    """
+    cfg, manifest, metrics = _start(config)
+    t_final = cfg.timing.t_final
+    spec = _chain_spec(cfg)
+    state0 = make_excitation(cfg.excitation, spec.site_labels)
+    traj = evolve_exact(build_chain_hamiltonian(spec), state0, t_final, cfg.timing.sample_dt,
+                        sink=sink)
+    window = (max(2.0, 0.1 * t_final), 0.95 * t_final)
+    margin = DEFAULT_REFLECTION_MARGIN
     if cfg.defects:
         barrier_lo = min(d.site for d in cfg.defects)
         barrier_hi = max(d.site for d in cfg.defects)
     else:
         barrier_lo = barrier_hi = cfg.excitation.n0
-    t_eval = 0.9 * cfg.timing.t_final
-    k = traj.index_at_time(t_eval)
-    snap = traj.state(k)
+    t_eval = 0.9 * t_final
+    snap = traj.state(traj.index_at_time(t_eval))
     weights = np.abs(snap.amplitudes) ** 2 / snap.norm
     left = traj.site_labels <= barrier_lo - margin
     right = traj.site_labels >= barrier_hi + margin
-    reflection = float(np.sum(weights[left]))
-    transmission = float(np.sum(weights[right]))
-    interior = float(np.sum(weights[~(left | right)]))
-    tmetrics = TransportMetrics(
-        centroid_series=tuple(float(x) for x in cents),
-        velocity_estimate=velocity,
-        reflection_fraction=reflection,
-        transmission_fraction=transmission,
-        interior_fraction=interior,
+    metrics.update(
+        velocity_estimate=centroid_velocity(traj, window),
+        reflection_fraction=float(np.sum(weights[left])),
+        transmission_fraction=float(np.sum(weights[right])),
+        interior_fraction=float(np.sum(weights[~(left | right)])),
+        centroid_series=tuple(float(x) for x in centroid_series(traj)),
+        velocity_window_start=window[0],
+        velocity_window_end=window[1],
+        fractions_t_eval=t_eval,
+        barrier_lo=barrier_lo,
+        barrier_hi=barrier_hi,
+        norm_final=float(traj.norm_series[-1]),
     )
-    metrics = _base_metrics(cfg, manifest, traj.method_tag)
-    metrics.update(asdict(tmetrics))
-    metrics["velocity_window_start"] = window[0]
-    metrics["velocity_window_end"] = window[1]
-    metrics["fractions_t_eval"] = t_eval
-    metrics["barrier_lo"] = barrier_lo
-    metrics["barrier_hi"] = barrier_hi
-    metrics["norm_final"] = float(traj.norm_series[-1])
-    _record_edges(cfg, traj, metrics)
-    return ExperimentResult(config=cfg, trajectory=traj, metrics=metrics, manifest=manifest)
+    return _chain_result(cfg, manifest, metrics, traj)
 
 
-def _record_edges(cfg: ExperimentConfig, traj: Trajectory, metrics: dict) -> None:
-    edge = _edge_fraction_max(traj)
-    metrics["edge_fraction_max"] = edge
-    if cfg.boundary == "open" and edge > EDGE_FRACTION_LIMIT:
-        metrics["edge_fraction_ok"] = False
-    else:
-        metrics["edge_fraction_ok"] = True
-
-
-def _storage_schedule(cfg: ExperimentConfig, xi: float) -> tuple:
-    """Capture/release operator pair for one offset value."""
+def _storage_schedule(cfg: ExperimentConfig, xi: float) -> Schedule:
+    """Capture then release operator for one offset value."""
     template = ChainSpec(
         kappa=cfg.kappa, beta=cfg.beta, gamma=cfg.gamma, phi=0.0,
         n_sites=cfg.chain_length, index_origin=cfg.index_origin, boundary="open",
@@ -413,23 +408,18 @@ def _storage_schedule(cfg: ExperimentConfig, xi: float) -> tuple:
     sandwich = SandwichSpec(chain=template, n_half=sp.n_half, q0=q0, v_c=sp.v_c, xi=xi)
     h_capture = build_sandwich_hamiltonian(sandwich)
     phi_release = -q0 if sp.retrieval_phase_sign == "forward" else q0
-    release_spec = ChainSpec(
-        kappa=cfg.kappa, beta=cfg.beta, gamma=cfg.gamma, phi=phi_release,
-        n_sites=cfg.chain_length, index_origin=cfg.index_origin, boundary="open",
-        defects=(DefectSpec(-sp.n_half, sp.v_c, 0.0), DefectSpec(sp.n_half, sp.v_c, 0.0)),
-    )
-    h_release = build_chain_hamiltonian(release_spec)
-    schedule = Schedule((
+    release_spec = replace(template, phi=phi_release, defects=(
+        DefectSpec(-sp.n_half, sp.v_c, 0.0), DefectSpec(sp.n_half, sp.v_c, 0.0)))
+    return Schedule((
         ScheduleSegment(0.0, h_capture),
-        ScheduleSegment(cfg.timing.t_prime, h_release),
+        ScheduleSegment(cfg.timing.t_prime, build_chain_hamiltonian(release_spec)),
     ))
-    return schedule, release_spec
 
 
 def _storage_single(cfg: ExperimentConfig, xi: float, sink=None) -> tuple:
-    """One capture/release cycle; returns (trajectory, StorageMetrics)."""
+    """One capture/release cycle; returns (trajectory, its metrics)."""
     t = cfg.timing
-    schedule, _ = _storage_schedule(cfg, xi)
+    schedule = _storage_schedule(cfg, xi)
     state0 = make_excitation(cfg.excitation, schedule.segments[0].hamiltonian.site_labels)
     traj = evolve_schedule(schedule, state0, t.t_final, t.sample_dt, sink=sink)
 
@@ -456,15 +446,14 @@ def _storage_single(cfg: ExperimentConfig, xi: float, sink=None) -> tuple:
     capture_mask = (traj.times >= 0.5 * t.t_prime - 1e-9) & (traj.times <= t.t_prime + 1e-9)
     confinement = float(np.min(inside_fraction[capture_mask]))
 
-    metrics = StorageMetrics(
-        efficiency=efficiency,
-        shape_fidelity=fit.fidelity,
-        release_velocity=release_v,
-        release_direction=direction,
-        incident_velocity=incident_v,
-        capture_confinement_min=confinement,
-    )
-    return traj, metrics
+    return traj, {
+        "efficiency": efficiency,
+        "shape_fidelity": fit.fidelity,
+        "release_velocity": release_v,
+        "release_direction": direction,
+        "incident_velocity": incident_v,
+        "capture_confinement_min": confinement,
+    }
 
 
 def run_storage(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
@@ -477,31 +466,25 @@ def run_storage(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
     member's; that member runs first, so the sink formats it while the
     others run.
     """
-    cfg = resolve_config(config)
+    cfg, manifest, metrics = _start(config)
     sweep = cfg.storage.xi_sweep
-    manifest = configio.render_manifest(cfg, method_tag=METHOD_TAG)
-    metrics = _base_metrics(cfg, manifest, METHOD_TAG)
     table = None
     if sweep:
-        traj, smetrics = _storage_single(cfg, sweep[-1], sink)
-        members = [_storage_single(cfg, xi)[1] for xi in sweep[:-1]] + [smetrics]
+        traj, last = _storage_single(cfg, sweep[-1], sink)
+        members = [_storage_single(cfg, xi)[1] for xi in sweep[:-1]] + [last]
         rows = []
         for i, (xi, member) in enumerate(zip(sweep, members)):
-            rows.append((xi, member.efficiency, member.shape_fidelity,
-                         member.release_velocity))
+            rows.append((xi, member["efficiency"], member["shape_fidelity"],
+                         member["release_velocity"]))
             metrics[f"sweep[{i}].xi"] = xi
-            metrics[f"sweep[{i}].efficiency"] = member.efficiency
-            metrics[f"sweep[{i}].shape_fidelity"] = member.shape_fidelity
+            metrics[f"sweep[{i}].efficiency"] = member["efficiency"]
+            metrics[f"sweep[{i}].shape_fidelity"] = member["shape_fidelity"]
         table = (("xi", "efficiency", "shape_fidelity", "release_velocity"),
                  np.asarray(rows, dtype=float))
     else:
-        traj, smetrics = _storage_single(cfg, cfg.storage.xi, sink)
-    metrics.update(asdict(smetrics))
-    metrics["t_prime"] = cfg.timing.t_prime
-    metrics["norm_final"] = float(traj.norm_series[-1])
-    _record_edges(cfg, traj, metrics)
-    return ExperimentResult(config=cfg, trajectory=traj, table=table, metrics=metrics,
-                            manifest=manifest)
+        traj, last = _storage_single(cfg, cfg.storage.xi, sink)
+    metrics.update(last, t_prime=cfg.timing.t_prime, norm_final=float(traj.norm_series[-1]))
+    return _chain_result(cfg, manifest, metrics, traj, table)
 
 
 def _slaved_b(a: np.ndarray, spec: SawtoothSpec) -> np.ndarray:
@@ -520,9 +503,7 @@ def run_reduction_check(config: ExperimentConfig, *, sink=None) -> ExperimentRes
     the max-norm difference between the normalized main-sublattice profile
     and the normalized chain profile.
     """
-    cfg = resolve_config(config)
-    manifest = configio.render_manifest(cfg, method_tag=METHOD_TAG)
-    metrics = _base_metrics(cfg, manifest, METHOD_TAG)
+    cfg, manifest, metrics = _start(config)
     t = cfg.timing
     theta = cfg.reduction.theta
     gain = cfg.reduction.aux_sign == "gain"
@@ -561,18 +542,17 @@ def run_reduction_check(config: ExperimentConfig, *, sink=None) -> ExperimentRes
         metrics[f"reduction[{i}].profile_error"] = error
         metrics[f"reduction[{i}].warned"] = warned
     metrics["monotone_decreasing"] = all(b < a for a, b in zip(errors, errors[1:]))
-    _record_edges(cfg, chain_traj, metrics)
     table = (("j", "u_b_abs", "adiabaticity_ratio", "profile_error", "warned"),
              np.asarray(rows, dtype=float))
-    return ExperimentResult(config=cfg, trajectory=chain_traj, table=table, metrics=metrics,
-                            manifest=manifest)
+    return _chain_result(cfg, manifest, metrics, chain_traj, table)
 
 
 def run_experiment(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
     """Run ``config``; a ``sink`` (configio.TrajectorySink) streams out the
     trajectory the result returns while it is computed."""
+    if config.experiment == "dispersion_scan":  # a table, no trajectory
+        return run_dispersion_scan(config)
     runner = {
-        "dispersion_scan": run_dispersion_scan,
         "transport_single_site": run_transport,
         "transport_gaussian": run_transport,
         "storage": run_storage,

@@ -110,9 +110,9 @@ def test_removed_integrator_keys_exit_2(tmp_path, capsys, line, key):
 
 
 def _run_fast_transport_with(tmp_path, line, *extra):
-    """Run FAST_TRANSPORT_CFG with ``line`` replacing or adding its key."""
-    key = line.split(" = ")[0]
-    kept = [l for l in FAST_TRANSPORT_CFG.splitlines() if l.split(" = ")[0] != key]
+    """Run FAST_TRANSPORT_CFG with each line of ``line`` replacing or adding its key."""
+    keys = {l.split(" = ")[0] for l in line.splitlines()}
+    kept = [l for l in FAST_TRANSPORT_CFG.splitlines() if l.split(" = ")[0] not in keys]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join(kept + [line]) + "\n")
     return main(["transport", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
@@ -162,12 +162,24 @@ def test_half_set_chain_extent_exits_2_naming_the_key(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
+#: a fixed 41-site chain, which leaves the sample count to the timing keys
+FIXED_41 = "chain_length = 41\nindex_origin = -20"
+
+
 @pytest.mark.parametrize("line,key", [
     ("timing.sample_dt = 0", "timing.sample_dt"),
     ("timing.sample_dt = -1", "timing.sample_dt"),
     ("timing.t_final = -5", "timing.t_final"),
     ("kappa = 1e308", "chain_length"),  # the auto extent overflows to inf
-    ("kappa = 1e300", "chain_length"),  # finite, but past what numpy can size
+    ("kappa = 1e300", "chain_length"),  # finite, but past what numpy can size, too
+    ("kappa = 1e12", "chain_length"),  # 2.4e13 sites: past any machine's memory
+    # more samples than memory holds, or than a float can count
+    pytest.param(f"{FIXED_41}\ntiming.t_final = 1e300", "timing.t_final",
+                 id="timing.t_final = 1e300-timing.t_final"),
+    pytest.param(f"{FIXED_41}\ntiming.sample_dt = 1e-300", "timing.sample_dt",
+                 id="timing.sample_dt = 1e-300-timing.sample_dt"),
+    pytest.param(f"{FIXED_41}\ntiming.sample_dt = 5e-324", "timing.sample_dt",
+                 id="timing.sample_dt = 5e-324-timing.sample_dt"),
 ])
 def test_bad_timing_or_auto_extent_exits_2_naming_the_key(tmp_path, capsys, line, key):
     assert _run_fast_transport_with(tmp_path, line) == 2

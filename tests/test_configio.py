@@ -421,7 +421,7 @@ def test_streamed_csv_bytes_same_when_helper_dies_mid_stream(tmp_path, monkeypat
             os.waitid(os.P_PID, two_cpus[0], os.WEXITED | os.WNOWAIT)
 
     traj = _stream(path, before_finish=wait_for_death)
-    # the streaming helper died; finish forked a second one on a fixed split
+    # the streaming helper died; finish forked a second one with every sample published
     assert len(two_cpus) == 2
     assert path.read_bytes() == _reference_bytes(traj)
     assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]

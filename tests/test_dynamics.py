@@ -414,7 +414,7 @@ def test_propagator_linearity():
 
 def test_norm_monotone_purely_dissipative():
     spec = ChainSpec(phi=math.pi / 2, n_sites=61, index_origin=-30, **NH)
-    assert spec.is_purely_dissipative
+    assert spec.gamma >= 2.0 * spec.beta  # no Bloch mode is net-amplified
     h = build_chain_hamiltonian(spec)
     traj = evolve_exact(h, _delta(h), 15.0, 0.25)
     s = traj.norm_series

@@ -141,11 +141,6 @@ def test_phase_stored_reduced():
     assert reduce_phase(math.pi) == math.pi
 
 
-def test_purely_dissipative_flag():
-    assert ChainSpec(phi=0, n_sites=4, **NH).is_purely_dissipative
-    assert not ChainSpec(kappa=1, beta=0.5, gamma=0.8, phi=0, n_sites=4).is_purely_dissipative
-
-
 @given(
     beta=small_rates,
     gamma=st.floats(-1.0, 2.0),

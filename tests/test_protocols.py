@@ -214,7 +214,7 @@ def test_storage_quench_switch_matches_capture_stage():
     assert tr.times[k] == cfg.timing.t_prime
     from nhlattice.protocols import _storage_schedule
 
-    schedule, _ = _storage_schedule(cfg, cfg.storage.xi)
+    schedule = _storage_schedule(cfg, cfg.storage.xi)
     capture_only = nh.evolve_exact(
         schedule.segments[0].hamiltonian,
         nh.make_excitation(cfg.excitation, tr.site_labels),
