@@ -122,14 +122,19 @@ def centroid_series(traj: Trajectory) -> np.ndarray:
     return (weights @ traj.site_labels) / norms
 
 
+def window_mask(times: np.ndarray, t_window) -> np.ndarray:
+    """The sample times in [t_a, t_b]; a velocity fit needs 5 or more."""
+    t_a, t_b = t_window
+    mask = (times >= t_a - 1e-9) & (times <= t_b + 1e-9)
+    count = int(np.count_nonzero(mask))
+    if count < 5:
+        raise ValueError(f"window [{t_a}, {t_b}] selects {count} samples; need >= 5")
+    return mask
+
+
 def centroid_velocity(traj: Trajectory, t_window) -> float:
     """Least-squares slope of centroid vs time over [t_a, t_b]."""
-    t_a, t_b = t_window
-    mask = (traj.times >= t_a - 1e-9) & (traj.times <= t_b + 1e-9)
-    if int(np.count_nonzero(mask)) < 5:
-        raise ValueError(
-            f"window [{t_a}, {t_b}] selects {int(np.count_nonzero(mask))} samples; need >= 5"
-        )
+    mask = window_mask(traj.times, t_window)
     cents = centroid_series(traj)[mask]
     return float(np.polyfit(traj.times[mask], cents, 1)[0])
 

@@ -2,21 +2,23 @@
 
 Subcommands: dispersion, transport, storage, reduce-check (run one
 experiment into --out) and preset (list or print the named preset
-configs).  Exit codes: 0 success, 2 config error, 3 numerical failure;
-errors print one machine-parseable line on stderr.
+configs).  Exit codes: 0 success, 2 config error, 3 numerical failure,
+143 SIGTERM; errors print one machine-parseable line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import signal
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, configio, protocols
 from .configio import ConfigError
-from .dynamics import GainRunawayError, NormUnderflowError
+from .dynamics import GainRunawayError, NormUnderflowError, StepCountError
 from .heatmap import render_heatmap
 
 SUBCOMMAND_EXPERIMENTS = {
@@ -115,8 +117,7 @@ def _run(args) -> int:
 
 def _preset_command(args) -> int:
     if args.name is None:
-        for name in protocols.PRESETS:
-            cfg = protocols.PRESETS[name]
+        for name, cfg in protocols.PRESETS.items():
             print(f"{name}\t{cfg.experiment}")
         return 0
     config = protocols.resolve_config(protocols.preset_config(args.name))
@@ -134,19 +135,24 @@ def _preset_command(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM exits 143 through SystemExit, so a killed run cleans up as a
+    # failed one does; only the main thread may set a handler
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     try:
         if args.command == "preset":
             return _preset_command(args)
         return _run(args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except (GainRunawayError, NormUnderflowError) as exc:
+    except (GainRunawayError, NormUnderflowError, StepCountError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)  # None: set outside Python
 
 
 if __name__ == "__main__":

@@ -472,15 +472,20 @@ class TrajectorySink:
             return False
         self._out.flush()  # the helper appends at the shared file offset
         to_helper, from_helper = os.pipe(), os.pipe()
+        # SIGTERM waits until the helper is on record: an exception its handler
+        # raises (see cli.main) inside fork's own hooks would be ignored
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
         try:
             pid = os.fork()
         except OSError:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
             for fd in (*to_helper, *from_helper):
                 os.close(fd)
             return False
         if pid == 0:
             code = 1
             try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
                 os.close(to_helper[1])  # so that a run that dies leaves the helper EOF
                 os.close(from_helper[0])
                 _helper(self._out.fileno(), to_helper[0], from_helper[1],
@@ -491,6 +496,7 @@ class TrajectorySink:
         os.close(to_helper[0])
         os.close(from_helper[1])
         self._pid, self._to_helper, self._from_helper = pid, to_helper[1], from_helper[0]
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         return True
 
     def _ask_stop(self, n: int):

@@ -42,6 +42,8 @@ METHOD_TAG = "expm_multiply"
 #: vector; within it scipy sizes the step from the exact norm and never
 #: calls its randomized onenormest, so runs are deterministic.
 STEP_NORM_LIMIT = 60.0
+#: most sub-steps one sample gap may take (each preset takes 1, each up to 385 products)
+MAX_SUB_STEPS = 1000
 
 _TIME_EPS = 1e-9
 #: scipy's Taylor truncation tolerance, the double-precision unit roundoff
@@ -74,6 +76,10 @@ class GainRunawayError(RuntimeError):
 class NormUnderflowError(RuntimeError):
     """Raised when a sample's intensity underflows to 0 (attenuation so strong
     that no normalized observable of that sample exists)."""
+
+
+class StepCountError(RuntimeError):
+    """Raised for a sample gap that would take more than MAX_SUB_STEPS sub-steps."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +164,13 @@ class Trajectory:
         return int(np.argmin(np.abs(self.times - t)))
 
 
+def _trace_shift(a) -> tuple:
+    """scipy's trace shift mu = trace(a)/n, a - mu*I, and the exact 1-norm of a - mu*I."""
+    mu = a.trace() / float(a.shape[0])
+    shifted = a - mu * scipy.sparse.eye_array(a.shape[0], dtype=complex, format="csr")
+    return mu, shifted, float(abs(shifted).sum(axis=0).max())
+
+
 class _Step:
     """One exp(a) @ b by algorithm 3.2 of Al-Mohy & Higham in the arithmetic
     of scipy's expm_multiply, with its set-up done once: the trace shift mu,
@@ -165,9 +178,7 @@ class _Step:
     scaling s of fragment 3.1, and eta = exp(mu/s)."""
 
     def __init__(self, a, site_labels):
-        mu = a.trace() / float(a.shape[0])
-        shifted = a - mu * scipy.sparse.eye_array(a.shape[0], dtype=complex, format="csr")
-        norm = float(abs(shifted).sum(axis=0).max())
+        mu, shifted, norm = _trace_shift(a)
         # norm <= STEP_NORM_LIMIT keeps fragment 3.1 in its condition (3.13)
         # branch: the first theta-table degree m minimising m*ceil(norm/theta_m)
         if norm == 0.0:
@@ -230,13 +241,16 @@ class _Stepper:
 
     def __init__(self, h):
         self.h = h
-        shift = h.matrix.trace() / h.dim * scipy.sparse.eye_array(h.dim, format="csr")
-        self.shifted_norm = float(abs(h.matrix - shift).sum(axis=0).max())
+        self.shifted_norm = _trace_shift(h.matrix)[2]
         self.steps = {}
 
     def __call__(self, gap: float, state: np.ndarray) -> np.ndarray:
         if gap not in self.steps:
-            n = max(1, math.ceil(gap * self.shifted_norm / STEP_NORM_LIMIT))
+            n = gap * self.shifted_norm / STEP_NORM_LIMIT
+            if not n <= MAX_SUB_STEPS:  # NaN included
+                raise StepCountError(f"a sample gap of {gap!r} needs {n:.3g} sub-steps (limit "
+                                     f"{MAX_SUB_STEPS}): the rates are too large to finish")
+            n = max(1, math.ceil(n))
             self.steps[gap] = (_Step(self.h.matrix * (-1j * gap / n), self.h.site_labels), n)
         step, n = self.steps[gap]
         for _ in range(n):
@@ -246,6 +260,11 @@ class _Stepper:
             raise GainRunawayError(f"amplitude magnitude {peak!r} exceeds {OVERFLOW_LIMIT:g}; "
                                    "gain outruns attenuation")
         return state
+
+
+def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
+    """The times evolve_schedule samples: k*sample_dt up to t_final."""
+    return np.arange(math.floor(t_final / sample_dt + _TIME_EPS) + 1) * sample_dt
 
 
 def evolve_exact(h, c0: StateVector, t_final: float, sample_dt: float, *,
@@ -262,7 +281,8 @@ def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
     Each segment's operator acts on [t_start_k, t_start_{k+1}).  A sample gap
     that contains a switch is split there, so switch times are exact.
     Amplitudes that turn non-finite or exceed 1e150 raise GainRunawayError; a
-    sample whose intensity underflows to 0 raises NormUnderflowError.
+    sample whose intensity underflows to 0 raises NormUnderflowError; a gap
+    that would take more than MAX_SUB_STEPS sub-steps raises StepCountError.
 
     A ``sink`` (configio.TrajectorySink) streams the trajectory out while it
     is computed: the states are written into ``sink.states(times,
@@ -279,16 +299,16 @@ def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
         raise ValueError("state and operator dimension or site labels differ")
     if c0.norm <= 0.0:
         raise ValueError("initial state must have positive norm")
-    times = np.arange(math.floor(t_final / sample_dt + _TIME_EPS) + 1) * sample_dt
+    times = sample_times(t_final, sample_dt)
     if sink is None:
         states = np.empty((len(times), h0.dim), dtype=complex)
     else:
         states = sink.states(times, h0.site_labels)
     states[0] = state = c0.amplitudes
-    steppers = [_Stepper(s.hamiltonian) for s in segments]
     switches = [s.t_start for s in segments[1:]]
     seg = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # StepCountError reports a norm overflow
+        steppers = [_Stepper(s.hamiltonian) for s in segments]
         for k in range(1, len(times)):
             t = times[k - 1]
             # a switch within _TIME_EPS of a sample time acts at that sample

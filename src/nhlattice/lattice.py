@@ -47,10 +47,6 @@ __all__ = [
     "reduce_phase",
 ]
 
-#: adiabaticity_ratio above this value flags the reduction as unreliable
-ADIABATICITY_WARN_THRESHOLD = 0.2
-
-
 def reduce_phase(phi: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""
     if not math.isfinite(phi):
@@ -136,11 +132,12 @@ class ChainSpec:
 class SawtoothSpec:
     """Two-sublattice sawtooth model: main chain A, auxiliary sites B.
 
-    Row a_n carries diagonal ``v_a[n] - i*gamma_a``, couplings ``kappa`` to
+    Row a_n carries diagonal ``-i*gamma_a``, couplings ``kappa`` to
     a_{n+/-1}, ``j*e^{i*theta}`` to b_n and ``j*e^{-i*theta}`` to b_{n-1};
     row b_n carries diagonal ``u_b``, couplings ``j*e^{i*theta}`` to a_{n+1}
     and ``j*e^{-i*theta}`` to a_n.  Both sublattices have ``n_cells`` sites;
-    couplings to missing neighbours at the open ends are dropped.
+    couplings to missing neighbours at the open ends are dropped.  The
+    adiabatic reduction holds while ``adiabaticity_ratio`` << 1.
     """
 
     kappa: float
@@ -149,7 +146,6 @@ class SawtoothSpec:
     gamma_a: float
     u_b: complex
     n_cells: int
-    v_a: tuple = None
 
     def __post_init__(self):
         for name in ("kappa", "j", "theta", "gamma_a"):
@@ -168,15 +164,6 @@ class SawtoothSpec:
         if abs(u_b) == 0.0:
             raise ValueError("u_b must be nonzero")
         object.__setattr__(self, "u_b", u_b)
-        v_a = self.v_a
-        if v_a is None:
-            v_a = (0.0,) * self.n_cells
-        v_a = tuple(float(v) for v in v_a)
-        if len(v_a) != self.n_cells:
-            raise ValueError(f"v_a must have length n_cells={self.n_cells}, got {len(v_a)}")
-        for v in v_a:
-            _require_finite("v_a entry", v)
-        object.__setattr__(self, "v_a", v_a)
 
     @property
     def adiabaticity_ratio(self) -> float:
@@ -293,7 +280,7 @@ def build_sawtooth_hamiltonian(spec: SawtoothSpec) -> Operator:
     dim = 2 * spec.n_cells
     phase = cmath.exp(1j * spec.theta)
     diag = np.empty(dim, dtype=complex)
-    diag[0::2] = np.asarray(spec.v_a, dtype=complex) - 1j * spec.gamma_a
+    diag[0::2] = 0.0 - 1j * spec.gamma_a  # not -1j * gamma_a, whose real part is -0.0
     diag[1::2] = spec.u_b
     band_2 = np.zeros(dim - 2, dtype=complex)
     band_2[0::2] = spec.kappa  # a_n <-> a_{n+1}; b rows have no second-neighbour coupling
@@ -353,17 +340,15 @@ class ReducedChain:
     """Effective chain produced by eliminating the auxiliary sublattice.
 
     ``j1``/``j2`` are the forward/backward effective hoppings and ``u_eff``
-    the per-site effective potential.  ``adiabaticity_warning`` is the
-    machine-readable flag for max(j, 2*kappa)/|u_b| > 0.2.
+    the effective potential, the same on every site.  How well it stands for
+    its sawtooth is that SawtoothSpec's ``adiabaticity_ratio``.
     """
 
     kappa: float
     j1: complex
     j2: complex
-    u_eff: tuple
+    u_eff: complex
     n_sites: int
-    adiabaticity_ratio: float
-    adiabaticity_warning: bool
 
     def to_chain_spec(self, index_origin: int = 0, boundary: str = "open",
                       atol: float = 1e-12) -> ChainSpec:
@@ -372,28 +357,18 @@ class ReducedChain:
         Only possible when the hopping asymmetry has that exact form (the
         u_b = i*j^2/beta working point); otherwise raises ValueError.
         """
-        d1 = self.j1 - self.kappa
-        d2 = self.j2 - self.kappa
+        d1, d2 = self.j1 - self.kappa, self.j2 - self.kappa
         beta = abs(d1)
-        if beta == 0.0:
-            phi = 0.0
-            if abs(d2) > atol:
-                raise ValueError("hoppings do not have the kappa + i*beta*e^{+/-i*phi} form")
-        else:
-            phi = cmath.phase(d1 / (1j * beta))
-            if abs(d2 - 1j * beta * cmath.exp(-1j * phi)) > atol * max(1.0, abs(d2)):
-                raise ValueError("hoppings do not have the kappa + i*beta*e^{+/-i*phi} form")
-        u = np.asarray(self.u_eff, dtype=complex)
-        u0 = complex(u[0])
-        scale = max(1.0, abs(u0))
-        if np.max(np.abs(u - u0)) > atol * scale:
-            raise ValueError("effective potential is not uniform; no ChainSpec equivalent")
-        if abs(u0.real) > atol * scale:
+        phi = cmath.phase(d1 / (1j * beta)) if beta else 0.0
+        # at beta = 0 this asks |d2| <= atol, as max(1, |d2|) > 1 only when |d2| > 1 > atol
+        if abs(d2 - 1j * beta * cmath.exp(-1j * phi)) > atol * max(1.0, abs(d2)):
+            raise ValueError("hoppings do not have the kappa + i*beta*e^{+/-i*phi} form")
+        if abs(self.u_eff.real) > atol * max(1.0, abs(self.u_eff)):
             raise ValueError("effective potential has a real part; no ChainSpec equivalent")
         return ChainSpec(
             kappa=self.kappa,
             beta=beta,
-            gamma=-u0.imag,
+            gamma=-self.u_eff.imag,
             phi=phi,
             n_sites=self.n_sites,
             index_origin=index_origin,
@@ -405,21 +380,15 @@ def adiabatic_reduce(spec: SawtoothSpec) -> ReducedChain:
     """Eliminate the auxiliary sublattice, slaving b_n to its a neighbours.
 
     j1 = kappa - j^2*e^{+2i*theta}/u_b, j2 = kappa - j^2*e^{-2i*theta}/u_b,
-    u_eff[n] = v_a[n] - i*gamma_a - 2*j^2/u_b.  At u_b = i*j^2/beta this is
-    the chain with phi = 2*theta and gamma = gamma_a - 2*beta.
+    u_eff = -i*gamma_a - 2*j^2/u_b.  At u_b = i*j^2/beta this is the chain
+    with phi = 2*theta and gamma = gamma_a - 2*beta, valid while
+    ``spec.adiabaticity_ratio`` << 1 (not checked here).
     """
     j_sq = spec.j * spec.j
-    j1 = spec.kappa - j_sq * cmath.exp(2j * spec.theta) / spec.u_b
-    j2 = spec.kappa - j_sq * cmath.exp(-2j * spec.theta) / spec.u_b
-    shift = 2.0 * j_sq / spec.u_b
-    u_eff = tuple(v - 1j * spec.gamma_a - shift for v in spec.v_a)
-    ratio = spec.adiabaticity_ratio
     return ReducedChain(
         kappa=spec.kappa,
-        j1=j1,
-        j2=j2,
-        u_eff=u_eff,
+        j1=spec.kappa - j_sq * cmath.exp(2j * spec.theta) / spec.u_b,
+        j2=spec.kappa - j_sq * cmath.exp(-2j * spec.theta) / spec.u_b,
+        u_eff=0.0 - 1j * spec.gamma_a - 2.0 * j_sq / spec.u_b,
         n_sites=spec.n_cells,
-        adiabaticity_ratio=ratio,
-        adiabaticity_warning=ratio > ADIABATICITY_WARN_THRESHOLD,
     )

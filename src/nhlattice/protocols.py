@@ -26,6 +26,7 @@ from .analysis import (
     make_excitation,
     normalized_profile_matrix,
     storage_efficiency,
+    window_mask,
 )
 from .dynamics import (
     METHOD_TAG,
@@ -35,9 +36,9 @@ from .dynamics import (
     Trajectory,
     evolve_exact,
     evolve_schedule,
+    sample_times,
 )
 from .lattice import (
-    ADIABATICITY_WARN_THRESHOLD,
     ChainSpec,
     DefectSpec,
     SandwichSpec,
@@ -86,6 +87,8 @@ SIZE_PAD_SINGLE_SITE = 30
 V_MAX_FACTOR = 2.0
 #: max tolerated normalized intensity on the two end sites of a sized chain
 EDGE_FRACTION_LIMIT = 1e-6
+#: a sawtooth whose adiabaticity_ratio exceeds this is flagged as unreliably reduced
+ADIABATICITY_WARN_THRESHOLD = 0.2
 
 
 def _check_options(config) -> None:
@@ -197,61 +200,68 @@ class ExperimentResult:
     manifest: str = None
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise configio.ConfigError(message)
+
+
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Materialize every automatic field so manifests are self-contained."""
+    """Materialize every automatic field so manifests are self-contained.
+
+    Also rejects, naming the key, the values a run would otherwise reject
+    only after its output directory exists."""
     cfg = config
     if cfg.experiment == "dispersion_scan":  # the one experiment without a chain
         return cfg
-    if not cfg.timing.sample_dt > 0.0:
-        raise configio.ConfigError(f"timing.sample_dt: must be > 0, got {cfg.timing.sample_dt!r}")
-    if not cfg.timing.t_final >= 0.0:
-        raise configio.ConfigError(f"timing.t_final: must be >= 0, got {cfg.timing.t_final!r}")
-    if cfg.excitation is None:
-        raise configio.ConfigError("excitation.kind: experiment needs an excitation")
-    if cfg.experiment == "transport_single_site" and cfg.excitation.kind != "single_site":
-        raise configio.ConfigError("excitation.kind: must be single_site for this experiment")
-    if cfg.experiment != "transport_single_site" and cfg.excitation.kind != "gaussian":
-        raise configio.ConfigError("excitation.kind: must be gaussian for this experiment")
+    t, exc = cfg.timing, cfg.excitation
+    _require(t.sample_dt > 0.0, f"timing.sample_dt: must be > 0, got {t.sample_dt!r}")
+    _require(t.t_final >= 0.0, f"timing.t_final: must be >= 0, got {t.t_final!r}")
+    _require(cfg.kappa > 0.0, f"kappa: must be > 0, got {cfg.kappa!r}")
+    _require(cfg.beta >= 0.0, f"beta: must be >= 0, got {cfg.beta!r}")
+    _require(exc is not None, "excitation.kind: experiment needs an excitation")
+    want = "single_site" if cfg.experiment == "transport_single_site" else "gaussian"
+    _require(exc.kind == want, f"excitation.kind: must be {want} for this experiment")
     if cfg.experiment == "storage":
-        if cfg.timing.t_prime is None:
-            raise configio.ConfigError("timing.t_prime: storage needs a switch time")
-        if not (0.0 < cfg.timing.t_prime < cfg.timing.t_final):
-            raise configio.ConfigError("timing.t_prime: must lie inside (0, t_final)")
+        n_half = cfg.storage.n_half
+        _require(n_half >= 1, f"storage.n_half: must be a positive integer, got {n_half}")
+        _require(t.t_prime is not None, "timing.t_prime: storage needs a switch time")
+        _require(0.0 < t.t_prime < t.t_final, "timing.t_prime: must lie inside (0, t_final)")
     if cfg.experiment == "reduction_check":
-        if cfg.beta <= 0.0:
-            raise configio.ConfigError("beta: reduction check needs beta > 0 (u_b = i*j^2/beta)")
+        _require(cfg.beta > 0.0, "beta: reduction check needs beta > 0 (u_b = i*j^2/beta)")
+        j_values = cfg.reduction.j_values
+        _require(all(j > 0.0 for j in j_values),
+                 f"reduction.j_values: each j must be > 0, got {j_values}")
         gain = cfg.reduction.aux_sign == "gain"
         theta = cfg.reduction.theta
         if theta is None:
             theta = cfg.phi / 2.0 if gain else cfg.phi / 2.0 - math.pi / 2.0
         phi = reduce_phase(2.0 * theta) if gain else reduce_phase(2.0 * theta + math.pi)
-        if not gain and cfg.gamma < 2.0 * cfg.beta:
-            raise configio.ConfigError(
-                "gamma: the lossy-auxiliary variant needs gamma >= 2*beta "
-                "(sublattice loss gamma_a = gamma - 2*beta must be >= 0)")
+        _require(gain or cfg.gamma >= 2.0 * cfg.beta,
+                 "gamma: the lossy-auxiliary variant needs gamma >= 2*beta "
+                 "(sublattice loss gamma_a = gamma - 2*beta must be >= 0)")
         cfg = replace(cfg, phi=phi, reduction=replace(cfg.reduction, theta=theta))
     if cfg.chain_length is None or cfg.index_origin is None:
-        if cfg.chain_length is not None or cfg.index_origin is not None:
-            key = "chain_length" if cfg.index_origin is None else "index_origin"
-            raise configio.ConfigError(
-                f"{key}: set both chain_length and index_origin, or neither (auto)")
+        key = "chain_length" if cfg.index_origin is None else "index_origin"
+        _require(cfg.chain_length is None and cfg.index_origin is None,
+                 f"{key}: set both chain_length and index_origin, or neither (auto)")
         lo, hi = _auto_extent(cfg)
         cfg = replace(cfg, chain_length=hi - lo + 1, index_origin=lo)
-    if cfg.chain_length < 2:
-        raise configio.ConfigError("chain_length: must be >= 2")
+    _require(cfg.chain_length >= 2, "chain_length: must be >= 2")
     _check_trajectory_fits(cfg)
-    lo = cfg.index_origin
-    hi = cfg.index_origin + cfg.chain_length - 1
-    if not (lo <= cfg.excitation.n0 <= hi):
-        raise configio.ConfigError(f"excitation.n0: {cfg.excitation.n0} outside chain [{lo}, {hi}]")
-    for d in cfg.defects:
-        if not (lo <= d.site <= hi):
-            raise configio.ConfigError(f"defects: site {d.site} outside chain [{lo}, {hi}]")
+    if cfg.experiment != "reduction_check":  # the runs that fit a velocity
+        try:
+            window_mask(sample_times(t.t_final, t.sample_dt), _velocity_window(cfg))
+        except ValueError as err:
+            raise configio.ConfigError(f"timing.t_final: velocity {err}") from None
+    lo, hi = cfg.index_origin, cfg.index_origin + cfg.chain_length - 1
+    _require(lo <= exc.n0 <= hi, f"excitation.n0: {exc.n0} outside chain [{lo}, {hi}]")
+    sites = [d.site for d in cfg.defects]
+    for site in sites:
+        _require(lo <= site <= hi, f"defects: site {site} outside chain [{lo}, {hi}]")
+        _require(sites.count(site) == 1, f"defects: duplicate site {site}")
     if cfg.experiment == "storage":
-        n_half = cfg.storage.n_half
-        if not (lo < -n_half and hi > n_half):
-            raise configio.ConfigError(
-                f"storage.n_half: chain [{lo}, {hi}] must strictly contain [-{n_half}, {n_half}]")
+        _require(lo < -n_half and hi > n_half,
+                 f"storage.n_half: chain [{lo}, {hi}] must strictly contain [-{n_half}, {n_half}]")
     return cfg
 
 
@@ -262,18 +272,16 @@ def _check_trajectory_fits(cfg: ExperimentConfig) -> None:
     except (AttributeError, ValueError, OSError):  # no sysconf: what numpy can index
         memory = float(np.iinfo(np.intp).max)
     sites = cfg.chain_length * (2 if cfg.experiment == "reduction_check" else 1)  # sawtooth
-    if sites > memory / 16:  # compared exactly, however large the int
-        raise configio.ConfigError(
-            f"chain_length: {cfg.chain_length} sites do not fit in memory ({memory:.3g} bytes)")
+    _require(sites <= memory / 16,  # compared exactly, however large the int
+             f"chain_length: {cfg.chain_length} sites do not fit in memory ({memory:.3g} bytes)")
     t, default = cfg.timing, Timing()
     samples = t.t_final / t.sample_dt + 1.0  # inf when the quotient overflows
-    if 16 * sites * samples > memory:
-        # name whichever of the two keys lies further from its default
-        key = ("timing.t_final" if t.t_final / default.t_final > default.sample_dt / t.sample_dt
-               else "timing.sample_dt")
-        raise configio.ConfigError(
-            f"{key}: {samples:.3g} samples of {sites} sites do not fit in memory "
-            f"({memory:.3g} bytes)")
+    # name whichever of the two keys lies further from its default
+    key = ("timing.t_final" if t.t_final / default.t_final > default.sample_dt / t.sample_dt
+           else "timing.sample_dt")
+    _require(16 * sites * samples <= memory,
+             f"{key}: {samples:.3g} samples of {sites} sites do not fit in memory "
+             f"({memory:.3g} bytes)")
 
 
 def _auto_extent(config: ExperimentConfig) -> tuple:
@@ -283,8 +291,8 @@ def _auto_extent(config: ExperimentConfig) -> tuple:
     pad = SIZE_PAD_GAUSSIAN if exc.kind == "gaussian" else SIZE_PAD_SINGLE_SITE
     travel = V_MAX_FACTOR * config.kappa * config.timing.t_final
     lo, hi = n0 - 4.0 * w0 - travel, n0 + 4.0 * w0 + travel
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise configio.ConfigError(f"chain_length: auto extent [{lo!r}, {hi!r}] is not finite")
+    _require(math.isfinite(lo) and math.isfinite(hi),
+             f"chain_length: auto extent [{lo!r}, {hi!r}] is not finite")
     lo = math.floor(lo) - pad
     hi = math.ceil(hi) + pad
     if config.experiment == "storage":
@@ -292,6 +300,14 @@ def _auto_extent(config: ExperimentConfig) -> tuple:
         lo = min(lo, -n_half - 1 - pad)
         hi = max(hi, n_half + 1 + pad)
     return lo, hi
+
+
+def _velocity_window(cfg: ExperimentConfig) -> tuple:
+    """The times a transport or storage run fits its centroid velocity over."""
+    t = cfg.timing
+    if cfg.experiment == "storage":  # the released packet, clear of the switch
+        return (t.t_prime + 5.0, t.t_final - 2.0)
+    return (max(2.0, 0.1 * t.t_final), 0.95 * t.t_final)
 
 
 def _chain_spec(config: ExperimentConfig, defects=None) -> ChainSpec:
@@ -369,13 +385,10 @@ def run_transport(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
     state0 = make_excitation(cfg.excitation, spec.site_labels)
     traj = evolve_exact(build_chain_hamiltonian(spec), state0, t_final, cfg.timing.sample_dt,
                         sink=sink)
-    window = (max(2.0, 0.1 * t_final), 0.95 * t_final)
+    window = _velocity_window(cfg)
     margin = DEFAULT_REFLECTION_MARGIN
-    if cfg.defects:
-        barrier_lo = min(d.site for d in cfg.defects)
-        barrier_hi = max(d.site for d in cfg.defects)
-    else:
-        barrier_lo = barrier_hi = cfg.excitation.n0
+    barrier = [d.site for d in cfg.defects] or [cfg.excitation.n0]
+    barrier_lo, barrier_hi = min(barrier), max(barrier)
     t_eval = 0.9 * t_final
     snap = traj.state(traj.index_at_time(t_eval))
     weights = np.abs(snap.amplitudes) ** 2 / snap.norm
@@ -436,8 +449,7 @@ def _storage_single(cfg: ExperimentConfig, xi: float, sink=None) -> tuple:
     t_out = float(traj.times[-1])
     efficiency = storage_efficiency(traj, 0.0, t_out, in_region, out_region)
     fit = fit_gaussian(traj.state(traj.index_at_time(t_out)))
-    release_window = (t.t_prime + 5.0, t.t_final - 2.0)
-    release_v = centroid_velocity(traj, release_window)
+    release_v = centroid_velocity(traj, _velocity_window(cfg))
     direction = "forward" if (release_v > 0) == (incident_v > 0) else "reversed"
 
     rho = normalized_profile_matrix(traj)
@@ -472,15 +484,11 @@ def run_storage(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
     if sweep:
         traj, last = _storage_single(cfg, sweep[-1], sink)
         members = [_storage_single(cfg, xi)[1] for xi in sweep[:-1]] + [last]
-        rows = []
-        for i, (xi, member) in enumerate(zip(sweep, members)):
-            rows.append((xi, member["efficiency"], member["shape_fidelity"],
-                         member["release_velocity"]))
-            metrics[f"sweep[{i}].xi"] = xi
-            metrics[f"sweep[{i}].efficiency"] = member["efficiency"]
-            metrics[f"sweep[{i}].shape_fidelity"] = member["shape_fidelity"]
-        table = (("xi", "efficiency", "shape_fidelity", "release_velocity"),
-                 np.asarray(rows, dtype=float))
+        columns = ("xi", "efficiency", "shape_fidelity", "release_velocity")
+        rows = [(xi, *(member[c] for c in columns[1:])) for xi, member in zip(sweep, members)]
+        for i, row in enumerate(rows):  # each column but release_velocity is a metric too
+            metrics.update((f"sweep[{i}].{c}", v) for c, v in zip(columns[:3], row))
+        table = (columns, np.asarray(rows, dtype=float))
     else:
         traj, last = _storage_single(cfg, cfg.storage.xi, sink)
     metrics.update(last, t_prime=cfg.timing.t_prime, norm_final=float(traj.norm_series[-1]))
@@ -514,6 +522,7 @@ def run_reduction_check(config: ExperimentConfig, *, sink=None) -> ExperimentRes
     chain_traj = evolve_exact(h_chain, state0, t.t_final, t.sample_dt, sink=sink)
     rho_chain = normalized_profile_matrix(chain_traj)
 
+    columns = ("j", "u_b_abs", "adiabaticity_ratio", "profile_error", "warned")
     rows = []
     errors = []
     for i, j in enumerate(cfg.reduction.j_values):
@@ -534,16 +543,10 @@ def run_reduction_check(config: ExperimentConfig, *, sink=None) -> ExperimentRes
         error = float(np.max(np.abs(rho_a - rho_chain)))
         errors.append(error)
         ratio = saw.adiabaticity_ratio
-        warned = ratio > ADIABATICITY_WARN_THRESHOLD
-        rows.append((j, abs(u_b), ratio, error, 1.0 if warned else 0.0))
-        metrics[f"reduction[{i}].j"] = j
-        metrics[f"reduction[{i}].u_b_abs"] = abs(u_b)
-        metrics[f"reduction[{i}].adiabaticity_ratio"] = ratio
-        metrics[f"reduction[{i}].profile_error"] = error
-        metrics[f"reduction[{i}].warned"] = warned
+        rows.append((j, abs(u_b), ratio, error, ratio > ADIABATICITY_WARN_THRESHOLD))
+        metrics.update((f"reduction[{i}].{name}", v) for name, v in zip(columns, rows[-1]))
     metrics["monotone_decreasing"] = all(b < a for a, b in zip(errors, errors[1:]))
-    table = (("j", "u_b_abs", "adiabaticity_ratio", "profile_error", "warned"),
-             np.asarray(rows, dtype=float))
+    table = (columns, np.asarray(rows, dtype=float))
     return _chain_result(cfg, manifest, metrics, chain_traj, table)
 
 
@@ -600,37 +603,32 @@ def _storage_preset(preset, sign, xi_sweep=()):
     )
 
 
-def _build_presets() -> dict:
-    presets = {
-        "fig2": ExperimentConfig(experiment="dispersion_scan", preset="fig2", **_NH),
-        "fig3a": _transport_single("fig3a", 0.0, herm=True),
-        "fig3b": _transport_single("fig3b", 0.0),
-        "fig3c": _transport_single("fig3c", math.pi / 4),
-        "fig3d": _transport_single("fig3d", math.pi / 2),
-        "fig3e": _transport_single("fig3e", 0.0, herm=True, defects=_DEFECTS_1020),
-        "fig3f": _transport_single("fig3f", math.pi / 2, defects=_DEFECTS_1020),
-        "fig4a": _transport_gauss("fig4a", 0.0, herm=True),
-        "fig4b": _transport_gauss("fig4b", 0.0),
-        "fig4c": _transport_gauss("fig4c", math.pi / 4),
-        "fig4d": _transport_gauss("fig4d", math.pi / 2),
-        "fig6a": _storage_preset("fig6a", "forward"),
-        "fig6b": _storage_preset("fig6b", "reversed"),
-        "fig7": _storage_preset("fig7", "forward", xi_sweep=(0.4, 0.6, 0.8)),
-        # the preset uses the lossy auxiliary level: the textbook gain
-        # working point u_b = +i*j^2/beta has an amplified auxiliary band
-        # (growth rate |u_b|) and cannot run a transport-scale comparison
-        "reduction": ExperimentConfig(
-            experiment="reduction_check", preset="reduction", phi=math.pi / 2,
-            excitation=ExcitationSpec(kind="gaussian", n0=-25, w0=5.0, q0=-math.pi / 2),
-            timing=Timing(t_final=20.0),
-            reduction=ReductionParams(j_values=(4.0, 8.0), aux_sign="loss"),
-            **_NH,
-        ),
-    }
-    return presets
-
-
-PRESETS = _build_presets()
+PRESETS = {
+    "fig2": ExperimentConfig(experiment="dispersion_scan", preset="fig2", **_NH),
+    "fig3a": _transport_single("fig3a", 0.0, herm=True),
+    "fig3b": _transport_single("fig3b", 0.0),
+    "fig3c": _transport_single("fig3c", math.pi / 4),
+    "fig3d": _transport_single("fig3d", math.pi / 2),
+    "fig3e": _transport_single("fig3e", 0.0, herm=True, defects=_DEFECTS_1020),
+    "fig3f": _transport_single("fig3f", math.pi / 2, defects=_DEFECTS_1020),
+    "fig4a": _transport_gauss("fig4a", 0.0, herm=True),
+    "fig4b": _transport_gauss("fig4b", 0.0),
+    "fig4c": _transport_gauss("fig4c", math.pi / 4),
+    "fig4d": _transport_gauss("fig4d", math.pi / 2),
+    "fig6a": _storage_preset("fig6a", "forward"),
+    "fig6b": _storage_preset("fig6b", "reversed"),
+    "fig7": _storage_preset("fig7", "forward", xi_sweep=(0.4, 0.6, 0.8)),
+    # the preset uses the lossy auxiliary level: the textbook gain
+    # working point u_b = +i*j^2/beta has an amplified auxiliary band
+    # (growth rate |u_b|) and cannot run a transport-scale comparison
+    "reduction": ExperimentConfig(
+        experiment="reduction_check", preset="reduction", phi=math.pi / 2,
+        excitation=ExcitationSpec(kind="gaussian", n0=-25, w0=5.0, q0=-math.pi / 2),
+        timing=Timing(t_final=20.0),
+        reduction=ReductionParams(j_values=(4.0, 8.0), aux_sign="loss"),
+        **_NH,
+    ),
+}
 
 
 def preset_config(name: str) -> ExperimentConfig:

@@ -184,7 +184,7 @@ def test_c5b_reduction_algebraic_identities():
         red = adiabatic_reduce(saw)
         j1_err = abs(red.j1 - (kappa + 1j * beta * np.exp(2j * theta)))
         j2_err = abs(red.j2 - (kappa + 1j * beta * np.exp(-2j * theta)))
-        gamma_err = abs(-np.imag(red.u_eff[0]) - (gamma_a - 2.0 * beta))
+        gamma_err = abs(-np.imag(red.u_eff) - (gamma_a - 2.0 * beta))
         worst = max(worst, j1_err / max(1.0, abs(red.j1)),
                     j2_err / max(1.0, abs(red.j2)), gamma_err / max(1.0, abs(gamma_a)))
     _report("criterion 5b", worst <= 1e-12,

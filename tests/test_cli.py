@@ -1,13 +1,17 @@
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nhlattice import PRESETS
 from nhlattice.cli import main
-from nhlattice.configio import read_metrics, read_table_csv, read_trajectory_csv
+from nhlattice.configio import read_metrics, read_table_csv, read_trajectory_csv, render_config
 
 
 FAST_TRANSPORT_CFG = """\
@@ -36,7 +40,7 @@ excitation.kind = gaussian
 excitation.n0 = -10
 excitation.w0 = 2
 excitation.q0 = -pi/2
-timing.t_final = 12
+timing.t_final = 20
 timing.t_prime = 11
 timing.sample_dt = 0.25
 storage.n_half = 3
@@ -109,13 +113,32 @@ def test_removed_integrator_keys_exit_2(tmp_path, capsys, line, key):
     assert f"unknown key {key!r}" in err
 
 
-def _run_fast_transport_with(tmp_path, line, *extra):
-    """Run FAST_TRANSPORT_CFG with each line of ``line`` replacing or adding its key."""
+def _write_config_with(tmp_path, line, base=FAST_TRANSPORT_CFG):
+    """Write ``base`` with each line of ``line`` replacing or adding its key."""
     keys = {l.split(" = ")[0] for l in line.splitlines()}
-    kept = [l for l in FAST_TRANSPORT_CFG.splitlines() if l.split(" = ")[0] not in keys]
+    kept = [l for l in base.splitlines() if l.split(" = ")[0] not in keys]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join(kept + [line]) + "\n")
+    return cfg
+
+
+def _run_fast_transport_with(tmp_path, line, *extra):
+    """Run FAST_TRANSPORT_CFG with each line of ``line`` replacing or adding its key."""
+    cfg = _write_config_with(tmp_path, line)
     return main(["transport", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
+
+
+#: the environment of a ``python -m nhlattice`` child that imports this checkout
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
+
+
+def _cli_child(*args):
+    """Start ``python -m nhlattice args`` in a child process."""
+    return subprocess.Popen([sys.executable, "-m", "nhlattice", *map(str, args)],
+                            env=_CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
 
 
 def _single_config_error(capsys, key):
@@ -180,11 +203,114 @@ FIXED_41 = "chain_length = 41\nindex_origin = -20"
                  id="timing.sample_dt = 1e-300-timing.sample_dt"),
     pytest.param(f"{FIXED_41}\ntiming.sample_dt = 5e-324", "timing.sample_dt",
                  id="timing.sample_dt = 5e-324-timing.sample_dt"),
+    # checks the chain and the velocity fit would make, made before any write
+    ("kappa = -1", "kappa"),
+    ("beta = -1", "beta"),
+    ("defects = 3:1:0, 3:1:0", "defects"),
+    ("timing.t_final = 2", "timing.t_final"),  # its velocity window holds no sample
 ])
 def test_bad_timing_or_auto_extent_exits_2_naming_the_key(tmp_path, capsys, line, key):
     assert _run_fast_transport_with(tmp_path, line) == 2
     _single_config_error(capsys, key)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,preset,line,key", [
+    ("storage", "fig6a", "storage.n_half = 0", "storage.n_half"),
+    ("reduce-check", "reduction", "reduction.j_values = 0", "reduction.j_values"),
+    ("reduce-check", "reduction", "reduction.j_values = 4, -8", "reduction.j_values"),
+])
+def test_bad_storage_or_reduction_key_exits_2_before_any_write(tmp_path, capsys, command,
+                                                               preset, line, key):
+    cfg = _write_config_with(tmp_path, line, render_config(PRESETS[preset]))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    _single_config_error(capsys, key)
+    _assert_left_nothing(tmp_path, tmp_path / "o")
+
+
+@pytest.mark.parametrize("command,preset,t_final", [
+    ("storage", "fig6a", "36"),  # ends inside the release velocity window
+    ("transport", "fig3d", "2"),  # too short for a velocity window
+])
+def test_t_final_without_a_velocity_window_exits_2_before_any_write(tmp_path, capsys, command,
+                                                                    preset, t_final):
+    code = main([command, "--preset", preset, "--t-final", t_final,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "selects 0 samples; need >= 5" in _single_config_error(capsys, "timing.t_final")
+    _assert_left_nothing(tmp_path, tmp_path / "o")
+
+
+@pytest.mark.parametrize("line", [
+    "gamma = 1e40",
+    "gamma = 1e100",
+    "gamma = 1e308",  # the trace shift overflows: a NaN sub-step count
+    "defects = 0:1e100:0",
+    "kappa = 1e15",
+    pytest.param("timing.t_final = 1e15\ntiming.sample_dt = 1e13",
+                 id="timing.t_final = 1e15, timing.sample_dt = 1e13"),
+])
+def test_too_many_sub_steps_exits_3_at_once(tmp_path, line):
+    # each case would plan 1e12 or more sub-steps for its first gap; a
+    # regression times out instead of hanging the suite
+    cfg = _write_config_with(tmp_path, f"{FIXED_41}\nexcitation.n0 = 0\n{line}")
+    out = tmp_path / "o" / "nested"
+    proc = _cli_child("transport", "--config", cfg, "--out", out)
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 3, err
+    lines = err.splitlines()
+    assert len(lines) == 1, lines  # no RuntimeWarning either
+    assert lines[0].startswith("error: numerical: a sample gap of "), lines[0]
+    assert "sub-steps (limit 1000)" in lines[0]
+    _assert_left_nothing(tmp_path, tmp_path / "o")
+
+
+#: valid, and slow: each of its 1000 sample gaps takes 20 sub-steps of 385 products
+SLOW_TRANSPORT_CFG = """\
+experiment = transport_single_site
+kappa = 600
+chain_length = 41
+index_origin = -20
+excitation.kind = single_site
+timing.t_final = 1000
+timing.sample_dt = 1
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
+def test_sigterm_exits_143_and_leaves_nothing(tmp_path):
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(SLOW_TRANSPORT_CFG)
+    out = tmp_path / "o" / "nested"
+    proc = _cli_child("transport", "--config", cfg, "--out", out)
+    try:
+        deadline = time.monotonic() + 30
+        while not list(out.glob("*.tmp")) and proc.poll() is None:
+            assert time.monotonic() < deadline, "the run made no trajectory temp file"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 143, err
+    _assert_left_nothing(tmp_path, tmp_path / "o")
+
+
+def test_sigterm_handler_restored_and_main_runs_off_the_main_thread(capsys):
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["preset"]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main(["preset"])))
+    worker.start()
+    worker.join()
+    assert codes == [0]
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def _assert_left_nothing(tmp_path, out):
@@ -279,12 +405,10 @@ def test_dt_and_tfinal_overrides(tmp_path, capsys):
 
 def test_cli_import_leaves_out_optimize_and_linalg():
     # a fresh interpreter, since other tests load scipy.optimize into this one
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys, nhlattice.cli, nhlattice; print(' '.join(sorted(m for m in "
             "('scipy.optimize', 'scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV, capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
 

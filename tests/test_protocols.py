@@ -280,7 +280,7 @@ def test_reduction_hermitian_limit_real_detuning():
     assert red.j1 == red.j2
     labels = np.arange(m) - m // 2
     eff = nh.Operator(scipy.sparse.diags_array(
-        (np.full(m - 1, red.j2), np.full(m, red.u_eff[0]), np.full(m - 1, red.j1)),
+        (np.full(m - 1, red.j2), np.full(m, red.u_eff), np.full(m - 1, red.j1)),
         offsets=(-1, 0, 1), format="csr"), labels)
     exc = nh.make_excitation(
         ExcitationSpec(kind="gaussian", n0=0, w0=4.0, q0=-math.pi / 2), labels)
