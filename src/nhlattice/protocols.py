@@ -78,13 +78,15 @@ EXPERIMENTS = (
     "reduction_check",
 )
 
-#: auto-sizing pad beyond the ballistic horizon; a broadband single-site
-#: kick grows a slowly decaying front tail and needs more room than the
-#: Gaussian packets, whose envelope is already covered by the 4*w0 term
+#: auto-sizing pad beyond the band's reach (see _reach); a broadband
+#: single-site kick grows a slowly decaying front tail and needs more room
+#: than the Gaussian packets, whose envelope is already covered by the
+#: 4*w0 term
 SIZE_PAD_GAUSSIAN = 16
 SIZE_PAD_SINGLE_SITE = 30
-#: ballistic horizon speed used for auto-sizing
-V_MAX_FACTOR = 2.0
+#: auto-sizing: a Bloch mode stops counting once its intensity has fallen
+#: this far below the lossless mode's
+SIZE_INTENSITY_FLOOR = 1e-20
 #: max tolerated normalized intensity on the two end sites of a sized chain
 EDGE_FRACTION_LIMIT = 1e-6
 #: a sawtooth whose adiabaticity_ratio exceeds this is flagged as unreliably reduced
@@ -161,7 +163,8 @@ class ExperimentConfig:
 
     chain_length/index_origin of None mean "auto": the chain is sized so
     that less than 1e-6 of the normalized intensity ever reaches the ends
-    (excitation extent + ballistic horizon 2*kappa*t_final + padding).
+    (excitation extent + the band's reach on each side + padding; see
+    _auto_extent).
 
     The fields of this dataclass and of those nested in it are the keys of
     a config document; see configio for how their metadata tags them.
@@ -248,11 +251,16 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         cfg = replace(cfg, chain_length=hi - lo + 1, index_origin=lo)
     _require(cfg.chain_length >= 2, "chain_length: must be >= 2")
     _check_trajectory_fits(cfg)
+    times = sample_times(t.t_final, t.sample_dt)
     if cfg.experiment != "reduction_check":  # the runs that fit a velocity
         try:
-            window_mask(sample_times(t.t_final, t.sample_dt), _velocity_window(cfg))
+            window_mask(times, _velocity_window(cfg))
         except ValueError as err:
             raise configio.ConfigError(f"timing.t_final: velocity {err}") from None
+    if cfg.experiment == "storage":
+        _require(np.any(_capture_mask(times, t.t_prime)),
+                 f"timing.t_prime: capture window [{0.5 * t.t_prime!r}, {t.t_prime!r}] "
+                 f"holds no sample (sample_dt {t.sample_dt!r})")
     lo, hi = cfg.index_origin, cfg.index_origin + cfg.chain_length - 1
     _require(lo <= exc.n0 <= hi, f"excitation.n0: {exc.n0} outside chain [{lo}, {hi}]")
     sites = [d.site for d in cfg.defects]
@@ -262,6 +270,10 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     if cfg.experiment == "storage":
         _require(lo < -n_half and hi > n_half,
                  f"storage.n_half: chain [{lo}, {hi}] must strictly contain [-{n_half}, {n_half}]")
+        out_lo, out_hi = _out_region(cfg)
+        _require(out_lo <= out_hi,
+                 f"{'chain_length' if out_hi == hi else 'index_origin'}: chain [{lo}, {hi}] "
+                 f"holds no site of the release's out region [{out_lo}, {out_hi}]")
     return cfg
 
 
@@ -284,22 +296,107 @@ def _check_trajectory_fits(cfg: ExperimentConfig) -> None:
              f"({memory:.3g} bytes)")
 
 
+def _reach(beta: float, phi: float, t: float, sign: int, w0: float = 0.0,
+           q0: float = 0.0) -> float:
+    """How far light reaches in time t toward ``sign`` (+1 up, -1 down), in units of 2*kappa.
+
+    Mode q moves at -2*kappa*sin(q) and, against the lossless mode q = -phi,
+    loses intensity at the rate 4*beta*(1 - cos(q + phi)); it counts until it
+    has lost ln(1/SIZE_INTENSITY_FLOOR), less a Gaussian packet's spectral
+    deficit w0^2 (q - q0)^2 / 2.  The reach is the largest |sin q| times that
+    time (at most t) over the modes moving toward ``sign``.  Pure ``math``, so
+    a resolved extent does not depend on the CPU's vector units.
+    """
+    budget = math.log(1.0 / SIZE_INTENSITY_FLOOR)
+
+    def reach_of(q: float) -> float:
+        q = math.remainder(q, 2.0 * math.pi)
+        if not 0.0 < -sign * q < math.pi:  # moving the other way, or standing
+            return 0.0
+        deficit = w0 * math.remainder(q - q0, 2.0 * math.pi)  # ** would raise on overflow
+        left = budget - 0.5 * deficit * deficit
+        rate = 4.0 * beta * (1.0 - math.cos(q + phi))
+        return 0.0 if left <= 0.0 else abs(math.sin(q)) * (t if rate * t <= left else left / rate)
+
+    # a grid on each scale the reach varies on: the half band, the modes lit
+    # for all of t around q = -phi, and a packet's own band up to its edges,
+    # past which the reach drops to 0; then a golden-section search in the
+    # cells around each local maximum of the grid
+    scales = [(-sign * math.pi / 2, math.pi / 2)]
+    if beta > 0.0 and t > 0.0:
+        scales.append((-phi, 2.0 * math.asin(min(1.0, math.sqrt(budget / (8.0 * beta * t))))))
+    if w0 > 0.0:
+        scales.append((q0, math.sqrt(2.0 * budget) / w0 * (1.0 - 1e-12)))
+    grid = sorted(math.remainder(c + w * k / 16, 2.0 * math.pi)
+                  for c, w in scales for k in range(-16, 17))
+    values = [reach_of(q) for q in grid]
+    best = max(values)
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for i, value in enumerate(values):
+        after = (i + 1) % len(grid)
+        if value <= 0.0 or value < values[i - 1] or value < values[after]:
+            continue
+        a = grid[i] - abs(math.remainder(grid[i] - grid[i - 1], 2.0 * math.pi))
+        b = grid[i] + abs(math.remainder(grid[after] - grid[i], 2.0 * math.pi))
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        at_c, at_d = reach_of(c), reach_of(d)
+        for _ in range(40):  # the cells shrink by 0.618^40, below 1e-8
+            if at_c >= at_d:
+                b, d, at_d = d, c, at_c
+                c = b - ratio * (b - a)
+                at_c = reach_of(c)
+            else:
+                a, c, at_c = c, d, at_d
+                d = a + ratio * (b - a)
+                at_d = reach_of(d)
+        best = max(best, at_c, at_d)
+    return best
+
+
 def _auto_extent(config: ExperimentConfig) -> tuple:
-    exc = config.excitation
+    """The sites light reaches, by the band's reach (_reach), padded.
+
+    A transport packet spreads from n0 under its spectral filter.  A defect
+    scatters into every mode from the time the ballistic front (2*kappa)
+    can first reach it.  A storage run carries the reached interval through
+    its schedule: in the capture stage the boundary sites +/-n_half scatter
+    into the leads (phase -q0 below the core, +q0 above it), and from the
+    release on every site reached so far may hold any mode.
+    """
+    exc, kappa, t_final = config.excitation, config.kappa, config.timing.t_final
     n0 = exc.n0
-    w0 = exc.w0 if exc.kind == "gaussian" else 0.0
+    w0, q0 = (exc.w0, exc.q0) if exc.kind == "gaussian" else (0.0, 0.0)
     pad = SIZE_PAD_GAUSSIAN if exc.kind == "gaussian" else SIZE_PAD_SINGLE_SITE
-    travel = V_MAX_FACTOR * config.kappa * config.timing.t_final
-    lo, hi = n0 - 4.0 * w0 - travel, n0 + 4.0 * w0 + travel
+    half = 4.0 * w0
+
+    def reach(phi: float, t: float, sign: int, spectral: bool = False) -> float:
+        return 2.0 * kappa * _reach(config.beta, phi, t, sign, *((w0, q0) if spectral else ()))
+
+    def lit_from(site: int, t: float) -> float:  # time left once the front reaches site
+        return max(0.0, t - max(0.0, abs(site - n0) - half) / (2.0 * kappa))
+
+    if config.experiment == "storage":
+        n_half, t_prime = config.storage.n_half, config.timing.t_prime
+        lo = min(n0 - half, -n_half - reach(-q0, lit_from(-n_half, t_prime), -1))
+        hi = max(n0 + half, n_half + reach(q0, lit_from(n_half, t_prime), +1))
+        if n0 < -n_half:
+            lo = min(lo, n0 - half - reach(-q0, t_prime, -1, spectral=True))
+        if n0 > n_half:
+            hi = max(hi, n0 + half + reach(q0, t_prime, +1, spectral=True))
+        phi = -q0 if config.storage.retrieval_phase_sign == "forward" else q0
+        # the run needs both leads, however little light reaches them
+        lo = min(lo - reach(phi, t_final - t_prime, -1), -n_half - 1)
+        hi = max(hi + reach(phi, t_final - t_prime, +1), n_half + 1)
+    else:
+        phi = config.phi
+        lo = n0 - half - reach(phi, t_final, -1, spectral=True)
+        hi = n0 + half + reach(phi, t_final, +1, spectral=True)
+        for d in config.defects:
+            lo = min(lo, d.site - reach(phi, lit_from(d.site, t_final), -1))
+            hi = max(hi, d.site + reach(phi, lit_from(d.site, t_final), +1))
     _require(math.isfinite(lo) and math.isfinite(hi),
              f"chain_length: auto extent [{lo!r}, {hi!r}] is not finite")
-    lo = math.floor(lo) - pad
-    hi = math.ceil(hi) + pad
-    if config.experiment == "storage":
-        n_half = config.storage.n_half
-        lo = min(lo, -n_half - 1 - pad)
-        hi = max(hi, n_half + 1 + pad)
-    return lo, hi
+    return math.floor(lo) - pad, math.ceil(hi) + pad
 
 
 def _velocity_window(cfg: ExperimentConfig) -> tuple:
@@ -429,6 +526,21 @@ def _storage_schedule(cfg: ExperimentConfig, xi: float) -> Schedule:
     ))
 
 
+def _capture_mask(times: np.ndarray, t_prime: float) -> np.ndarray:
+    """The samples a storage run takes its capture confinement over: [t_prime/2, t_prime]."""
+    return (times >= 0.5 * t_prime - 1e-9) & (times <= t_prime + 1e-9)
+
+
+def _out_region(cfg: ExperimentConfig) -> tuple:
+    """The sites past the core, downstream of the release, that count as retrieved."""
+    sp = cfg.storage
+    lo, hi = cfg.index_origin, cfg.index_origin + cfg.chain_length - 1
+    # a forward release keeps the incident direction of travel
+    moving_right = ((group_velocity(cfg.kappa, cfg.excitation.q0) > 0)
+                    == (sp.retrieval_phase_sign == "forward"))
+    return (sp.n_half + 3, hi) if moving_right else (lo, -sp.n_half - 3)
+
+
 def _storage_single(cfg: ExperimentConfig, xi: float, sink=None) -> tuple:
     """One capture/release cycle; returns (trajectory, its metrics)."""
     t = cfg.timing
@@ -438,16 +550,11 @@ def _storage_single(cfg: ExperimentConfig, xi: float, sink=None) -> tuple:
 
     exc = cfg.excitation
     sp = cfg.storage
-    lo, hi = cfg.index_origin, cfg.index_origin + cfg.chain_length - 1
     half_w = int(round(4.0 * exc.w0))
     in_region = (exc.n0 - half_w, exc.n0 + half_w)
-    forward = sp.retrieval_phase_sign == "forward"
     incident_v = group_velocity(cfg.kappa, exc.q0)
-    # a forward release keeps the incident direction of travel
-    moving_right = (incident_v > 0) == forward
-    out_region = (sp.n_half + 3, hi) if moving_right else (lo, -sp.n_half - 3)
     t_out = float(traj.times[-1])
-    efficiency = storage_efficiency(traj, 0.0, t_out, in_region, out_region)
+    efficiency = storage_efficiency(traj, 0.0, t_out, in_region, _out_region(cfg))
     fit = fit_gaussian(traj.state(traj.index_at_time(t_out)))
     release_v = centroid_velocity(traj, _velocity_window(cfg))
     direction = "forward" if (release_v > 0) == (incident_v > 0) else "reversed"
@@ -455,8 +562,7 @@ def _storage_single(cfg: ExperimentConfig, xi: float, sink=None) -> tuple:
     rho = normalized_profile_matrix(traj)
     inside = np.abs(traj.site_labels) <= sp.n_half + 2
     inside_fraction = np.sum(rho[:, inside] ** 2, axis=1)
-    capture_mask = (traj.times >= 0.5 * t.t_prime - 1e-9) & (traj.times <= t.t_prime + 1e-9)
-    confinement = float(np.min(inside_fraction[capture_mask]))
+    confinement = float(np.min(inside_fraction[_capture_mask(traj.times, t.t_prime)]))
 
     return traj, {
         "efficiency": efficiency,
@@ -608,7 +714,10 @@ PRESETS = {
     "fig3a": _transport_single("fig3a", 0.0, herm=True),
     "fig3b": _transport_single("fig3b", 0.0),
     "fig3c": _transport_single("fig3c", math.pi / 4),
-    "fig3d": _transport_single("fig3d", math.pi / 2),
+    # acceptance criterion 3 times this panel on a chain of 250-350 sites;
+    # auto sizing would give it 210, so it keeps the extent it always had
+    "fig3d": replace(_transport_single("fig3d", math.pi / 2), chain_length=301,
+                     index_origin=-150),
     "fig3e": _transport_single("fig3e", 0.0, herm=True, defects=_DEFECTS_1020),
     "fig3f": _transport_single("fig3f", math.pi / 2, defects=_DEFECTS_1020),
     "fig4a": _transport_gauss("fig4a", 0.0, herm=True),

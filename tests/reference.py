@@ -1,16 +1,19 @@
 """Independent dense constructions, written directly from the evolution
 equations site by site.  These are the oracles the sparse Hamiltonian
 builders are checked against, plus a fixed-step RK4, a dense-expm schedule
-propagator and a gap-by-gap ``scipy.sparse.linalg.expm_multiply`` propagator
-for the dynamics, and a per-element trajectory CSV writer; they share no code
+propagator, a gap-by-gap ``scipy.sparse.linalg.expm_multiply`` propagator
+and the closed-form Bessel propagator of the infinite homogeneous chain for
+the dynamics, and a per-element trajectory CSV writer; they share no code
 with the package."""
 
+import cmath
 import math
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.special import jv
 
 
 def dense_chain(kappa, beta, gamma, phi, labels, defects=(), periodic=False):
@@ -175,3 +178,51 @@ def trajectory_csv_text(times, amplitudes, labels):
             lines.append("%.17g,%d,%.17g,%.17g" % (float(t), int(label),
                                                    float(a.real), float(a.imag)))
     return "\n".join(lines) + "\n"
+
+
+def bessel_chain(c0, times, kappa, beta, gamma, phi, open_above=False, tail=1e-30):
+    """States c(t) of the infinite homogeneous chain, shape (len(times), len(c0)).
+
+    For i dc_n/dt = -i*gamma*c_n + u*c_{n+1} + l*c_{n-1} with the hoppings
+    u = kappa + i*beta*e^{+i*phi} and l = kappa + i*beta*e^{-i*phi}, the
+    substitution c_n = r^n d_n with r = s/u and s = sqrt(u*l) gives the
+    symmetric chain, whose propagator is g_k = (-i)^k J_k(2*s*t), so
+
+        c_n(t) = sum_m e^{-gamma t} r^(n-m) g_(n-m) c_m(0).
+
+    ``c0`` is a window of the chain with nothing outside it at t = 0.  No
+    boundary acts, unless ``open_above``: then the chain ends with the
+    window's last site, which one image gives exactly, since d vanishes on
+    the missing site E = len(c0) when g_(n-m) becomes g_(n-m) - g_(2E-n-m).
+    Taps whose bound (e |s t| max(|r|, 1/|r|) / k)^k, from
+    |J_k(z)| <= (|z|/2)^k / k!, is below ``tail`` are dropped; for the image
+    that bound covers |r^(n-m)| too, as |n-m| < 2E-n-m.
+    """
+    u = kappa + 1j * beta * cmath.exp(1j * phi)
+    l = kappa + 1j * beta * cmath.exp(-1j * phi)
+    s = cmath.sqrt(u * l)
+    r = s / u
+    c0 = np.asarray(c0, dtype=complex)
+    dim = len(c0)
+    out = np.empty((len(times), dim), dtype=complex)
+    quarter = np.array([1, -1j, -1, 1j])  # (-i)^k by k mod 4, exact
+    for i, t in enumerate(times):
+        x = math.e * abs(s) * t * max(abs(r), 1.0 / abs(r))
+        reach = 0
+        if t > 0.0:
+            reach = math.ceil(x) + 1
+            while reach * math.log(x / reach) > math.log(tail):
+                reach += 1
+        reach = min(dim - 1, reach)
+        j = jv(np.arange(reach + 1), 2.0 * s * t)
+        k = np.arange(-reach, reach + 1)
+        signs = np.where((k < 0) & (k % 2 == 1), -1.0, 1.0)  # J_-k = (-1)^k J_k
+        taps = math.exp(-gamma * t) * r ** k.astype(float) * quarter[k % 4] * signs * j[np.abs(k)]
+        out[i] = np.convolve(c0, taps)[reach:reach + dim]
+        if open_above:  # only the last `reach` sites have image orders within reach
+            near = np.arange(dim - reach, dim)
+            image = 2 * dim - near[:, None] - near[None, :]
+            g = np.where(image <= reach, quarter[image % 4] * j[np.minimum(image, reach)], 0.0)
+            r_near = r ** near.astype(float)
+            out[i, near] -= math.exp(-gamma * t) * r_near * (g @ (c0[near] / r_near))
+    return out

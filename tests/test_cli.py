@@ -219,6 +219,14 @@ def test_bad_timing_or_auto_extent_exits_2_naming_the_key(tmp_path, capsys, line
     ("storage", "fig6a", "storage.n_half = 0", "storage.n_half"),
     ("reduce-check", "reduction", "reduction.j_values = 0", "reduction.j_values"),
     ("reduce-check", "reduction", "reduction.j_values = 4, -8", "reduction.j_values"),
+    # a capture window [t_prime/2, t_prime] between two samples
+    pytest.param("storage", "fig6a", "timing.t_prime = 0.2\ntiming.t_final = 20",
+                 "timing.t_prime", id="storage-fig6a-timing.t_prime = 0.2"),
+    # a fixed chain whose release out region, past n_half + 2, holds no site
+    pytest.param("storage", "fig6a", "chain_length = 80\nindex_origin = -75", "chain_length",
+                 id="storage-fig6a-chain ends at 4"),
+    pytest.param("storage", "fig6b", "chain_length = 80\nindex_origin = -5\nexcitation.n0 = 20",
+                 "index_origin", id="storage-fig6b-chain starts at -5"),
 ])
 def test_bad_storage_or_reduction_key_exits_2_before_any_write(tmp_path, capsys, command,
                                                                preset, line, key):
@@ -372,6 +380,11 @@ def test_preset_listing_and_dump(tmp_path, capsys):
     dump = capsys.readouterr().out
     assert "experiment = transport_single_site" in dump
     assert "chain_length = 301" in dump  # resolved, self-contained
+    assert "index_origin = -150" in dump
+    assert main(["preset", "fig3f"]) == 0  # fig3d's chain and defects, sized by the band
+    dump = capsys.readouterr().out
+    assert "chain_length = 210" in dump
+    assert "index_origin = -59" in dump
 
 
 def test_writes_stay_inside_out_dir(tmp_path, monkeypatch):

@@ -314,6 +314,19 @@ def test_rk4_hermitian_norm_conservation():
         assert 1 - 1e-6 <= drift <= 1 + 1e-6
 
 
+def test_long_chain_matches_closed_form_propagator():
+    # N = 3001, past any dense oracle: a wide non-reciprocal packet against the
+    # infinite chain's Bessel propagator, at the benchmark's long_chain limit
+    n = 3001
+    spec = ChainSpec(n_sites=n, phi=math.pi / 2, index_origin=-(n // 2), **NH)
+    c0 = make_excitation(ExcitationSpec(kind="gaussian", n0=2, w0=n / 16, q0=-math.pi / 2),
+                         spec.site_labels)
+    traj = evolve_exact(build_chain_hamiltonian(spec), c0, 5.0, 0.25)
+    ref = reference.bessel_chain(c0.amplitudes, traj.times, phi=math.pi / 2, **NH)
+    error = np.max(np.abs(traj.amplitudes - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    assert float(np.max(error)) <= 1e-8
+
+
 # ---------------------------------------------------------------- schedules
 
 
