@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import configio
+from ._sizing import EDGE_FRACTION_LIMIT, auto_extent
 from .analysis import (
     DEFAULT_REFLECTION_MARGIN,
     ExcitationSpec,
@@ -78,17 +79,6 @@ EXPERIMENTS = (
     "reduction_check",
 )
 
-#: auto-sizing pad beyond the band's reach (see _reach); a broadband
-#: single-site kick grows a slowly decaying front tail and needs more room
-#: than the Gaussian packets, whose envelope is already covered by the
-#: 4*w0 term
-SIZE_PAD_GAUSSIAN = 16
-SIZE_PAD_SINGLE_SITE = 30
-#: auto-sizing: a Bloch mode stops counting once its intensity has fallen
-#: this far below the lossless mode's
-SIZE_INTENSITY_FLOOR = 1e-20
-#: max tolerated normalized intensity on the two end sites of a sized chain
-EDGE_FRACTION_LIMIT = 1e-6
 #: a sawtooth whose adiabaticity_ratio exceeds this is flagged as unreliably reduced
 ADIABATICITY_WARN_THRESHOLD = 0.2
 
@@ -164,7 +154,7 @@ class ExperimentConfig:
     chain_length/index_origin of None mean "auto": the chain is sized so
     that less than 1e-6 of the normalized intensity ever reaches the ends
     (excitation extent + the band's reach on each side + padding; see
-    _auto_extent).
+    _sizing.auto_extent).
 
     The fields of this dataclass and of those nested in it are the keys of
     a config document; see configio for how their metadata tags them.
@@ -247,7 +237,7 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         key = "chain_length" if cfg.index_origin is None else "index_origin"
         _require(cfg.chain_length is None and cfg.index_origin is None,
                  f"{key}: set both chain_length and index_origin, or neither (auto)")
-        lo, hi = _auto_extent(cfg)
+        lo, hi = auto_extent(cfg)
         cfg = replace(cfg, chain_length=hi - lo + 1, index_origin=lo)
     _require(cfg.chain_length >= 2, "chain_length: must be >= 2")
     _check_trajectory_fits(cfg)
@@ -294,109 +284,6 @@ def _check_trajectory_fits(cfg: ExperimentConfig) -> None:
     _require(16 * sites * samples <= memory,
              f"{key}: {samples:.3g} samples of {sites} sites do not fit in memory "
              f"({memory:.3g} bytes)")
-
-
-def _reach(beta: float, phi: float, t: float, sign: int, w0: float = 0.0,
-           q0: float = 0.0) -> float:
-    """How far light reaches in time t toward ``sign`` (+1 up, -1 down), in units of 2*kappa.
-
-    Mode q moves at -2*kappa*sin(q) and, against the lossless mode q = -phi,
-    loses intensity at the rate 4*beta*(1 - cos(q + phi)); it counts until it
-    has lost ln(1/SIZE_INTENSITY_FLOOR), less a Gaussian packet's spectral
-    deficit w0^2 (q - q0)^2 / 2.  The reach is the largest |sin q| times that
-    time (at most t) over the modes moving toward ``sign``.  Pure ``math``, so
-    a resolved extent does not depend on the CPU's vector units.
-    """
-    budget = math.log(1.0 / SIZE_INTENSITY_FLOOR)
-
-    def reach_of(q: float) -> float:
-        q = math.remainder(q, 2.0 * math.pi)
-        if not 0.0 < -sign * q < math.pi:  # moving the other way, or standing
-            return 0.0
-        deficit = w0 * math.remainder(q - q0, 2.0 * math.pi)  # ** would raise on overflow
-        left = budget - 0.5 * deficit * deficit
-        rate = 4.0 * beta * (1.0 - math.cos(q + phi))
-        return 0.0 if left <= 0.0 else abs(math.sin(q)) * (t if rate * t <= left else left / rate)
-
-    # a grid on each scale the reach varies on: the half band, the modes lit
-    # for all of t around q = -phi, and a packet's own band up to its edges,
-    # past which the reach drops to 0; then a golden-section search in the
-    # cells around each local maximum of the grid
-    scales = [(-sign * math.pi / 2, math.pi / 2)]
-    if beta > 0.0 and t > 0.0:
-        scales.append((-phi, 2.0 * math.asin(min(1.0, math.sqrt(budget / (8.0 * beta * t))))))
-    if w0 > 0.0:
-        scales.append((q0, math.sqrt(2.0 * budget) / w0 * (1.0 - 1e-12)))
-    grid = sorted(math.remainder(c + w * k / 16, 2.0 * math.pi)
-                  for c, w in scales for k in range(-16, 17))
-    values = [reach_of(q) for q in grid]
-    best = max(values)
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    for i, value in enumerate(values):
-        after = (i + 1) % len(grid)
-        if value <= 0.0 or value < values[i - 1] or value < values[after]:
-            continue
-        a = grid[i] - abs(math.remainder(grid[i] - grid[i - 1], 2.0 * math.pi))
-        b = grid[i] + abs(math.remainder(grid[after] - grid[i], 2.0 * math.pi))
-        c, d = b - ratio * (b - a), a + ratio * (b - a)
-        at_c, at_d = reach_of(c), reach_of(d)
-        for _ in range(40):  # the cells shrink by 0.618^40, below 1e-8
-            if at_c >= at_d:
-                b, d, at_d = d, c, at_c
-                c = b - ratio * (b - a)
-                at_c = reach_of(c)
-            else:
-                a, c, at_c = c, d, at_d
-                d = a + ratio * (b - a)
-                at_d = reach_of(d)
-        best = max(best, at_c, at_d)
-    return best
-
-
-def _auto_extent(config: ExperimentConfig) -> tuple:
-    """The sites light reaches, by the band's reach (_reach), padded.
-
-    A transport packet spreads from n0 under its spectral filter.  A defect
-    scatters into every mode from the time the ballistic front (2*kappa)
-    can first reach it.  A storage run carries the reached interval through
-    its schedule: in the capture stage the boundary sites +/-n_half scatter
-    into the leads (phase -q0 below the core, +q0 above it), and from the
-    release on every site reached so far may hold any mode.
-    """
-    exc, kappa, t_final = config.excitation, config.kappa, config.timing.t_final
-    n0 = exc.n0
-    w0, q0 = (exc.w0, exc.q0) if exc.kind == "gaussian" else (0.0, 0.0)
-    pad = SIZE_PAD_GAUSSIAN if exc.kind == "gaussian" else SIZE_PAD_SINGLE_SITE
-    half = 4.0 * w0
-
-    def reach(phi: float, t: float, sign: int, spectral: bool = False) -> float:
-        return 2.0 * kappa * _reach(config.beta, phi, t, sign, *((w0, q0) if spectral else ()))
-
-    def lit_from(site: int, t: float) -> float:  # time left once the front reaches site
-        return max(0.0, t - max(0.0, abs(site - n0) - half) / (2.0 * kappa))
-
-    if config.experiment == "storage":
-        n_half, t_prime = config.storage.n_half, config.timing.t_prime
-        lo = min(n0 - half, -n_half - reach(-q0, lit_from(-n_half, t_prime), -1))
-        hi = max(n0 + half, n_half + reach(q0, lit_from(n_half, t_prime), +1))
-        if n0 < -n_half:
-            lo = min(lo, n0 - half - reach(-q0, t_prime, -1, spectral=True))
-        if n0 > n_half:
-            hi = max(hi, n0 + half + reach(q0, t_prime, +1, spectral=True))
-        phi = -q0 if config.storage.retrieval_phase_sign == "forward" else q0
-        # the run needs both leads, however little light reaches them
-        lo = min(lo - reach(phi, t_final - t_prime, -1), -n_half - 1)
-        hi = max(hi + reach(phi, t_final - t_prime, +1), n_half + 1)
-    else:
-        phi = config.phi
-        lo = n0 - half - reach(phi, t_final, -1, spectral=True)
-        hi = n0 + half + reach(phi, t_final, +1, spectral=True)
-        for d in config.defects:
-            lo = min(lo, d.site - reach(phi, lit_from(d.site, t_final), -1))
-            hi = max(hi, d.site + reach(phi, lit_from(d.site, t_final), +1))
-    _require(math.isfinite(lo) and math.isfinite(hi),
-             f"chain_length: auto extent [{lo!r}, {hi!r}] is not finite")
-    return math.floor(lo) - pad, math.ceil(hi) + pad
 
 
 def _velocity_window(cfg: ExperimentConfig) -> tuple:

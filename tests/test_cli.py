@@ -383,8 +383,8 @@ def test_preset_listing_and_dump(tmp_path, capsys):
     assert "index_origin = -150" in dump
     assert main(["preset", "fig3f"]) == 0  # fig3d's chain and defects, sized by the band
     dump = capsys.readouterr().out
-    assert "chain_length = 210" in dump
-    assert "index_origin = -59" in dump
+    assert "chain_length = 218" in dump
+    assert "index_origin = -61" in dump
 
 
 def test_writes_stay_inside_out_dir(tmp_path, monkeypatch):

@@ -47,16 +47,16 @@ GOLDEN = {
         "manifest.cfg": "57064859efca5d3bd9c7ce3528e5c57a600ead84635403981879a163e7738e76",
     },
     ("transport", "fig3b"): {
-        "trajectory.csv": "7216dceeba0e93b21c017f2ff6139c0699a7a892f86379d99af176fbb938da12",
-        "metrics.txt": "c21a54e660785a43e85eb5982060bcf5774b56632c978b6abb015da971b1a586",
-        "heatmap.svg": "c5d93432c8918bc2bcd4aaf61ca54881f068cb5338b9bbbee9ca5628f61fc11b",
-        "manifest.cfg": "e61eec6160df81e0f8e8719f37a384bcc04ce4987da63055f1fc4361ec673ce4",
+        "trajectory.csv": "2721e6e8ce41cd86b655c78bcaefc6e18651825cbe09029871024ad154ab6426",
+        "metrics.txt": "25bf96476bf25fcce290528e84ae2c63869449a1ae318cc840936cf36c766fe7",
+        "heatmap.svg": "b093051abef3ba36148110aedb0f004b6e6f3b552bf63c8ec9a5cd8606ad6ef4",
+        "manifest.cfg": "d052e62820eea64a6f545b04669ec1a13c6f695bd833279563218f8e67ff192f",
     },
     ("transport", "fig3c"): {
-        "trajectory.csv": "da3d2444d088882cfaeb5e0d753808cb6e29d51a3c919429162f87205df08dbf",
-        "metrics.txt": "ddc49a477c0d60827c97e400818ed60f9b5c2742d558c0b9332674bfbf68bc6b",
-        "heatmap.svg": "0bc99aedeb3be890c2f61910419c963de596611f36df72ad5af00415b87ce215",
-        "manifest.cfg": "55a92629444bfef571a7223d56b34e605c45b6177a99996df6f52af4b884985d",
+        "trajectory.csv": "7c7cb0e42bd194dcb366031139f528ce1db298e074407763d2f7d60cec882303",
+        "metrics.txt": "ca743231566087b863f0b8c1a168aa5c17c2ffce95d724748390ea8689c55f2c",
+        "heatmap.svg": "24fd3792dada7141f3b7719a1bed057da3b12273065f8406e7bbdb3dda9a7fa3",
+        "manifest.cfg": "df8943ccbc144823a233ceae507095e87d5dea8a034fb308453c4b58d7106b78",
     },
     ("transport", "fig3d"): {
         "trajectory.csv": "0336d2f09ca4aed64761f58c6dedd8310e89b016b1261b40852c1b65410cbad5",
@@ -71,60 +71,60 @@ GOLDEN = {
         "manifest.cfg": "bc761112ff173f7f20f4b1aae1136d4b1e60240acfff1e0ba7b5b22f538f0661",
     },
     ("transport", "fig3f"): {
-        "trajectory.csv": "7d73578376bed1e83f2bf352608614b83a8674b131fc9fd08205be9b5a78c2e1",
-        "metrics.txt": "02fce77f1040056d90c90a364d9281091007b5830c8526bdca4b86021ec50889",
-        "heatmap.svg": "c0c21fbbcafcde7b15aa1e2743a5cb09f991cd80ea4507fa15eab99e8a15ef5b",
-        "manifest.cfg": "be3909f121ebead583081e16da82f4e1943b7cc46f29b2d1faaee7e7810c8384",
+        "trajectory.csv": "998f049076419722db6c956176c4bd7f2f1c2b943b9f0042815f3c785f2dee85",
+        "metrics.txt": "f59e0f3f99e9c39aae0a4472799a4f0e353cd0958b01658758e16dd45e946a0d",
+        "heatmap.svg": "ff9de78835667322d822389aa2707528533fdc5ae1a58e533a4400b945c56472",
+        "manifest.cfg": "b785736fa52a1f134ca5a5a44843362f3ed0d6202431ec68f0335d2bfa470096",
     },
     ("transport", "fig4a"): {
-        "trajectory.csv": "ed601a5a4527e95b34f94e982236159ab949715a9adbfec6b06e227ef6f66193",
-        "metrics.txt": "53a351d557c01694020de306d2ef8a35973dc75f1ddbc5fba85c86c86d5aa5b3",
-        "heatmap.svg": "c7fb5667922f75cb1952944931eda308c70f9932c2cedff908a7f50973200433",
-        "manifest.cfg": "ffb0613a081c352897078f250c2aaef1b1620dff21dc459397161d3f20a58000",
+        "trajectory.csv": "27c73f9f86c71073bbd2900bd20696de2ddec8c2893ef817c83f2cc1da3f151a",
+        "metrics.txt": "ffa2817626c73055d1b250828e406670f0bd7b1f43f21f40f1603fb11b5cc1e6",
+        "heatmap.svg": "4cc0efd62fa01539906c9c2966c184bae6290567c8738e9cb9d081d4e5aa68af",
+        "manifest.cfg": "c6cacee42351d8fee9166d0a71bc87a1926eca76ec83f8537f984040740b4df5",
     },
     ("transport", "fig4b"): {
-        "trajectory.csv": "fd1471e733710f50877fff173d2b9e5aa07e93f1600d18ea2dee999f9b006a01",
-        "metrics.txt": "e842bd552d2ed2070b63f73718cf540025fa1a055ea9c8716b3f1cf2f8f6f7bb",
-        "heatmap.svg": "398f2dc02c737c10644ca72edfdfadc8a281426394504b77dcc2ab2fc9ed284a",
-        "manifest.cfg": "bd6a16ad397ccf8735eda7f86dd97a0f54ee483206ead52229fdb701c9bd9112",
+        "trajectory.csv": "5d293333e748c3bbf538114b936f32415ec91c1dcf4b6d8b913c73cb38ad977d",
+        "metrics.txt": "244b07d0d0158ee85b31f72a1366b7b030e222e54fd708dd6580f64043277038",
+        "heatmap.svg": "f1f1129845735d64756a662167a1c679f6ac3b90564b2b30deed204a25890a98",
+        "manifest.cfg": "f636b794ad5489b5669f629df96c4b192a5e54b915ed71c16d66780d81c40966",
     },
     ("transport", "fig4c"): {
-        "trajectory.csv": "59eed8f9d36107542fec54341bf774dfd41b621958f874dc33183d6cf33a4318",
-        "metrics.txt": "58d5541863f58b84ab6fd10ba3346d2b2747fc0f91bb945b36845e244755f500",
-        "heatmap.svg": "6095b1e96709b43f83fa888db2f3052adc230dd145c85ddfb31a1c1a31f9c9dd",
-        "manifest.cfg": "765b1dc9e1378ab444146bb7be56e1c731d58d04c0e605018a19d0d8a2807ce4",
+        "trajectory.csv": "0ea138c9b3c8780a635310c1bdb980d83506f5dd4ab309340ec3ee82d6dd2ee2",
+        "metrics.txt": "994e7bbd1df1d1c1f139f3afae76f29f5117dee17d3b4e7f7756e86bc2416cc8",
+        "heatmap.svg": "6d738e74fe2adca6a1deec079d06de3c1dade05740708ac25300c2bf24292e7a",
+        "manifest.cfg": "bd658f525a8fd4b4710889e4d541e9fcf3178cf317d1b8293a228319afd32068",
     },
     ("transport", "fig4d"): {
-        "trajectory.csv": "c8f84779502e933016eb6826518a4744e981e1186d3bdedb854fc76bb1639be7",
-        "metrics.txt": "82f39f6fdb0c6db56d0e9882cf77d8c6cfcf1fda00617f6e90bdf66d20d6bf66",
-        "heatmap.svg": "ba5619068050e87b77b85a79aa8866265e66baa77c73e045f7442a592506376d",
-        "manifest.cfg": "0274a92b80f1df43ff3e70ec27f4c735575b914187d11b943bd4596ae7d8c734",
+        "trajectory.csv": "d149cbce23b6d812b5fe0f67d0d576051f19174de60535abcb49241e5ed69b52",
+        "metrics.txt": "75be38fd9072fbc02a2b4c139a5a7d6babb85c352feda827fe5a7c653065af01",
+        "heatmap.svg": "9efcb376e811696554bbe5a992135225ef76e278330acfd40e8d344cc7208d96",
+        "manifest.cfg": "6e1e294f377a3e8b01fa54d2d61b358fedca6aca534534fe96202046fa0000a4",
     },
     ("storage", "fig6a"): {
-        "trajectory.csv": "33ac009a45a35ed56451b977cb54ff7faa83f987bb5fc4598a15aac701fe0251",
-        "metrics.txt": "9aa46348536bf408718f99af51338308bf42dc0322c34a7ff05b8e1a7bd6dd4b",
-        "heatmap.svg": "c6997f7652a62a8aca7b1964c0faebfdaecc8085b90e8c9dd9e94e74cf54bc9c",
-        "manifest.cfg": "0d8536177a6a7f38951db89eaecd1ef7d91598f75bcb06c86c87ee4ef0c37866",
+        "trajectory.csv": "0bb412fb0a88276661f89929da7c368a4115850b456e32b1c812491266067f47",
+        "metrics.txt": "6fda2a64c8fa1cdbe881b02afb918cd3c3e60a6deae3ace4dd9dabedbc454ead",
+        "heatmap.svg": "cf248a481a16d6a9431de52dccdacc60c7703e066a85866b91856dc21e832253",
+        "manifest.cfg": "d299bd2185afdf641a44134ffd3ed9003ac90bd3079160394eb2ea8bd22946ec",
     },
     ("storage", "fig6b"): {
-        "trajectory.csv": "5a6a296f0fdff87c6baff23c7b861c9787a6482a17616b7daf8b8d6541d7ae6e",
-        "metrics.txt": "dad683c666d6917725423dac6bd32244fb1aec8b34713eeb1204273f84d57680",
-        "heatmap.svg": "84423bd36d2904778345f93466d5a056a085dae6c56647e1311c3ecdac109982",
-        "manifest.cfg": "e10503ff68eaa5a4678c2fb8e45707286e4f23654b77e1f0d748b0848a860a44",
+        "trajectory.csv": "3bd8e0df74f94a2b0043de548777463054389ca396b2ef4322d7d6bb626d2eda",
+        "metrics.txt": "cf8ca723d96780f1a4e9ea9c6c2b7585852b4ce5340bd89efadf5ad922861558",
+        "heatmap.svg": "8845822ca0a7c388546e0acff36cff92329079770a1057be6026ed9090f718dd",
+        "manifest.cfg": "190e5469e4d7e608ae41582e33f5e83f2561d89ec0e339fe4e4dceaa8d3aa4b2",
     },
     ("storage", "fig7"): {
-        "trajectory.csv": "efad250e927b386e08f00c640cd60120f6e732df08365fe7e6ada0b8be4c1426",
-        "metrics.txt": "42c23841e52ba1cfc0109d0f7345d71baf43be46de519ebc401a8c7090334b5d",
-        "heatmap.svg": "acabc27085baeb161bff25e0e4cd3fcfb83971f0b20d9bc8eefd8ee74ca58aa4",
-        "scan.csv": "e76b7893f36788644dbda1f77b958d4015ef47bbe6650ec45a377fec616fc9a5",
-        "manifest.cfg": "83c3d75420da194b0f922e7c100e90129f7254a03813f5157e122cac12168640",
+        "trajectory.csv": "08984cdb38c747aa84942600a4afd965240721a2560d77b6e1466acbd98b1095",
+        "metrics.txt": "8e20220fa48d348486098f80cf3ff7b87220a847b520e0d91149162d11bc356e",
+        "heatmap.svg": "019b8b2aaa940de47c9324220bc725bb336493483d4485c3885a71f1b754a8b3",
+        "scan.csv": "4c31f86c117fd6711febd47bb7a7d0327db8c352d99bdd0f3bea642e54885d58",
+        "manifest.cfg": "4dac84ffcb24bc1a5cd10a32aec3daf0d2750a867a7316262a2733497a6e603d",
     },
     ("reduce-check", "reduction"): {
-        "trajectory.csv": "fc540d93d011f1fb73ee9f9436582006edbddc75be4a164deb2f98abaef30a30",
-        "metrics.txt": "34c454c04b97983df665892255d863c7ddc425def257647cbdba3f78f1d835df",
-        "heatmap.svg": "38a20c03ef4a7f4e41e386dc224ff205c71b87990ab40881bef989cd19a3be15",
-        "scan.csv": "1ea6e3d6e929340cd4e55ff5266e934a495e4eb25564a7cae6daaad625b95f15",
-        "manifest.cfg": "840ed6b6704da65932e831302dd446f54f4dbaa77bf352b37676eeaa0c1d77b1",
+        "trajectory.csv": "9c20d523e87577bd8a22737c0d90399eea092dfae952e517ce0227b33a3a0057",
+        "metrics.txt": "e8045a642633aec4ac5de5513991087890610e5e30358dbab654f50ff623b78a",
+        "heatmap.svg": "bdcc437de30d852018775ae43a5e772534699ab43720b5317528840c3b16748f",
+        "scan.csv": "6622270593449c1ee64a06f0da2cb25846e52d114f93da0b85de4a04942aac1a",
+        "manifest.cfg": "0fab9dd94b620266a69977a0bd962dc393f781fcea2896d544f14f3bd6865a9f",
     },
 }
 
@@ -144,7 +144,7 @@ def test_preset_artifacts_match_golden_digests(tmp_path, sub, preset):
 #: versions above before the propagator's stop test was made lazy (fig4c
 #: and fig7 again with their band-sized chains); a changed Taylor stop
 #: decision shows here as a count, not only as a digest
-MATVEC_COUNTS = {"fig4c": 1738, "fig7": 10037, "reduction": 13155}
+MATVEC_COUNTS = {"fig4c": 1740, "fig7": 10041, "reduction": 13155}
 
 
 @pytest.mark.parametrize("preset", sorted(MATVEC_COUNTS))
@@ -169,19 +169,19 @@ def test_preset_matvec_count_matches_recorded(monkeypatch, preset):
 MANIFEST_DIGESTS = {
     "fig2": "3e4b7874dc7ede2abd1f7c7991269a7784a997da88345cde2aca4c08e0238bae",
     "fig3a": "4649d27c807f1663fa8189f5668c8556cb357ed8d09a66855fb66913a75ed03c",
-    "fig3b": "ca74f9ee491d862ac7020770b45ed15cd39c49b35931fd5edac10af6f9459d3d",
-    "fig3c": "f4e09a4069c9c4aab7383c91bc186e2f1eca526a2e01ff09082646adbf09ddaa",
+    "fig3b": "d5f4a48032374ed3fd5ce53a241f8adc913f9a94fc745e4ac9ea3ceac214ea45",
+    "fig3c": "04a07df6ec268d564e4c7a290c4c3d98a3f92787e3f50281ff09bf33895985be",
     "fig3d": "9c9751d3c5fbd603891095b277e9372e188b97d87783312dc31f08e50bd0dc87",
     "fig3e": "ed1043dfc3eb65cb0dbc60a9b50e1668bbe9be0234f1fff08cdf123287985594",
-    "fig3f": "6595a577d7eaae59ea60e066aff7e930864c6dc38e8389cf4eb2a58b31591a60",
-    "fig4a": "efc940939578c5803bd38507fcaa74debc15074b82caebceab161553fe182153",
-    "fig4b": "867520951e34b3f1fc8ab51a2854bf556882394f97db7e7f231a0fa5ac44d72d",
-    "fig4c": "8729a253895d698acc3ea7964daa730b81ea301a822b80c3492c3d732b39821c",
-    "fig4d": "4ec7d65854d69773de4b9c9b5f8352e8218e26c4c37ea599686a05aa903ca37c",
-    "fig6a": "478c4e4a8e1d02222ca89f78ea7b6e519664c7875cdd5b766c9719ba7b866c9b",
-    "fig6b": "a98c67230d255f590e9c9477f95d984d28c69060242ec04c9a472269f140395f",
-    "fig7": "56b537de2631ab1d051a48af239b5bf42daa0a56baca24c429d1d2b1a9e3982b",
-    "reduction": "57031ae362899578098b27525af4fde47bdc074997b3621cdb753527aa9b3130",
+    "fig3f": "00bb512ff4c9a3ae9abb155a8c798595d537c9f15253c2595fddbf6be250186b",
+    "fig4a": "b5460a9b23db2caaa85067bafe59438ba27fcfc8d2d548c3795e288156dc184b",
+    "fig4b": "fb6b262174cb8609cd6dea39d3c9b0bfff90d4bdfafffc78fef67625ffd4c303",
+    "fig4c": "422ea164ec40ac7b0af021bd71c2a71b7402e0470d8ae5d5b40aa414e6631d8c",
+    "fig4d": "bce635d4575e61e295b3e73ed33542ed7240a6e808cecd2f8953f190656a0227",
+    "fig6a": "87942a78c56372b7817378017d51c16386611ce4ee4a3b09e44e477a513dc175",
+    "fig6b": "7f0c97e099f26b2c633b48e88efac191ef13c4146a4f4eefeb4ac185f9ab48b3",
+    "fig7": "b70d54b02fbf904b0b384be497d990ea5fdd916aacc78960965055ef314d4802",
+    "reduction": "72dcd900a379afaca31a6694ba796fedada4f79e484f23cd7234b3d20c620e0b",
 }
 
 
