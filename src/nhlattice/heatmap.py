@@ -71,6 +71,21 @@ _CELL_TAILS = tuple(f'" width="{_CELL}" height="{_CELL}" fill="{_hex(rgb)}"/>'
                     for rgb in COLOR_TABLE)
 
 
+def _text(x, y, size: int, body: str, anchor: str = "", extra: str = "") -> str:
+    """A black monospace <text>; ``extra`` holds any trailing attributes."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}" font-family="monospace" font-size="{size}"{anchor} '
+            f'fill="#000000"{extra}>{body}</text>')
+
+
+def _rect(x, y, w, h, fill: str) -> str:
+    return f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}"/>'
+
+
+def _line(x1, y1, x2, y2) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#000000" stroke-width="1"/>'
+
+
 def render_heatmap(traj: Trajectory, title: str = "") -> str:
     """Render the trajectory's profile as an SVG document string."""
     if traj.n_samples < 1 or len(traj.site_labels) < 1:
@@ -81,31 +96,20 @@ def render_heatmap(traj: Trajectory, title: str = "") -> str:
         raise ValueError("profile is identically zero")
     idx = np.rint(rho / vmax * 255.0).astype(int)
 
-    n_t, n_x = rho.shape
-    grid_w = n_t * _CELL
-    grid_h = n_x * _CELL
+    grid_w, grid_h = (n * _CELL for n in rho.shape)  # samples across, sites down
     width = _MARGIN_LEFT + grid_w + _MARGIN_RIGHT
     height = _MARGIN_TOP + grid_h + _MARGIN_BOTTOM
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP
     labels = traj.site_labels
     n_max = int(labels[-1])
 
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">', _rect(0, 0, width, height, "#ffffff")]
     if title:
-        out.append(
-            f'<text x="{x0}" y="{_MARGIN_TOP - 2}" font-family="monospace" '
-            f'font-size="10" fill="#000000">{title}</text>'
-        )
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        out.append(_text(x0, _MARGIN_TOP - 2, 10, title))
     # background = color of zero, individual cells drawn only above it
-    out.append(
-        f'<rect x="{x0}" y="{y0}" width="{grid_w}" height="{grid_h}" '
-        f'fill="{_hex(COLOR_TABLE[0])}"/>'
-    )
+    out.append(_rect(x0, y0, grid_w, grid_h, _hex(COLOR_TABLE[0])))
     # each cell is '<rect x="col" y="row" width=.. height=.. fill=../>'
     row_ys = [f'" y="{y0 + (n_max - n) * _CELL}' for n in labels.tolist()]
     for k, levels in enumerate(idx.tolist()):
@@ -115,40 +119,17 @@ def render_heatmap(traj: Trajectory, title: str = "") -> str:
 
     # axes
     axis_y = y0 + grid_h
-    out.append(
-        f'<line x1="{x0}" y1="{axis_y}" x2="{x0 + grid_w}" y2="{axis_y}" '
-        f'stroke="#000000" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{axis_y}" '
-        f'stroke="#000000" stroke-width="1"/>'
-    )
+    out += [_line(x0, axis_y, x0 + grid_w, axis_y), _line(x0, y0, x0, axis_y)]
     for frac in (0.0, 0.5, 1.0):
         t_val = traj.times[0] + frac * (traj.times[-1] - traj.times[0])
-        tx = x0 + frac * grid_w
-        out.append(
-            f'<line x1="{_fmt(tx)}" y1="{axis_y}" x2="{_fmt(tx)}" y2="{axis_y + 4}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(tx)}" y="{axis_y + 14}" font-family="monospace" font-size="9" '
-            f'text-anchor="middle" fill="#000000">{_fmt(t_val)}</text>'
-        )
+        tx = _fmt(x0 + frac * grid_w)
+        out.append(_line(tx, axis_y, tx, axis_y + 4))
+        out.append(_text(tx, axis_y + 14, 9, _fmt(t_val), "middle"))
         n_val = labels[0] + frac * (labels[-1] - labels[0])
-        ty = axis_y - frac * grid_h
-        out.append(
-            f'<text x="{x0 - 4}" y="{_fmt(ty + 3)}" font-family="monospace" font-size="9" '
-            f'text-anchor="end" fill="#000000">{_fmt(n_val)}</text>'
-        )
-    out.append(
-        f'<text x="{x0 + grid_w // 2}" y="{axis_y + 26}" font-family="monospace" '
-        f'font-size="10" text-anchor="middle" fill="#000000">time t (1/kappa)</text>'
-    )
-    out.append(
-        f'<text x="12" y="{y0 + grid_h // 2}" font-family="monospace" font-size="10" '
-        f'text-anchor="middle" fill="#000000" '
-        f'transform="rotate(-90 12 {y0 + grid_h // 2})">site n</text>'
-    )
+        out.append(_text(x0 - 4, _fmt(axis_y - frac * grid_h + 3), 9, _fmt(n_val), "end"))
+    out.append(_text(x0 + grid_w // 2, axis_y + 26, 10, "time t (1/kappa)", "middle"))
+    mid_y = y0 + grid_h // 2
+    out.append(_text(12, mid_y, 10, "site n", "middle", f' transform="rotate(-90 12 {mid_y})"'))
 
     # color scale: vertical bar, bright (vmax) on top
     bar_x = x0 + grid_w + _BAR_GAP
@@ -156,21 +137,9 @@ def render_heatmap(traj: Trajectory, title: str = "") -> str:
     step_h = grid_h / steps
     for s in range(steps):
         level = int(round((steps - 1 - s) / (steps - 1) * 255))
-        out.append(
-            f'<rect x="{bar_x}" y="{_fmt(y0 + s * step_h)}" width="{_BAR_WIDTH}" '
-            f'height="{_fmt(step_h + 0.5)}" fill="{_hex(COLOR_TABLE[level])}"/>'
-        )
-    out.append(
-        f'<text x="{bar_x + _BAR_WIDTH + 4}" y="{y0 + 8}" font-family="monospace" '
-        f'font-size="9" fill="#000000">{_fmt(vmax)}</text>'
-    )
-    out.append(
-        f'<text x="{bar_x + _BAR_WIDTH + 4}" y="{y0 + grid_h}" font-family="monospace" '
-        f'font-size="9" fill="#000000">0</text>'
-    )
-    out.append(
-        f'<text x="{bar_x + _BAR_WIDTH + 4}" y="{y0 + grid_h // 2}" font-family="monospace" '
-        f'font-size="9" fill="#000000">rho</text>'
-    )
+        out.append(_rect(bar_x, _fmt(y0 + s * step_h), _BAR_WIDTH, _fmt(step_h + 0.5),
+                         _hex(COLOR_TABLE[level])))
+    for y, body in ((y0 + 8, _fmt(vmax)), (axis_y, "0"), (mid_y, "rho")):
+        out.append(_text(bar_x + _BAR_WIDTH + 4, y, 9, body))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -204,6 +204,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     Also rejects, naming the key, the values a run would otherwise reject
     only after its output directory exists."""
     cfg = config
+    _require(not any(c in (cfg.preset or "") for c in "=\n"),
+             f"preset: {cfg.preset!r} holds '=' or a newline, which metrics.txt cannot hold")
     if cfg.experiment == "dispersion_scan":  # the one experiment without a chain
         return cfg
     t, exc = cfg.timing, cfg.excitation
@@ -396,10 +398,7 @@ def run_transport(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
 
 def _storage_schedule(cfg: ExperimentConfig, xi: float) -> Schedule:
     """Capture then release operator for one offset value."""
-    template = ChainSpec(
-        kappa=cfg.kappa, beta=cfg.beta, gamma=cfg.gamma, phi=0.0,
-        n_sites=cfg.chain_length, index_origin=cfg.index_origin, boundary="open",
-    )
+    template = replace(_chain_spec(cfg, defects=()), phi=0.0, boundary="open")
     sp = cfg.storage
     q0 = cfg.excitation.q0
     sandwich = SandwichSpec(chain=template, n_half=sp.n_half, q0=q0, v_c=sp.v_c, xi=xi)
@@ -474,16 +473,14 @@ def run_storage(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
     cfg, manifest, metrics = _start(config)
     sweep = cfg.storage.xi_sweep
     table = None
+    traj, last = _storage_single(cfg, sweep[-1] if sweep else cfg.storage.xi, sink)
     if sweep:
-        traj, last = _storage_single(cfg, sweep[-1], sink)
         members = [_storage_single(cfg, xi)[1] for xi in sweep[:-1]] + [last]
         columns = ("xi", "efficiency", "shape_fidelity", "release_velocity")
         rows = [(xi, *(member[c] for c in columns[1:])) for xi, member in zip(sweep, members)]
         for i, row in enumerate(rows):  # each column but release_velocity is a metric too
             metrics.update((f"sweep[{i}].{c}", v) for c, v in zip(columns[:3], row))
         table = (columns, np.asarray(rows, dtype=float))
-    else:
-        traj, last = _storage_single(cfg, cfg.storage.xi, sink)
     metrics.update(last, t_prime=cfg.timing.t_prime, norm_final=float(traj.norm_series[-1]))
     return _chain_result(cfg, manifest, metrics, traj, table)
 

@@ -236,6 +236,27 @@ def test_bad_storage_or_reduction_key_exits_2_before_any_write(tmp_path, capsys,
     _assert_left_nothing(tmp_path, tmp_path / "o")
 
 
+@pytest.mark.parametrize("command,base", [
+    pytest.param("transport", FAST_TRANSPORT_CFG, id="transport"),
+    # the experiment without a chain
+    pytest.param("dispersion", render_config(PRESETS["fig2"]), id="dispersion"),
+])
+def test_preset_label_metrics_cannot_hold_exits_2_before_any_write(tmp_path, capsys, command,
+                                                                   base):
+    cfg = _write_config_with(tmp_path, "preset = a=b", base)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    _single_config_error(capsys, "preset")
+    _assert_left_nothing(tmp_path, tmp_path / "o")
+
+
+def test_heatmap_of_a_title_with_markup_characters_parses(tmp_path):
+    from xml.dom import minidom
+
+    assert _run_fast_transport_with(tmp_path, "preset = a<b&c>d", "--format", "csv+svg") == 0
+    svg = minidom.parse(str(tmp_path / "o" / "heatmap.svg"))
+    assert svg.getElementsByTagName("text")[0].firstChild.data == "a<b&c>d"
+
+
 @pytest.mark.parametrize("command,preset,t_final", [
     ("storage", "fig6a", "36"),  # ends inside the release velocity window
     ("transport", "fig3d", "2"),  # too short for a velocity window

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -70,3 +71,16 @@ def test_dimensions_scale_with_input():
     def width(svg):
         return int(svg.split('width="')[1].split('"')[0])
     assert width(large) - width(small) == (20 - 2) * 3
+
+
+def test_untitled_render_bytes_pinned():
+    # integer amplitudes keep every cell level exact; covers the axes, tick
+    # labels and color-bar markup of a render without a title
+    times = np.arange(5) * 0.25
+    amps = ((3 * np.arange(5)[:, None] + 2 * np.arange(7)[None, :]) % 5).astype(complex)
+    traj = Trajectory(times=times, amplitudes=amps, site_labels=np.arange(-3, 4),
+                      norm_series=np.sum(np.abs(amps) ** 2, axis=1), method_tag="exact")
+    svg = render_heatmap(traj)
+    assert '<text x="46" y="10"' not in svg  # no title line
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "3bb2bafd9ce01d49feb7f0d2014451dc845dde48609ecf5fb62e99fb21c1c660")

@@ -206,6 +206,11 @@ def test_storage_sweep_table():
     assert result.metrics["sweep[1].efficiency"] == rows[1, 1]
 
 
+def test_preset_label_with_a_newline_rejected_naming_the_key():
+    with pytest.raises(ConfigError, match=r"^preset: "):
+        resolve_config(replace(PRESETS["fig2"], preset="a\nb"))
+
+
 def test_storage_quench_switch_matches_capture_stage():
     cfg = resolve_config(_fast_storage("forward"))
     result = run_storage(cfg)
