@@ -79,19 +79,18 @@ def _load_config(args) -> protocols.ExperimentConfig:
     return config
 
 
-def _write_artifacts(result, out_dir: Path, fmt: str, sink) -> None:
+def _write_artifacts(result, out_dir: Path, fmt: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    if result.trajectory is not None:  # first: a run stopped in this long write leaves no file
+        configio.write_trajectory_csv(result.trajectory, out_dir / "trajectory.csv")
     configio.write_text_atomic(out_dir / "manifest.cfg", result.manifest)
     configio.write_metrics(result.metrics, out_dir / "metrics.txt")
     if result.table is not None:
         configio.write_table_csv(result.table, out_dir / "scan.csv")
-    if result.trajectory is not None:
-        if fmt == "csv+svg":
-            title = result.config.preset or result.config.experiment
-            svg = render_heatmap(result.trajectory, title=title)
-            configio.write_text_atomic(out_dir / "heatmap.svg", svg)
-        # last: the sink's helper formats the CSV through all of the above
-        configio.write_trajectory_csv(result.trajectory, out_dir / "trajectory.csv", sink)
+    if result.trajectory is not None and fmt == "csv+svg":
+        title = result.config.preset or result.config.experiment
+        configio.write_text_atomic(out_dir / "heatmap.svg",
+                                   render_heatmap(result.trajectory, title=title))
 
 
 def _run(args) -> int:
@@ -99,12 +98,8 @@ def _run(args) -> int:
     out_dir = Path(args.out)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     try:
-        with contextlib.ExitStack() as stack:
-            sink = None
-            if config.experiment != "dispersion_scan":  # every other run has a trajectory
-                sink = stack.enter_context(configio.TrajectorySink(out_dir / "trajectory.csv"))
-            result = protocols.run_experiment(config, sink=sink)
-            _write_artifacts(result, out_dir, args.format, sink)
+        result = protocols.run_experiment(config)
+        _write_artifacts(result, out_dir, args.format)
     except BaseException:
         for d in made:  # leave no directory this run made; one holding files stays
             with contextlib.suppress(OSError):

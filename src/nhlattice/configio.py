@@ -8,11 +8,8 @@ digits so every double round-trips exactly; a manifest is just a config
 document with every default materialized, which makes re-runs
 bit-reproducible.  All writes go through write-temp-then-rename.
 
-The trajectory CSV is written by a TrajectorySink, which can take the
-states of a run as they are computed: a forked helper formats samples
-from 0 up while the run propagates, analyses and renders, and the run
-formats the part of the rest that the helper leaves to it (see
-TrajectorySink).  The bytes are the same on every path.
+The trajectory CSV prints the same bytes as ``'%.17g' %`` on every value,
+formatted a chunk at a time by numpy (see _format_values).
 """
 
 from __future__ import annotations
@@ -22,13 +19,8 @@ import dataclasses
 import functools
 import hashlib
 import math
-import mmap
 import os
 import re
-import select
-import shutil
-import signal
-import struct
 import tempfile
 import typing
 from pathlib import Path
@@ -47,7 +39,6 @@ __all__ = [
     "render_manifest",
     "config_hash",
     "write_text_atomic",
-    "TrajectorySink",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "write_table_csv",
@@ -293,20 +284,15 @@ def config_hash(manifest_text: str) -> str:
     return "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
 
 
-def _temp_beside(path: Path):
-    """A binary temp file in ``path``'s directory (made if missing), and its name."""
+@contextlib.contextmanager
+def _atomic(path):
+    """A binary file that replaces ``path`` once written whole; a temp file until then."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    return os.fdopen(fd, "wb"), tmp
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    path = Path(path)
-    fh, tmp = _temp_beside(path)
     try:
-        with fh:
-            fh.write(text.encode("utf-8"))
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -314,238 +300,144 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write via a temp file in the same directory, then rename."""
+    with _atomic(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+# The trajectory CSV prints each amplitude part as '%.17g' would, a numpy
+# pass per chunk of values.  For 0 < |x| < 1 with k = floor(log10|x|), the
+# 17 digits are |x|*10^(16-k) rounded to an integer.  |x|*2^600 times the
+# double-double 10^(16-k)*2^-600 gives that product to about 2^-100
+# relative (Dekker's exact product, Numer. Math. 18, 1971), far inside the
+# 2^-30 margin kept from a tie.  The digits go eight to an int64 word
+# (SWAR division by 10^4, 10^2, 10), and each value fills four words of
+# fixed byte columns, 0 where a column holds no character:
+#   word 0: sign, '0.' and zeros (-4 <= k <= -1) or 'd.', first digit;
+#   words 1-2: the other 16 digits, trailing zeros blanked;
+#   word 3: 'e-XX[X]' (k < -4), then the separator in the last byte.
+# A value that is not finite, is >= 1 (rare in a trajectory), lies near a
+# tie, or whose unrounded integer lacks 17 digits (log10's k off by one) or
+# rounds to 18 is printed by '%.17g' itself.
+
 _CSV_HEADER = b"t,site,re,im\n"
-#: one message on a helper pipe: a count of samples, or _FINISH
-_MSG = struct.Struct("q")
-#: asks the streaming helper how far it got; it replies with that count
-_FINISH = -1
+#: values formatted per numpy pass; on a 2-vCPU Xeon, 4096 (temporaries of
+#: 32 KiB) took half the time per value of 16384
+_CSV_CHUNK = 4096
+#: Veltkamp's splitter: a double into two halves whose products are exact
+_SPLIT = 2.0 ** 27 + 1
+_ZEROS = 0x3030303030303030  # eight ASCII '0's
 
 
-def _second_cpu() -> bool:
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
+def _words(texts) -> np.ndarray:
+    """int64 words holding texts of up to 8 bytes; a space is a blank (0)."""
+    return np.frombuffer(b"".join(t.replace(b" ", b"\0").ljust(8, b"\0") for t in texts), "<i8")
 
 
-def _rows(site_labels) -> list:
-    return [f",{label},%.17g,%.17g\n" for label in site_labels]
+@functools.cache
+def _csv_tables() -> tuple:
+    """The scales 10^(16+j)*2^-600 (j = -k) split three ways, and the word tables."""
+    hi, lo = np.empty(325), np.empty(325)
+    for j in range(325):
+        power = 10 ** (16 + j)
+        hi[j] = power / (1 << 600)  # int / int: correctly rounded
+        num, den = hi[j].as_integer_ratio()
+        lo[j] = (power - num * ((1 << 600) // den)) / (1 << 600)
+    hi_h = _SPLIT * hi - (_SPLIT * hi - hi)
+    # word 0 by [layout][first digit][rest == 0]: a zero, 0.d ... 0.000d (k = -1 ... -4), d.
+    lead = [b" 0"] * 20 + [b" 0." + b"0" * (j - 1) + b" " * (4 - j) + b"%d" % d
+                           for j in range(1, 5) for d in range(10) for _ in (0, 1)]
+    lead += [b" %d%s" % (d, dot) for d in range(10) for dot in (b".", b"")]
+    exponent = _words(b"e-%02d" % j if j > 4 else b"" for j in range(325))
+    # bytes a digit word keeps, by the bit length of its digit values
+    keep = _words(b"\xff" * (e and e // 8 + 1) for e in range(61))
+    return hi, hi_h, hi - hi_h, lo, _words(lead), exponent, keep
 
 
-def _format_samples(fh, times, values, rows) -> None:
-    for t, row in zip(times, values):
-        t_str = _fmt_float(t)
-        fh.write(((t_str + t_str.join(rows)) % tuple(row.tolist())).encode())
+def _digits8(n: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each n < 10^8 as byte values, the first in the low byte."""
+    high = n // 10000
+    w = high | (n - high * 10000) << 32
+    t = (w * 10486 >> 20) & 0x0000007F0000007F  # // 100 in each 32-bit lane
+    w = t | (w - 100 * t) << 16
+    t = (w * 103 >> 10) & 0x000F000F000F000F  # // 10 in each 16-bit lane
+    return t | (w - 10 * t) << 8
 
 
-def _split(done: int, n: int) -> int:
-    """Where the helper stops: it takes the larger half of what is left."""
-    return done + (n - done + 1) // 2
+def _format_values(v: np.ndarray) -> np.ndarray:
+    """'%.17g' % v[i] in the 32 byte columns of row i of a (len(v), 4) int64 array."""
+    hi, hi_h, hi_l, lo, lead, exponent, keep = _csv_tables()
+    zero = v == 0.0
+    small = np.abs(v) < 1.0
+    x = np.where(small, np.abs(v), 0.0)
+    with np.errstate(divide="ignore"):
+        j = np.clip(-np.floor(np.log10(x)), 1, 324).astype(np.intp)
+    x *= 2.0 ** 600
+    x_h = _SPLIT * x - (_SPLIT * x - x)
+    x_l = x - x_h
+    s_h, s_l = hi_h[j], hi_l[j]
+    p = x * hi[j]
+    q = (x_h * s_h - p + x_h * s_l + x_l * s_h) + x_l * s_l + x * lo[j]  # x * scale - p
+    whole = np.floor(q)
+    frac = q - whole
+    n = p.astype(np.int64) + whole.astype(np.int64)  # the product's integer part
+    d = n + (frac > 0.5)
+    # a wrong k shows as n outside 17 digits; d = 10^17 (k one higher) would
+    # take a double within 5e-18 below a power of ten, which log10 rounds up
+    near_tie = np.abs(frac - 0.5) < 2.0 ** -30
+    printf = ~small | ~zero & ((n < 10 ** 16) | (d >= 10 ** 17) | near_tie)
+    d = np.where(printf | zero, 0, d)
+    j[zero] = 0  # no exponent, and layout 0
+    first = d // 10 ** 16
+    rest = d - first * 10 ** 16
+    mid = rest // 10 ** 8
+    low = rest - mid * 10 ** 8
+    layout = np.minimum(j, 5)
+    words = np.empty((len(v), 4), dtype=np.int64)
+    words[:, 0] = lead[(layout * 10 + first) * 2 + (rest == 0)] | np.signbit(v) * ord("-")
+    digits = _digits8(mid)
+    tail = keep[np.frexp(digits.astype(float))[1]]
+    words[:, 1] = (digits | _ZEROS) & np.where(low == 0, tail, -1)
+    digits = _digits8(low)
+    words[:, 2] = (digits | _ZEROS) & keep[np.frexp(digits.astype(float))[1]]
+    words[:, 3] = exponent[j]
+    at = np.flatnonzero(printf)
+    if len(at):
+        fields = np.array([b"%.17g" % x for x in v[at].tolist()], dtype="S32")
+        words[at] = fields.view(np.int64).reshape(-1, 4)
+    return words
 
 
-def _helper(fd, inbox, outbox, times, values, rows, ready) -> None:
-    """Append samples to ``fd`` from sample 0 up, in a forked helper.
-
-    Samples up to ``ready`` are in ``values``; each message on ``inbox`` is
-    a larger ``ready`` (a run that streams), or _FINISH.  _FINISH is
-    answered on ``outbox`` with the samples done so far, from which both
-    sides take the stop by _split; the helper returns once it reaches it.
-    """
-    n, stop = len(times), None
-    inbox_ready = select.poll()
-    inbox_ready.register(inbox, select.POLLIN)
-    with open(fd, "wb", closefd=False) as out:
-        k = 0
-        while stop is None or k < stop:
-            if stop is None and (k == ready or inbox_ready.poll(0)):
-                data = os.read(inbox, 1 << 16)  # whole messages: each write is one
-                if not data:
-                    raise EOFError("the run closed the pipe")
-                for (msg,) in _MSG.iter_unpack(data):
-                    if msg == _FINISH:
-                        os.write(outbox, _MSG.pack(k))
-                        stop = _split(k, n)
-                    else:
-                        ready = msg
-            else:
-                _format_samples(out, times[k:k + 1], values[k:k + 1], rows)
-                k += 1
+def _byte_columns(texts: list) -> np.ndarray:
+    """(len(texts), the longest) uint8 columns, 0 past each text's end."""
+    width = max(map(len, texts))
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
 
 
-class TrajectorySink:
-    """``trajectory.csv`` formatted while its trajectory is computed.
-
-    The file is opened (as a temp file beside ``path``, header written) on
-    construction.  ``evolve_schedule(..., sink=sink)`` takes its states
-    buffer from ``states``, a shared anonymous mmap, and calls ``publish``
-    after each sample.  With a second CPU, ``states`` forks a helper that
-    formats samples from 0 up as they are published.  ``finish`` asks the
-    helper how far it got, lets it format half of what is left, formats
-    the other half itself, appends it after the helper's rows and renames
-    the file onto ``path``.  A trajectory with no live streaming helper
-    (none streamed, another did, or it died) gets a helper forked at finish
-    with every sample published, and is split the same way.  If the fork
-    fails or the helper dies, this process formats the helper's part
-    itself; the bytes are the same on every path.  ``abort`` (also on
-    leaving a ``with`` block) kills the helper and removes the temp file.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self._out, self._tmp = _temp_beside(self.path)
-        self._buffer = None
-        self._pid = 0  # the helper; 0 while none runs
-        self._to_helper = self._from_helper = -1
-        try:
-            self._out.write(_CSV_HEADER)
-            self._out.flush()
-        except BaseException:
-            self.abort()
-            raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.abort()
-
-    def states(self, times, site_labels) -> np.ndarray:
-        """The (len(times), len(site_labels)) complex buffer to fill, in shared memory."""
-        if self._buffer is not None:
-            raise ValueError("a TrajectorySink takes one trajectory")
-        n, dim = len(times), len(site_labels)
-        self._buffer = np.frombuffer(mmap.mmap(-1, 16 * n * dim), dtype=complex).reshape(n, dim)
-        self._fork(times, self._buffer.view(float), _rows(site_labels), 0)
-        return self._buffer
-
-    def publish(self, count: int) -> None:
-        """Samples [0, count) of the states buffer are final."""
-        if self._pid:
-            try:
-                os.write(self._to_helper, _MSG.pack(count))
-            except OSError:  # the helper is gone; its part is formatted again
-                self._drop_helper()
-
-    def finish(self, traj) -> None:
-        """Write ``traj`` (the streamed trajectory or any other) and rename onto path."""
-        try:
-            values = np.ascontiguousarray(traj.amplitudes, dtype=complex).view(float)
-            times, rows, n = traj.times, _rows(traj.site_labels), len(traj.times)
-            if self._pid and traj.amplitudes is not self._buffer:
-                self._drop_helper()
-            stop = self._ask_stop(n) if self._pid else None
-            if stop is None and self._fork(times, values, rows, n):
-                stop = self._ask_stop(n)
-            if stop is None:
-                _format_samples(self._out, times, values, rows)
-            else:
-                with tempfile.TemporaryFile(dir=self.path.parent) as tail:
-                    _format_samples(tail, times[stop:], values[stop:], rows)
-                    if self._reap():
-                        self._out.seek(0, os.SEEK_END)
-                    else:
-                        self._restart()
-                        _format_samples(self._out, times[:stop], values[:stop], rows)
-                    tail.seek(0)
-                    shutil.copyfileobj(tail, self._out)
-            self._out.close()
-            os.replace(self._tmp, self.path)
-            self._tmp = None
-        except BaseException:
-            self.abort()
-            raise
-
-    def abort(self) -> None:
-        """Kill the helper and remove the temp file; ``path`` is left as it was."""
-        self._reap(kill=True)
-        self._out.close()
-        if self._tmp is not None:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self._tmp)
-            self._tmp = None
-
-    def _fork(self, times, values, rows, ready) -> bool:
-        """Fork the helper with samples [0, ready) published; False if none could start.
-
-        The helper leaves through ``os._exit``, so it never flushes the
-        parent's stdio buffers or runs its atexit handlers.
-        """
-        if len(times) < 2 or not _second_cpu():
-            return False
-        self._out.flush()  # the helper appends at the shared file offset
-        to_helper, from_helper = os.pipe(), os.pipe()
-        # SIGTERM waits until the helper is on record: an exception its handler
-        # raises (see cli.main) inside fork's own hooks would be ignored
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-        try:
-            pid = os.fork()
-        except OSError:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            for fd in (*to_helper, *from_helper):
-                os.close(fd)
-            return False
-        if pid == 0:
-            code = 1
-            try:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                os.close(to_helper[1])  # so that a run that dies leaves the helper EOF
-                os.close(from_helper[0])
-                _helper(self._out.fileno(), to_helper[0], from_helper[1],
-                        times, values, rows, ready)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(to_helper[0])
-        os.close(from_helper[1])
-        self._pid, self._to_helper, self._from_helper = pid, to_helper[1], from_helper[0]
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        return True
-
-    def _ask_stop(self, n: int):
-        """Where the streaming helper stops; None, with it dropped, if it is gone."""
-        try:
-            os.write(self._to_helper, _MSG.pack(_FINISH))
-            reply = os.read(self._from_helper, _MSG.size)
-        except OSError:
-            reply = b""
-        if len(reply) == _MSG.size:
-            return _split(_MSG.unpack(reply)[0], n)
-        self._drop_helper()
-        return None
-
-    def _reap(self, kill: bool = False) -> bool:
-        """Wait for the helper, killing it first if asked; True if it exited 0."""
-        if not self._pid:
-            return False
-        if kill:
-            with contextlib.suppress(OSError):
-                os.kill(self._pid, signal.SIGKILL)
-        status = os.waitpid(self._pid, 0)[1]  # interrupted, abort() kills and reaps it
-        self._pid = 0
-        os.close(self._to_helper)
-        os.close(self._from_helper)
-        return os.waitstatus_to_exitcode(status) == 0 and not kill
-
-    def _restart(self) -> None:
-        """Drop every row after the header."""
-        self._out.seek(len(_CSV_HEADER))
-        self._out.truncate()
-
-    def _drop_helper(self) -> None:
-        self._reap(kill=True)
-        self._restart()
-
-
-def write_trajectory_csv(traj, path, sink=None) -> None:
+def write_trajectory_csv(traj, path) -> None:
     """One row per (sample time, site), time-major, 17 significant digits.
 
-    ``sink``, if given, is the TrajectorySink on ``path`` that streamed
-    ``traj`` while it was computed; without one, ``traj`` is written by a
-    new sink.
+    A chunk of rows is laid out in fixed byte columns (time, site, the
+    two parts; see _format_values), and one compaction drops the blanks.
     """
-    if sink is None:
-        sink = TrajectorySink(path)
-    elif sink.path != Path(path):
-        raise ValueError(f"sink writes {sink.path}, not {path}")
-    sink.finish(traj)
+    values = np.ascontiguousarray(traj.amplitudes, dtype=complex).view(float)
+    times = _byte_columns([b"%.17g," % t for t in traj.times.tolist()])
+    sites = _byte_columns([b"%d," % s for s in traj.site_labels.tolist()])
+    lead = times.shape[1] + sites.shape[1]
+    step = max(1, _CSV_CHUNK // values.shape[1])
+    with _atomic(path) as fh:
+        fh.write(_CSV_HEADER)
+        for k in range(0, len(values), step):
+            chunk = values[k:k + step]
+            rows = np.empty((len(chunk), len(sites), lead + 64), dtype=np.uint8)
+            rows[:, :, :times.shape[1]] = times[k:k + step, None]
+            rows[:, :, times.shape[1]:lead] = sites
+            rows[:, :, lead:] = _format_values(chunk.reshape(-1)).view(np.uint8).reshape(
+                len(chunk), len(sites), 64)
+            rows[:, :, lead + 31] = ord(",")
+            rows[:, :, -1] = ord("\n")
+            fh.write(rows[rows != 0].tobytes())
 
 
 def read_trajectory_csv(path, method_tag: str = METHOD_TAG):

@@ -13,12 +13,7 @@ Each Taylor term costs a product through scipy's CSR kernel (see
 Operator.matvec) and one max|b|.  max|f| enters only scipy's stop test,
 so it is computed only when that test could pass against a running upper
 bound on it; the bound is never below the computed max|f| (proof in
-_Step.__call__), so the loop breaks on the same term as scipy's.
-
-A run can stream its trajectory out while it propagates: given a sink
-(configio.TrajectorySink), evolve_schedule writes the samples into the
-sink's shared states buffer and publishes the count of finished samples
-after each one, so a forked helper formats trajectory.csv meanwhile."""
+_Step.__call__), so the loop breaks on the same term as scipy's."""
 
 from __future__ import annotations
 
@@ -267,15 +262,13 @@ def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
     return np.arange(math.floor(t_final / sample_dt + _TIME_EPS) + 1) * sample_dt
 
 
-def evolve_exact(h, c0: StateVector, t_final: float, sample_dt: float, *,
-                 sink=None) -> Trajectory:
+def evolve_exact(h, c0: StateVector, t_final: float, sample_dt: float) -> Trajectory:
     """Snapshots exp(-iH t_k) @ c0 at t_k = k*sample_dt under one operator."""
-    return evolve_schedule(Schedule((ScheduleSegment(0.0, h),)), c0, t_final, sample_dt,
-                           sink=sink)
+    return evolve_schedule(Schedule((ScheduleSegment(0.0, h),)), c0, t_final, sample_dt)
 
 
 def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
-                    sample_dt: float, *, sink=None) -> Trajectory:
+                    sample_dt: float) -> Trajectory:
     """Evolve under a piecewise-constant schedule, sampled every sample_dt.
 
     Each segment's operator acts on [t_start_k, t_start_{k+1}).  A sample gap
@@ -283,11 +276,6 @@ def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
     Amplitudes that turn non-finite or exceed 1e150 raise GainRunawayError; a
     sample whose intensity underflows to 0 raises NormUnderflowError; a gap
     that would take more than MAX_SUB_STEPS sub-steps raises StepCountError.
-
-    A ``sink`` (configio.TrajectorySink) streams the trajectory out while it
-    is computed: the states are written into ``sink.states(times,
-    site_labels)``, and ``sink.publish(k + 1)`` follows sample k.  The
-    states, and so the trajectory, are the same with or without it.
     """
     segments = schedule.segments
     h0 = segments[0].hamiltonian
@@ -300,10 +288,7 @@ def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
     if c0.norm <= 0.0:
         raise ValueError("initial state must have positive norm")
     times = sample_times(t_final, sample_dt)
-    if sink is None:
-        states = np.empty((len(times), h0.dim), dtype=complex)
-    else:
-        states = sink.states(times, h0.site_labels)
+    states = np.empty((len(times), h0.dim), dtype=complex)
     states[0] = state = c0.amplitudes
     switches = [s.t_start for s in segments[1:]]
     seg = 0
@@ -319,8 +304,6 @@ def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
                 seg += 1
             gap = sample_dt if t == times[k - 1] else times[k] - t
             states[k] = state = steppers[seg](gap, state)
-            if sink is not None:
-                sink.publish(k + 1)
     norm_series = np.sum(np.abs(states) ** 2, axis=1)
     if not norm_series.all():
         t = float(times[np.argmin(norm_series)])  # the first zero

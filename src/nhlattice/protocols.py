@@ -359,7 +359,7 @@ def run_dispersion_scan(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config=cfg, table=table, metrics=metrics, manifest=manifest)
 
 
-def run_transport(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
+def run_transport(config: ExperimentConfig) -> ExperimentResult:
     """Evolve one excitation through the (possibly defective) chain.
 
     The three region fractions come from one normalized snapshot, so they
@@ -369,8 +369,7 @@ def run_transport(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
     t_final = cfg.timing.t_final
     spec = _chain_spec(cfg)
     state0 = make_excitation(cfg.excitation, spec.site_labels)
-    traj = evolve_exact(build_chain_hamiltonian(spec), state0, t_final, cfg.timing.sample_dt,
-                        sink=sink)
+    traj = evolve_exact(build_chain_hamiltonian(spec), state0, t_final, cfg.timing.sample_dt)
     window = _velocity_window(cfg)
     margin = DEFAULT_REFLECTION_MARGIN
     barrier = [d.site for d in cfg.defects] or [cfg.excitation.n0]
@@ -427,12 +426,12 @@ def _out_region(cfg: ExperimentConfig) -> tuple:
     return (sp.n_half + 3, hi) if moving_right else (lo, -sp.n_half - 3)
 
 
-def _storage_single(cfg: ExperimentConfig, xi: float, sink=None) -> tuple:
+def _storage_single(cfg: ExperimentConfig, xi: float) -> tuple:
     """One capture/release cycle; returns (trajectory, its metrics)."""
     t = cfg.timing
     schedule = _storage_schedule(cfg, xi)
     state0 = make_excitation(cfg.excitation, schedule.segments[0].hamiltonian.site_labels)
-    traj = evolve_schedule(schedule, state0, t.t_final, t.sample_dt, sink=sink)
+    traj = evolve_schedule(schedule, state0, t.t_final, t.sample_dt)
 
     exc = cfg.excitation
     sp = cfg.storage
@@ -460,20 +459,18 @@ def _storage_single(cfg: ExperimentConfig, xi: float, sink=None) -> tuple:
     }
 
 
-def run_storage(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
+def run_storage(config: ExperimentConfig) -> ExperimentResult:
     """Two-stage capture/release run; sweeps the boundary offset if asked.
 
     Stage 1 (t < t_prime) is the sandwich structure with capture phase
     -q0; stage 2 is the homogeneous chain with real defects v_c at the old
     boundary sites and the retrieval phase (-q0 forward, +q0 reversed).
-    The returned trajectory, the one ``sink`` streams, is the last sweep
-    member's; that member runs first, so the sink formats it while the
-    others run.
+    The returned trajectory is the last sweep member's.
     """
     cfg, manifest, metrics = _start(config)
     sweep = cfg.storage.xi_sweep
     table = None
-    traj, last = _storage_single(cfg, sweep[-1] if sweep else cfg.storage.xi, sink)
+    traj, last = _storage_single(cfg, sweep[-1] if sweep else cfg.storage.xi)
     if sweep:
         members = [_storage_single(cfg, xi)[1] for xi in sweep[:-1]] + [last]
         columns = ("xi", "efficiency", "shape_fidelity", "release_velocity")
@@ -493,7 +490,7 @@ def _slaved_b(a: np.ndarray, spec: SawtoothSpec) -> np.ndarray:
     return -spec.j * (phase * a_next + np.conj(phase) * a) / spec.u_b
 
 
-def run_reduction_check(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
+def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
     """Compare the full two-sublattice model against the effective chain.
 
     For each j in the sweep, u_b = i*j^2/beta so the effective chain is
@@ -509,7 +506,7 @@ def run_reduction_check(config: ExperimentConfig, *, sink=None) -> ExperimentRes
     chain = _chain_spec(cfg, defects=())
     h_chain = build_chain_hamiltonian(chain)
     state0 = make_excitation(cfg.excitation, chain.site_labels)
-    chain_traj = evolve_exact(h_chain, state0, t.t_final, t.sample_dt, sink=sink)
+    chain_traj = evolve_exact(h_chain, state0, t.t_final, t.sample_dt)
     rho_chain = normalized_profile_matrix(chain_traj)
 
     columns = ("j", "u_b_abs", "adiabaticity_ratio", "profile_error", "warned")
@@ -540,9 +537,8 @@ def run_reduction_check(config: ExperimentConfig, *, sink=None) -> ExperimentRes
     return _chain_result(cfg, manifest, metrics, chain_traj, table)
 
 
-def run_experiment(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
-    """Run ``config``; a ``sink`` (configio.TrajectorySink) streams out the
-    trajectory the result returns while it is computed."""
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run ``config`` with the runner of its experiment kind."""
     if config.experiment == "dispersion_scan":  # a table, no trajectory
         return run_dispersion_scan(config)
     runner = {
@@ -551,7 +547,7 @@ def run_experiment(config: ExperimentConfig, *, sink=None) -> ExperimentResult:
         "storage": run_storage,
         "reduction_check": run_reduction_check,
     }[config.experiment]
-    return runner(config, sink=sink)
+    return runner(config)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def preset_results():
 
 @pytest.fixture(autouse=True)
 def no_child_left_behind():
-    """Fail a test that leaves a child process unreaped (a CSV helper, say)."""
+    """Fail a test that leaves a child process unreaped (a CLI run in a child, say)."""
     yield
     if hasattr(os, "fork"):
         try:

@@ -3,7 +3,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -298,29 +297,40 @@ def test_too_many_sub_steps_exits_3_at_once(tmp_path, line):
     _assert_left_nothing(tmp_path, tmp_path / "o")
 
 
-#: valid, and slow: each of its 1000 sample gaps takes 20 sub-steps of 385 products
-SLOW_TRANSPORT_CFG = """\
-experiment = transport_single_site
-kappa = 600
-chain_length = 41
-index_origin = -20
-excitation.kind = single_site
-timing.t_final = 1000
-timing.sample_dt = 1
+#: the CLI in a child that, at a stage argv[1] names, prints "paused" on
+#: stderr and sleeps until a signal ends it
+PAUSING_CLI = """\
+import sys, time
+from nhlattice import cli, configio, dynamics
+
+owner, name, at = {"propagation": (dynamics._Stepper, "__call__", 10),
+                   "csv_write": (configio, "_format_values", 1)}[sys.argv.pop(1)]
+real, calls = getattr(owner, name), []
+
+def paused(*args):
+    calls.append(None)
+    if len(calls) == at:
+        print("paused", file=sys.stderr, flush=True)
+        while True:
+            time.sleep(60)
+    return real(*args)
+
+setattr(owner, name, paused)
+sys.exit(cli.main())
 """
 
 
-@pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
-def test_sigterm_exits_143_and_leaves_nothing(tmp_path):
-    cfg = tmp_path / "slow.cfg"
-    cfg.write_text(SLOW_TRANSPORT_CFG)
+def _sigterm_when_paused(tmp_path, stage):
+    """Run FAST_TRANSPORT_CFG, paused at ``stage``; SIGTERM it there and check it exits 143."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_TRANSPORT_CFG)
     out = tmp_path / "o" / "nested"
-    proc = _cli_child("transport", "--config", cfg, "--out", out)
+    proc = subprocess.Popen([sys.executable, "-c", PAUSING_CLI, stage, "transport",
+                             "--config", str(cfg), "--out", str(out)],
+                            env=_CHILD_ENV, stderr=subprocess.PIPE, text=True)
     try:
-        deadline = time.monotonic() + 30
-        while not list(out.glob("*.tmp")) and proc.poll() is None:
-            assert time.monotonic() < deadline, "the run made no trajectory temp file"
-            time.sleep(0.01)
+        assert proc.stderr.readline() == "paused\n"
+        written = list(out.glob("*.tmp")) if out.exists() else None
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=30)
     finally:
@@ -328,6 +338,18 @@ def test_sigterm_exits_143_and_leaves_nothing(tmp_path):
         proc.wait()
     assert proc.returncode == 143, err
     _assert_left_nothing(tmp_path, tmp_path / "o")
+    return written
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
+def test_sigterm_exits_143_and_leaves_nothing(tmp_path):
+    # stopped in the CSV write, with --out made and the CSV's temp file in it
+    assert len(_sigterm_when_paused(tmp_path, "csv_write")) == 1
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
+def test_sigterm_during_propagation_exits_143_and_leaves_nothing(tmp_path):
+    assert _sigterm_when_paused(tmp_path, "propagation") is None  # before --out is made
 
 
 def test_sigterm_handler_restored_and_main_runs_off_the_main_thread(capsys):
@@ -438,13 +460,15 @@ def test_dt_and_tfinal_overrides(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_optimize_and_linalg():
-    # a fresh interpreter, since other tests load scipy.optimize into this one
+    # a fresh interpreter, since other tests load scipy.optimize into this one; the
+    # CSV writer's tables are built on its first write, not on import
     code = ("import sys, nhlattice.cli, nhlattice; print(' '.join(sorted(m for m in "
-            "('scipy.optimize', 'scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules)))")
+            "('scipy.optimize', 'scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules)), "
+            "nhlattice.configio._csv_tables.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stdout.split() == ["0"]
 
 
 def test_module_entry_point_runs():

@@ -1,11 +1,7 @@
-import contextlib
-import errno
 import math
 import os
-import signal
-import subprocess
-import sys
-from pathlib import Path
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -285,197 +281,137 @@ def _reference_bytes(traj):
     return reference.trajectory_csv_text(traj.times, traj.amplitudes, traj.site_labels).encode()
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Take the forked path whatever the CPU count; count the forks."""
-    if not hasattr(os, "fork"):
-        pytest.skip("os.fork is not available")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    forks = []  # the pids of the helpers forked
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
+# The "two_process" and "streamed" names date from a forked helper that once wrote the CSV
+# during propagation; the writer now runs in the calling process, after propagation.
 @pytest.mark.parametrize("n_samples", [1, 2, 3, 241])
-def test_two_process_csv_bytes_match_reference(tmp_path, two_cpus, n_samples):
+def test_two_process_csv_bytes_match_reference(tmp_path, n_samples):
     traj = _special_trajectory(n_samples)
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj, path)
     assert path.read_bytes() == _reference_bytes(traj)
-    assert len(two_cpus) == (n_samples >= 2)
-    # the helper's side file is unlinked and the temp file renamed; no child is left
     assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
-    with pytest.raises(ChildProcessError):
+    with pytest.raises(ChildProcessError):  # the writer starts no process
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_csv_bytes_same_when_fork_fails(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-    def failing_fork():
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", failing_fork, raising=False)
-    traj = _special_trajectory(241)
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(traj, path)
-    assert path.read_bytes() == _reference_bytes(traj)
-    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
-
-
-def test_csv_bytes_same_when_helper_fails(tmp_path, monkeypatch, two_cpus):
-    parent = os.getpid()
-    real_format = configio._format_samples
-
-    def failing_in_helper(fh, times, values, rows):
-        if os.getpid() != parent:
-            fh.write(b"partial garbage\n")
-            fh.flush()
-            raise RuntimeError("helper failed")
-        real_format(fh, times, values, rows)
-
-    monkeypatch.setattr(configio, "_format_samples", failing_in_helper)
-    traj = _special_trajectory(241)
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(traj, path)
-    assert len(two_cpus) == 1
-    assert path.read_bytes() == _reference_bytes(traj)
-    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _stream(path, t_final=12.0, before_finish=lambda: None):
-    """Evolve a small chain into a TrajectorySink on ``path`` and finish it."""
-    spec = ChainSpec(kappa=1.0, beta=0.4, gamma=0.8, phi=math.pi / 2,
-                     n_sites=21, index_origin=-10)
-    h = build_chain_hamiltonian(spec)
-    c0 = make_excitation(ExcitationSpec(kind="single_site", n0=0), spec.site_labels)
-    with configio.TrajectorySink(path) as sink:
-        traj = evolve_exact(h, c0, t_final, 0.25, sink=sink)
-        before_finish()
-        write_trajectory_csv(traj, path, sink)
-    assert traj.amplitudes.tobytes() == evolve_exact(h, c0, t_final, 0.25).amplitudes.tobytes()
-    return traj
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_streamed_csv_bytes_match_reference(tmp_path, two_cpus, monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+def test_streamed_csv_bytes_match_reference(tmp_path, monkeypatch, cpus):
+    # the bytes of an evolved chain's CSV do not depend on the CPUs the process may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    spec = ChainSpec(kappa=1.0, beta=0.4, gamma=0.8, phi=math.pi / 2,
+                     n_sites=21, index_origin=-10)
+    c0 = make_excitation(ExcitationSpec(kind="single_site", n0=0), spec.site_labels)
+    traj = evolve_exact(build_chain_hamiltonian(spec), c0, 12.0, 0.25)
     path = tmp_path / "trajectory.csv"
-    traj = _stream(path)
-    assert path.read_bytes() == _reference_bytes(traj)
-    assert len(two_cpus) == (cpus == 2)
-    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
-
-
-def test_streamed_csv_bytes_same_when_fork_fails(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-    def failing_fork():
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", failing_fork, raising=False)
-    path = tmp_path / "trajectory.csv"
-    traj = _stream(path)
+    write_trajectory_csv(traj, path)
     assert path.read_bytes() == _reference_bytes(traj)
     assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
 
 
-@pytest.mark.parametrize("death", ["exits_1", "killed"])
-def test_streamed_csv_bytes_same_when_helper_dies_mid_stream(tmp_path, monkeypatch, two_cpus,
-                                                            death):
-    parent = os.getpid()
-    if death == "exits_1":
-        real_format = configio._format_samples
-
-        def failing_in_helper(fh, times, values, rows):
-            if os.getpid() != parent and len(times) and times[0] >= 2.0:
-                fh.write(b"partial garbage\n")
-                fh.flush()
-                raise RuntimeError("helper failed")
-            real_format(fh, times, values, rows)
-
-        monkeypatch.setattr(configio, "_format_samples", failing_in_helper)
-    else:
-        real_publish = configio.TrajectorySink.publish
-
-        def killing_publish(sink, count):
-            if count == 10:
-                os.kill(two_cpus[0], signal.SIGKILL)
-            real_publish(sink, count)
-
-        monkeypatch.setattr(configio.TrajectorySink, "publish", killing_publish)
-    path = tmp_path / "trajectory.csv"
-
-    def wait_for_death():  # so that it falls before finish; WNOWAIT leaves the helper unreaped
-        with contextlib.suppress(ChildProcessError):  # publish already reaped it
-            os.waitid(os.P_PID, two_cpus[0], os.WEXITED | os.WNOWAIT)
-
-    traj = _stream(path, before_finish=wait_for_death)
-    # the streaming helper died; finish forked a second one with every sample published
-    assert len(two_cpus) == 2
-    assert path.read_bytes() == _reference_bytes(traj)
-    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
-
-
-def test_streamed_csv_abort_when_the_run_raises_mid_propagation(tmp_path, two_cpus):
+def test_streamed_csv_abort_when_the_run_raises_mid_propagation(tmp_path):
+    # the CSV is written only after propagation, so a run that raises leaves no file at all
     h = Operator(scipy.sparse.csr_array(40j * np.eye(3)), np.arange(3))
     c0 = StateVector(np.ones(3, dtype=complex), np.arange(3))
     with pytest.raises(GainRunawayError):
-        with configio.TrajectorySink(tmp_path / "trajectory.csv") as sink:
-            evolve_exact(h, c0, 10.0, 0.25, sink=sink)
-    assert len(two_cpus) == 1
+        write_trajectory_csv(evolve_exact(h, c0, 10.0, 0.25), tmp_path / "trajectory.csv")
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_sink_finished_with_another_trajectory_writes_that_one(tmp_path, two_cpus):
-    spec = ChainSpec(kappa=1.0, beta=0.4, gamma=0.8, phi=math.pi / 2,
-                     n_sites=21, index_origin=-10)
-    h = build_chain_hamiltonian(spec)
-    c0 = make_excitation(ExcitationSpec(kind="single_site", n0=0), spec.site_labels)
-    other = _special_trajectory(30)
+def test_csv_write_that_raises_leaves_no_temp_file(tmp_path, monkeypatch):
+    real_format = configio._format_values
+    chunks = []
+
+    def failing_second_chunk(values):
+        chunks.append(len(values))
+        if len(chunks) == 2:
+            raise RuntimeError("formatting failed")
+        return real_format(values)
+
+    monkeypatch.setattr(configio, "_format_values", failing_second_chunk)
     path = tmp_path / "trajectory.csv"
-    with configio.TrajectorySink(path) as sink:
-        evolve_exact(h, c0, 12.0, 0.25, sink=sink)
-        write_trajectory_csv(other, path, sink)
-    assert len(two_cpus) == 2
-    assert path.read_bytes() == _reference_bytes(other)
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_trajectory_csv(_special_trajectory(2000), path)  # several chunks of values
+    assert len(chunks) == 2
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
 
 
-def test_csv_helper_does_not_flush_parent_stdout(tmp_path):
-    # stdout is a pipe, so the marker sits unflushed in the buffer across the fork
-    if not hasattr(os, "fork"):
-        pytest.skip("os.fork is not available")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = (
-        "import os, sys, numpy as np\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "from nhlattice import Trajectory\n"
-        "from nhlattice.configio import write_trajectory_csv\n"
-        "sys.stdout.write('unflushed marker\\n')\n"
-        "traj = Trajectory(times=np.arange(8.0), amplitudes=np.ones((8, 3), complex),\n"
-        "                  site_labels=np.arange(3), norm_series=np.ones(8), method_tag='x')\n"
-        "write_trajectory_csv(traj, sys.argv[1])\n"
-    )
+def _csv_of_numbers(tmp_path, values, sites=7):
+    """Write ``values`` as the parts of a trajectory's amplitudes: (the trajectory, its CSV)."""
+    values = np.concatenate([values, np.zeros(-len(values) % (2 * sites))])
+    amps = values.view(complex).reshape(-1, sites)
+    traj = Trajectory(times=np.arange(len(amps)) * 0.25, amplitudes=amps,
+                      site_labels=np.arange(sites) - 3, norm_series=np.zeros(len(amps)),
+                      method_tag="expm_multiply")
     path = tmp_path / "trajectory.csv"
-    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "unflushed marker\n"
-    assert path.read_text().count("\n") == 1 + 8 * 3
+    write_trajectory_csv(traj, path)
+    text = path.read_text()
+    fields = text.replace("\n", ",").split(",")[4:-1]  # header and the last empty field off
+    numbers = [f for pair in zip(fields[2::4], fields[3::4]) for f in pair]
+    expected = ["%.17g" % x for x in values.tolist()]
+    if numbers != expected:
+        wrong = [(x, f, e) for x, f, e in zip(values.tolist(), numbers, expected) if f != e]
+        pytest.fail(f"{len(numbers)} fields for {len(expected)} values; (x, CSV, %.17g): "
+                    f"{wrong[:5]}")
+    return traj, text
+
+
+def test_csv_prints_random_doubles_like_percent_g(tmp_path):
+    rng = np.random.default_rng(150_001)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(float)
+    magnitudes = 10.0 ** rng.uniform(-12.0, 3.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                         2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                         0.5, 0.25, 1 - 2 ** -53, 1.0, -1.0, 0.1, 1e-300, 123456789.0])
+    values = np.concatenate([bits, magnitudes, specials])
+    subnormal = (np.abs(values) < 2.2250738585072014e-308) & (values != 0.0)
+    assert subnormal.sum() > 50 and np.isnan(values).sum() > 50 and (np.abs(values) >= 1).any()
+    _csv_of_numbers(tmp_path, values)
+
+
+def _powers_of_ten_and_neighbours() -> np.ndarray:
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)]
+                      + [1e-5, 1e-4, 1e16, 1e17])  # where %g switches to and from exponents
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_csv_prints_powers_of_ten_and_their_neighbours_like_percent_g(tmp_path):
+    values = _powers_of_ten_and_neighbours()
+    # among them, doubles below 10^k whose 17 digits round up to 10^17: 1e-14, 1e-305, ...
+    rounded_up = [x for x in values.tolist() if 0.0 < x < 1.0
+                  and ("%.17g" % x).startswith("1e") and Fraction(x) < Fraction("%.17g" % x)]
+    assert len(rounded_up) >= 5
+    traj, text = _csv_of_numbers(tmp_path, values)
+    assert text.encode() == _reference_bytes(traj)
+
+
+@pytest.mark.parametrize("toward", [-math.inf, math.inf], ids=["low", "high"])
+def test_csv_stays_exact_when_log10_is_a_few_ulps_off(tmp_path, monkeypatch, toward):
+    # a low log10 gives 17 digits that round up to 10^17 on the doubles just below 10^k
+    exact_log10 = np.log10
+
+    def off_log10(x):
+        y = exact_log10(x)
+        for _ in range(4):
+            y = np.nextafter(y, toward)
+        return y
+
+    monkeypatch.setattr(np, "log10", off_log10)
+    _csv_of_numbers(tmp_path, _powers_of_ten_and_neighbours())
+
+
+def test_csv_prints_decimal_ties_half_to_even_like_percent_g(tmp_path):
+    # q * 2^(k-17) for odd q, in [10^k, 10^(k+1)): 18 significant digits, the last a 5
+    ties = [math.ldexp(q, k - 17) for k in range(-8, 0)
+            for q in range(math.ceil(math.ldexp(10.0 ** k, 17 - k)) | 1,
+                           math.ceil(math.ldexp(10.0 ** (k + 1), 17 - k)), 2)][::97]
+    digits = [Decimal(x).as_tuple().digits for x in ties]
+    assert len(ties) > 1000 and all(len(d) == 18 and d[-1] == 5 for d in digits)
+    _csv_of_numbers(tmp_path, np.array(ties + [-x for x in ties]))
 
 
 @pytest.mark.parametrize("body,match", [
