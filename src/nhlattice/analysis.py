@@ -37,6 +37,9 @@ __all__ = [
 #: sites excluded next to a barrier when summing the reflected region
 DEFAULT_REFLECTION_MARGIN = 3
 
+#: steps the Gaussian fit may take before it reports the profile degenerate
+FIT_MAX_ITERATIONS = 500
+
 
 def normalized_profile(c: StateVector) -> np.ndarray:
     """rho_n = sqrt(|c_n|^2 / S); invariant under any nonzero rescaling of c."""
@@ -181,47 +184,62 @@ class GaussianFit:
 
 
 def fit_gaussian(c: StateVector) -> GaussianFit:
-    """Fit the modulus profile to a Gaussian.
+    """Fit the modulus profile to a Gaussian: fidelity = 1 - RSS/TSS with TSS = sum |c_n|^2.
 
-    fidelity = 1 - RSS/TSS with TSS = sum |c_n|^2.  Profiles that are flat,
-    fail to converge, or fit to a sub-site width (< 1 lattice spacing,
-    unresolvable on the grid) are reported degenerate with zero fidelity.
+    Least squares over every site with amplitude >= 0, center within a site
+    of the chain and width in [1e-6, 4*span]: Levenberg-Marquardt (Marquardt,
+    J. SIAM 11, 431, 1963) with Nielsen's damping update, each step clipped
+    to that box, until a step lowers RSS/TSS by at most 1e-14.  Profiles that
+    are flat, span fewer than 4 sites, take over FIT_MAX_ITERATIONS steps, or
+    fit to a sub-site width (< 1 lattice spacing, unresolvable on the grid)
+    are reported degenerate with zero fidelity.
     """
-    s = c.norm
-    if s <= 0.0:
+    if c.norm <= 0.0:
         raise ValueError("cannot fit a zero-norm state")
     labels = c.site_labels.astype(float)
     values = np.abs(c.amplitudes)
-    tss = float(np.sum(values**2))
     if len(labels) < 4 or float(np.ptp(values)) == 0.0:
         return GaussianFit(float(labels[len(labels) // 2]), 0.0, 0.0, 0.0, True)
 
     peak = int(np.argmax(values))
+    height = float(values[peak])
+    values = values / height  # so that no step depends on the profile's scale
+    tss = float(values @ values)
     second = float(np.dot((labels - labels[peak]) ** 2, values**2) / tss)
-    guess = (float(values[peak]), float(labels[peak]), max(1.0, 2.0 * math.sqrt(second)))
-    span = float(labels[-1] - labels[0])
+    p = np.array((1.0, labels[peak], max(1.0, 2.0 * math.sqrt(second))))
+    lower = np.array((0.0, labels[0] - 1.0, 1e-6))
+    upper = np.array((np.inf, labels[-1] + 1.0, 4.0 * (labels[-1] - labels[0])))
 
-    def model(n, amp, center, width):
-        return amp * np.exp(-(((n - center) / width) ** 2))
+    def residual_and_jacobian(q):
+        u = (labels - q[1]) / q[2]
+        e = np.exp(-u * u)
+        d_center = (2.0 * q[0] / q[2]) * e * u
+        return q[0] * e - values, np.stack((e, d_center, d_center * u), axis=1)
 
-    # imported here, not at module level: loading scipy.optimize is most of
-    # the package's import time, and only storage runs fit
-    from scipy.optimize import curve_fit
-
-    try:
-        popt, _ = curve_fit(
-            model, labels, values, p0=guess,
-            bounds=([0.0, labels[0] - 1.0, 1e-6], [np.inf, labels[-1] + 1.0, 4.0 * span]),
-            maxfev=10000,
-        )
-    except RuntimeError:
-        return GaussianFit(guess[1], 0.0, 0.0, 0.0, True)
-    amp, center, width = (float(x) for x in popt)
-    if width < 1.0:
-        return GaussianFit(center, width, amp, 0.0, True)
-    rss = float(np.sum((values - model(labels, *popt)) ** 2))
-    fidelity = min(1.0, max(0.0, 1.0 - rss / tss))
-    return GaussianFit(center, width, amp, fidelity, False)
+    damping, growth = 1e-3, 2.0
+    for _ in range(FIT_MAX_ITERATIONS):
+        r, jac = residual_and_jacobian(p)
+        normal, grad = jac.T @ jac, jac.T @ r
+        # a parameter on the box that the slope pushes out of it stays put
+        free = ~(((p <= lower) & (grad > 0)) | ((p >= upper) & (grad < 0)))
+        damped = (normal + np.diag(damping * np.diag(normal))) * np.outer(free, free)
+        # lstsq, not solve: amp = 0 or a collapsed width leaves zero or dependent columns
+        trial = np.clip(p + np.linalg.lstsq(damped, -grad * free)[0], lower, upper)
+        r_trial = residual_and_jacobian(trial)[0]
+        gain = float(r @ r - r_trial @ r_trial)
+        if gain > 0.0:  # damp less the closer the gain comes to the linearized fit's
+            ratio = gain / max(gain, -(2.0 * grad + normal @ (trial - p)) @ (trial - p))
+            damping, growth = damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0
+            p = trial
+        else:
+            damping, growth = damping * growth, 2.0 * growth
+        if 0.0 <= gain <= 1e-14 * tss:
+            break
+    else:
+        return GaussianFit(float(labels[peak]), 0.0, 0.0, 0.0, True)
+    amp, center, width = (float(x) for x in p)
+    fidelity = 0.0 if width < 1.0 else min(1.0, max(0.0, 1.0 - float(r_trial @ r_trial) / tss))
+    return GaussianFit(center, width, amp * height, fidelity, width < 1.0)
 
 
 def storage_efficiency(traj: Trajectory, t_in: float, t_out: float,

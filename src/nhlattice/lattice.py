@@ -246,6 +246,25 @@ class Operator:
         return out
 
 
+def _banded_csr(bands, offsets, n: int) -> scipy.sparse.csr_array:
+    """The n x n CSR array with bands[k] (one value, or one per cell) along
+    diagonal offsets[k]: the arrays ``diags_array`` gives, filled in place
+    without its DIA and COO copies.  Offsets ascend, so each row's columns do."""
+    rows = [slice(max(0, -k), n - max(0, k)) for k in offsets]
+    bands = [np.broadcast_to(band, (r.stop - r.start,)) for band, r in zip(bands, rows)]
+    keep = np.zeros((n, len(offsets)), dtype=bool)  # exact zeros and cells off the matrix drop
+    for j, (r, band) in enumerate(zip(rows, bands)):
+        keep[r, j] = band != 0
+    index_dtype = np.int32 if keep.size <= np.iinfo(np.int32).max else np.int64
+    slot = np.cumsum(keep, dtype=index_dtype).reshape(keep.shape)  # 1 + place in data
+    data = np.empty(slot[-1, -1], dtype=complex)
+    for j, (r, band) in enumerate(zip(rows, bands)):
+        data[slot[r, j][keep[r, j]] - 1] = band[keep[r, j]]
+    indices = (np.arange(n, dtype=index_dtype)[:, None] + np.array(offsets, index_dtype))[keep]
+    indptr = np.concatenate((np.zeros(1, dtype=index_dtype), slot[:, -1]))
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
+
+
 def build_chain_hamiltonian(spec: ChainSpec) -> Operator:
     """Assemble the homogeneous chain operator.
 
@@ -260,14 +279,11 @@ def build_chain_hamiltonian(spec: ChainSpec) -> Operator:
     diag = np.full(n, -1j * spec.gamma, dtype=complex)
     for d in spec.defects:
         diag[d.site - spec.index_origin] += d.v_real + 1j * d.xi_imag
-    bands = [np.full(n - 1, hop_dn), diag, np.full(n - 1, hop_up)]
-    offsets = [-1, 0, 1]
+    bands, offsets = [hop_dn, diag, hop_up], [-1, 0, 1]
     if spec.boundary == "periodic":
         # last row to its wrapped right neighbour, row 0 to its wrapped left one
-        bands += [[hop_up], [hop_dn]]
-        offsets += [1 - n, n - 1]
-    return Operator(scipy.sparse.diags_array(bands, offsets=offsets, format="csr"),
-                    spec.site_labels)
+        bands, offsets = [hop_up, *bands, hop_dn], [1 - n, *offsets, n - 1]
+    return Operator(_banded_csr(bands, offsets, n), spec.site_labels)
 
 
 def build_sawtooth_hamiltonian(spec: SawtoothSpec) -> Operator:
@@ -284,10 +300,8 @@ def build_sawtooth_hamiltonian(spec: SawtoothSpec) -> Operator:
     diag[1::2] = spec.u_b
     band_2 = np.zeros(dim - 2, dtype=complex)
     band_2[0::2] = spec.kappa  # a_n <-> a_{n+1}; b rows have no second-neighbour coupling
-    bands = (band_2, np.full(dim - 1, spec.j * phase.conjugate()), diag,
-             np.full(dim - 1, spec.j * phase), band_2)
-    return Operator(scipy.sparse.diags_array(bands, offsets=(-2, -1, 0, 1, 2), format="csr"),
-                    np.arange(dim))
+    bands = (band_2, spec.j * phase.conjugate(), diag, spec.j * phase, band_2)
+    return Operator(_banded_csr(bands, (-2, -1, 0, 1, 2), dim), np.arange(dim))
 
 
 def build_sandwich_hamiltonian(spec: SandwichSpec) -> Operator:
@@ -318,7 +332,7 @@ def build_sandwich_hamiltonian(spec: SandwichSpec) -> Operator:
     labels = ch.site_labels
     diag, to_next, to_prev = np.array([row(int(n)) for n in labels], dtype=complex).T
     bands = (to_prev[1:], diag, to_next[:-1])
-    return Operator(scipy.sparse.diags_array(bands, offsets=(-1, 0, 1), format="csr"), labels)
+    return Operator(_banded_csr(bands, (-1, 0, 1), len(labels)), labels)
 
 
 def dispersion(kappa: float, beta: float, gamma: float, phi: float, q):

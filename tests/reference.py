@@ -3,14 +3,16 @@ equations site by site.  These are the oracles the sparse Hamiltonian
 builders are checked against, plus a fixed-step RK4, a dense-expm schedule
 propagator, a gap-by-gap ``scipy.sparse.linalg.expm_multiply`` propagator
 and the closed-form Bessel propagator of the infinite homogeneous chain for
-the dynamics, and a per-element trajectory CSV writer; they share no code
-with the package."""
+the dynamics, a per-element trajectory CSV writer, and scipy's ``curve_fit``
+for the Gaussian fit; they share no code with the package."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.special import jv
@@ -253,3 +255,30 @@ def bessel_chain(c0, times, kappa, beta, gamma, phi, open_above=False, tail=1e-3
             r_near = r ** near.astype(float)
             out[i, near] -= math.exp(-gamma * t) * r_near * (g @ (c0[near] / r_near))
     return out
+
+
+def curve_fit_gaussian(labels, values):
+    """scipy's bounded least-squares fit of amp*exp(-((n-center)/width)^2) to
+    values from the peak's guess, with amp >= 0, center within a site of the
+    labels and width in [1e-6, 4*span]: ((amp, center, width), 1 - RSS/TSS
+    clipped to [0, 1]), or None where it does not converge in 10000 calls."""
+    labels = np.asarray(labels, dtype=float)
+    tss = float(np.sum(values**2))
+    peak = int(np.argmax(values))
+    second = float(np.dot((labels - labels[peak]) ** 2, values**2) / tss)
+    guess = (float(values[peak]), float(labels[peak]), max(1.0, 2.0 * math.sqrt(second)))
+    span = float(labels[-1] - labels[0])
+
+    def model(n, amp, center, width):
+        return amp * np.exp(-(((n - center) / width) ** 2))
+
+    try:
+        with warnings.catch_warnings():  # no covariance where the fit is flat
+            warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
+            popt, _ = scipy.optimize.curve_fit(
+                model, labels, values, p0=guess, maxfev=10000,
+                bounds=([0.0, labels[0] - 1.0, 1e-6], [np.inf, labels[-1] + 1.0, 4.0 * span]))
+    except RuntimeError:
+        return None
+    rss = float(np.sum((values - model(labels, *popt)) ** 2))
+    return tuple(float(x) for x in popt), min(1.0, max(0.0, 1.0 - rss / tss))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from nhlattice import (
     ChainSpec,
     DefectSpec,
     ExcitationSpec,
+    ExperimentConfig,
     StateVector,
+    StorageParams,
+    Timing,
     build_chain_hamiltonian,
     centroid,
     centroid_velocity,
@@ -17,9 +21,15 @@ from nhlattice import (
     group_velocity,
     make_excitation,
     measure_reflection,
+    preset_config,
     region_norm_fraction,
+    resolve_config,
+    run_experiment,
     storage_efficiency,
 )
+from nhlattice import analysis
+
+import reference
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
 FIG4_PACKET = ExcitationSpec(kind="gaussian", n0=-30, w0=5.0, q0=-math.pi / 2)
@@ -225,6 +235,7 @@ def test_fit_recovers_exact_gaussian():
     assert not fit.degenerate
     assert fit.width == pytest.approx(5.0, abs=1e-3)
     assert fit.center == pytest.approx(7.0, abs=1e-6)
+    assert fit.amplitude == pytest.approx(float(np.max(np.abs(c.amplitudes))), rel=1e-6)
     assert fit.fidelity > 0.999
 
 
@@ -261,6 +272,116 @@ def test_fit_fidelity_bounds(w0, n0):
     c = make_excitation(ExcitationSpec(kind="gaussian", n0=n0, w0=w0, q0=0.7), labels)
     fit = fit_gaussian(c)
     assert 0.0 <= fit.fidelity <= 1.0
+
+
+def test_fit_fewer_than_four_sites_degenerate():
+    fit = fit_gaussian(StateVector(np.array([0.2, 1.0, 0.3], dtype=complex), np.arange(5, 8)))
+    assert fit == analysis.GaussianFit(6.0, 0.0, 0.0, 0.0, True)
+
+
+def test_fit_sub_site_width_degenerate():
+    # a Gaussian half a site wide, centred between sites: the fit finds it, but
+    # the grid cannot resolve it
+    labels = np.arange(-20, 21)
+    fit = fit_gaussian(StateVector(np.exp(-((labels - 0.3) / 0.5) ** 2).astype(complex), labels))
+    assert fit.degenerate
+    assert fit.fidelity == 0.0
+    assert fit.width == pytest.approx(0.5, rel=1e-6)
+    assert fit.center == pytest.approx(0.3, rel=1e-6)
+
+
+def _noisy_gaussian():
+    labels = np.arange(-60, 61)
+    rng = np.random.default_rng(7)
+    values = np.abs(np.exp(-((labels - 3.4) / 6.0) ** 2) + 0.01 * rng.normal(size=labels.size))
+    return labels, values
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e30])
+def test_fit_does_not_depend_on_the_scale(scale):
+    labels, values = _noisy_gaussian()
+    fit = fit_gaussian(StateVector(values.astype(complex), labels))
+    scaled = fit_gaussian(StateVector((scale * values).astype(complex), labels))
+    assert not scaled.degenerate
+    assert scaled.amplitude == pytest.approx(scale * fit.amplitude, rel=1e-9)
+    for name in ("center", "width", "fidelity"):
+        assert getattr(scaled, name) == pytest.approx(getattr(fit, name), rel=1e-9), name
+
+
+def test_fit_iteration_cap_reached_degenerate(monkeypatch):
+    labels, values = _noisy_gaussian()
+    c = StateVector(values.astype(complex), labels)
+    assert not fit_gaussian(c).degenerate
+    monkeypatch.setattr(analysis, "FIT_MAX_ITERATIONS", 2)
+    peak = float(labels[np.argmax(values)])
+    assert fit_gaussian(c) == analysis.GaussianFit(peak, 0.0, 0.0, 0.0, True)
+
+
+def _final_state(config):
+    traj = run_experiment(config).trajectory
+    return traj.state(len(traj.times) - 1)
+
+
+def _fidelity_against_curve_fit(state, rel):
+    fit = fit_gaussian(state)
+    (_, _, width), fidelity = reference.curve_fit_gaussian(state.site_labels,
+                                                           np.abs(state.amplitudes))
+    assert not fit.degenerate and width >= 1.0
+    assert fit.fidelity == pytest.approx(fidelity, rel=rel)
+
+
+@pytest.mark.parametrize("preset,xi", [("fig6a", None), ("fig6b", None),
+                                       ("fig7", 0.4), ("fig7", 0.6), ("fig7", 0.8)])
+def test_fit_matches_curve_fit_on_storage_presets(preset, xi):
+    config = resolve_config(preset_config(preset))
+    if xi is not None:  # the one sweep member, on the sweep's chain
+        config = replace(config, storage=replace(config.storage, xi=xi, xi_sweep=()))
+    _fidelity_against_curve_fit(_final_state(config), rel=1e-10)
+
+
+def test_fit_matches_curve_fit_on_leaking_store():
+    # the packet starts in the core with q0 = pi/2 and leaks through the lower
+    # boundary: what is released is not one Gaussian
+    config = ExperimentConfig(
+        experiment="storage", beta=0.4, gamma=0.8, phi=math.pi / 2,
+        excitation=ExcitationSpec(kind="gaussian", n0=0, w0=5.0, q0=math.pi / 2),
+        timing=Timing(t_final=60.0, t_prime=30.0), storage=StorageParams(n_half=3))
+    _fidelity_against_curve_fit(_final_state(config), rel=1e-7)
+
+
+@given(n_sites=st.integers(4, 200), center=st.floats(-0.1, 1.1), width=st.floats(0.3, 2.0),
+       amp=st.floats(0.01, 10.0), extra=st.sampled_from(["none", "noise", "hump"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=60)
+def test_fit_stays_in_its_box_and_reaches_curve_fit(n_sites, center, width, amp, extra, seed):
+    """center and width are in units of the chain's span; curve_fit is the
+    reference for one hump, where it resolves a width of a site or more."""
+    labels = np.arange(n_sites) - n_sites // 2
+    span = float(n_sites - 1)
+    x = (labels - labels[0]) / span
+    values = np.exp(-((x - center) / width) ** 2)
+    rng = np.random.default_rng(seed)
+    if extra == "noise":
+        values = np.abs(values + rng.uniform(0.0, 0.1) * rng.normal(size=n_sites))
+    elif extra == "hump":
+        hump_center, hump_width = rng.uniform(), rng.uniform(0.01, 1.0)
+        values = values + rng.uniform(0.0, 1.0) * np.exp(-((x - hump_center) / hump_width) ** 2)
+    values = amp * values
+    if float(np.ptp(values)) == 0.0:
+        return
+    fit = fit_gaussian(StateVector(values.astype(complex), labels))
+    assert 0.0 <= fit.fidelity <= 1.0
+    if fit.width > 0.0:  # a fit stopped by the iteration cap reports no parameters
+        assert fit.amplitude >= 0.0
+        assert labels[0] - 1.0 <= fit.center <= labels[-1] + 1.0
+        assert 1e-6 <= fit.width <= 4.0 * span
+    ref = reference.curve_fit_gaussian(labels, values)
+    if extra == "hump" or ref is None or ref[0][2] < 1.1:
+        return  # two humps can hold two local fits; a sub-site width has no fidelity
+    assert not fit.degenerate
+    # curve_fit stops once its sum of squares changes by less than 1e-8 of
+    # itself, so it can stop short of the minimum, never below it
+    assert ref[1] - 1e-12 <= fit.fidelity <= ref[1] + 1e-6
 
 
 # ---------------------------------------------------------------- efficiency

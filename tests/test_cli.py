@@ -471,6 +471,19 @@ def test_cli_import_leaves_out_optimize_and_linalg():
     assert proc.stdout.split() == ["0"]
 
 
+def test_storage_run_leaves_out_optimize_and_linalg(tmp_path):
+    # a fresh interpreter, as above; a storage run fits the released packet's Gaussian
+    code = ("import sys; from nhlattice.cli import main; "
+            f"code = main(['storage', '--preset', 'fig6a', '--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, *sorted(m for m in ('scipy.optimize', 'scipy.linalg', "
+            "'scipy.sparse.linalg') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0"]
+    assert (tmp_path / "out" / "metrics.txt").is_file()
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "nhlattice", "--version"],
                           capture_output=True, text=True)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nhlattice import (
     ChainSpec,
@@ -20,6 +20,7 @@ from nhlattice import (
     group_velocity,
     reduce_phase,
 )
+from nhlattice.lattice import _banded_csr
 from nhlattice.protocols import ADIABATICITY_WARN_THRESHOLD
 
 from reference import dense_chain, dense_sandwich, dense_sawtooth
@@ -92,6 +93,63 @@ def test_matvec_rejects_wrong_shape(shape):
     h = _MATVEC_OPERATORS["chain"]()
     with pytest.raises(ValueError, match=r"shape \(31,\)"):
         h.matvec(np.ones(shape, dtype=complex))
+
+
+def _assert_csr_equal_diags_array(got, bands, offsets):
+    want = scipy.sparse.diags_array(bands, offsets=offsets, format="csr")
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, a, b)
+
+
+_BAND_VALUES = st.sampled_from([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), 0.4j,
+                                complex(-0.0, -0.8), 1.0, complex(1.0, 0.4)])
+
+
+@given(n=st.integers(3, 12), layout=st.sampled_from(["tridiagonal", "ring", "pentadiagonal"]),
+       data=st.data())
+@settings(derandomize=True, max_examples=80)
+def test_banded_csr_equals_diags_array(n, layout, data):
+    """Bands drawn as one value or an array of values with exact zeros of
+    either sign, in the builders' layouts: the three CSR arrays are the bytes
+    diags_array gives, zeros dropped and columns ascending in the ring's
+    wrapped rows too."""
+    offsets = {"tridiagonal": [-1, 0, 1], "ring": [1 - n, -1, 0, 1, n - 1],
+               "pentadiagonal": [-2, -1, 0, 1, 2]}[layout]
+    bands = []
+    for k in offsets:
+        cells = st.lists(_BAND_VALUES, min_size=n - abs(k), max_size=n - abs(k))
+        one_value = data.draw(st.booleans())
+        bands.append(data.draw(_BAND_VALUES) if one_value else data.draw(cells))
+    arrays = [np.broadcast_to(np.asarray(band, dtype=complex), (n - abs(k),))
+              for band, k in zip(bands, offsets)]
+    _assert_csr_equal_diags_array(_banded_csr(bands, offsets, n), arrays, offsets)
+
+
+@given(kind=st.sampled_from(["chain", "hermitian_chain", "ring", "sawtooth", "sandwich"]),
+       n=st.integers(3, 14), phase=finite_phases, rate=st.floats(0.0, 1.0))
+@settings(derandomize=True, max_examples=100)
+def test_builders_csr_equal_diags_array_of_their_diagonals(kind, n, phase, rate):
+    """Each builder's CSR arrays are the bytes diags_array gives for the
+    diagonals of its own matrix: all-zero Hermitian diagonals, the sawtooth's
+    zeros on b rows, periodic rings from n = 3 and sandwiches."""
+    if kind == "sawtooth":
+        h = build_sawtooth_hamiltonian(SawtoothSpec(kappa=1.0, j=0.5 + rate, theta=phase,
+                                                    gamma_a=rate, u_b=-40j, n_cells=n))
+    elif kind == "sandwich":
+        h = build_sandwich_hamiltonian(SandwichSpec(
+            chain=ChainSpec(phi=0.0, n_sites=2 * n + 3, index_origin=-(n + 1), **NH),
+            n_half=n, q0=phase, v_c=rate, xi=0.4))
+    else:
+        hermitian = kind == "hermitian_chain"
+        h = build_chain_hamiltonian(ChainSpec(
+            kappa=1.0, beta=0.0 if hermitian else rate, gamma=0.0 if hermitian else 2 * rate,
+            phi=phase, n_sites=n, boundary="periodic" if kind == "ring" else "open"))
+    m = h.matrix
+    dense = np.zeros(m.shape, dtype=complex)  # toarray() would sum -0.0 into +0.0
+    dense[np.repeat(np.arange(h.dim), np.diff(m.indptr)), m.indices] = m.data
+    offsets = list(range(1 - h.dim, h.dim))
+    _assert_csr_equal_diags_array(h.matrix, [np.diagonal(dense, k) for k in offsets], offsets)
 
 
 # ---------------------------------------------------------------- chain

@@ -169,10 +169,11 @@ OTHER_CONFIGS = {
 }
 
 
-#: metrics of a config that depend on its extent: fit_gaussian bounds its
-#: fit by the chain's span, and a packet that leaked out of the core leaves
-#: no Gaussian to fit, so the fit stops elsewhere on a wider chain (0.6402
-#: against 0.6400)
+#: metrics of a config that depend on its extent: a packet that leaked out of
+#: the core leaves no Gaussian to fit, and the least-squares objective sums
+#: over every site.  The fitted width is about 41.5, so on the auto extent the
+#: model still holds 5.1e-3 at the lower end site, and the sites a wider chain
+#: adds add residual (0.64021 against 0.63997, with or without the fit's box)
 EXTENT_BOUND_METRICS = {"fig6a, packet in the core, q0 = pi/2": ("shape_fidelity",)}
 
 
