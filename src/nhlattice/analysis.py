@@ -160,16 +160,15 @@ def region_norm_fraction(c: StateVector, region) -> float:
     return float(np.sum(np.abs(c.amplitudes[mask]) ** 2) / s)
 
 
-def measure_reflection(traj: Trajectory, barrier_site: int, t_eval: float,
-                       margin: int = DEFAULT_REFLECTION_MARGIN) -> float:
+def measure_reflection(traj: Trajectory, barrier_site: int, t_eval: float) -> float:
     """Normalized intensity left of the barrier at the sample nearest t_eval.
 
     Works on the normalized profile, so global decay cannot mask relative
     backscatter; the margin keeps the barrier's evanescent tail out of the
     reflected-region sum.
     """
-    k = traj.index_at_time(t_eval)
-    return region_norm_fraction(traj.state(k), (int(traj.site_labels[0]), barrier_site - margin))
+    region = (int(traj.site_labels[0]), barrier_site - DEFAULT_REFLECTION_MARGIN)
+    return region_norm_fraction(traj.state(traj.index_at_time(t_eval)), region)
 
 
 @dataclass(frozen=True)

@@ -79,29 +79,43 @@ def _load_config(args) -> protocols.ExperimentConfig:
     return config
 
 
-def _write_artifacts(result, out_dir: Path, fmt: str) -> None:
+#: the files a run writes into --out, in the order it writes them
+_ARTIFACTS = ("trajectory.csv", "manifest.cfg", "metrics.txt", "scan.csv", "heatmap.svg")
+
+
+def _write_artifacts(result, out_dir: Path, fmt: str, written: list) -> None:
+    """Write the result's artifacts, adding each one's path to ``written`` once it is whole."""
+    csv, manifest, metrics, scan, svg = (out_dir / name for name in _ARTIFACTS)
     out_dir.mkdir(parents=True, exist_ok=True)
     if result.trajectory is not None:  # first: a run stopped in this long write leaves no file
-        configio.write_trajectory_csv(result.trajectory, out_dir / "trajectory.csv")
-    configio.write_text_atomic(out_dir / "manifest.cfg", result.manifest)
-    configio.write_metrics(result.metrics, out_dir / "metrics.txt")
+        configio.write_trajectory_csv(result.trajectory, csv)
+        written.append(csv)
+    configio.write_text_atomic(manifest, result.manifest)
+    written.append(manifest)
+    configio.write_metrics(result.metrics, metrics)
+    written.append(metrics)
     if result.table is not None:
-        configio.write_table_csv(result.table, out_dir / "scan.csv")
+        configio.write_table_csv(result.table, scan)
+        written.append(scan)
     if result.trajectory is not None and fmt == "csv+svg":
         title = result.config.preset or result.config.experiment
-        configio.write_text_atomic(out_dir / "heatmap.svg",
-                                   render_heatmap(result.trajectory, title=title))
+        configio.write_text_atomic(svg, render_heatmap(result.trajectory, title=title))
+        written.append(svg)
 
 
 def _run(args) -> int:
     config = protocols.resolve_config(_load_config(args))  # config errors before any write
     out_dir = Path(args.out)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    written = []
     try:
         result = protocols.run_experiment(config)
-        _write_artifacts(result, out_dir, args.format)
+        _write_artifacts(result, out_dir, args.format, written)
     except BaseException:
-        for d in made:  # leave no directory this run made; one holding files stays
+        for path in written if out_dir in made else ():  # a pre-existing --out keeps them
+            with contextlib.suppress(OSError):
+                path.unlink()
+        for d in made:  # leave no directory this run made; one holding other files stays
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise

@@ -113,38 +113,33 @@ def _fields(cls) -> tuple:
     return tuple(out)
 
 
-@functools.cache
-def _schema() -> dict:
-    """key -> (kind, many, tags) for every config key, in canonical order."""
-    from .protocols import ExperimentConfig
-
-    schema = {}
-
-    def walk(cls, prefix, none):
-        for i, (f, kind, many, nested) in enumerate(_fields(cls)):
-            if nested:
-                walk(kind, f"{prefix}{f.name}.", f.metadata.get("none"))
-            else:
-                tags = {**f.metadata, "none": none} if i == 0 and none else f.metadata
-                schema[prefix + f.name] = (kind, many, tags)
-
-    walk(ExperimentConfig, "", None)
-    return schema
-
-
-def _flatten(cls, obj, prefix: str = "", out: dict = None) -> dict:
-    """{key: value} of a config; a None nested config reads as its defaults."""
-    out = {} if out is None else out
-    for f, kind, _, nested in _fields(cls):
+def _walk(cls, obj, prefix: str = "", none=None):
+    """(key, kind, many, tags, value) of each key of a config, in canonical
+    order; a None nested config reads as its defaults."""
+    for i, (f, kind, many, nested) in enumerate(_fields(cls)):
         if obj is not None:
             value = getattr(obj, f.name)
         else:
             value = None if f.default is dataclasses.MISSING else f.default
         if nested:
-            _flatten(kind, value, f"{prefix}{f.name}.", out)
+            yield from _walk(kind, value, f"{prefix}{f.name}.", f.metadata.get("none"))
         else:
-            out[prefix + f.name] = f.metadata.get("unset") if value is None else value
-    return out
+            tags = {**f.metadata, "none": none} if i == 0 and none else f.metadata
+            yield prefix + f.name, kind, many, tags, value
+
+
+@functools.cache
+def _schema() -> dict:
+    """key -> (kind, many, tags) for every config key, in canonical order."""
+    from .protocols import ExperimentConfig
+
+    return {key: (kind, many, tags) for key, kind, many, tags, _ in _walk(ExperimentConfig, None)}
+
+
+def _flatten(config) -> dict:
+    """{key: value} of a config, a None with an ``unset`` tag written as that."""
+    return {key: tags.get("unset") if value is None else value
+            for key, _, _, tags, value in _walk(type(config), config)}
 
 
 def _build(cls, values: dict, prefix: str = ""):
@@ -165,7 +160,7 @@ def _defaults() -> dict:
     """Values of a probe config: what an omitted key reads as."""
     from .protocols import ExperimentConfig
 
-    return _flatten(ExperimentConfig, ExperimentConfig(experiment="dispersion_scan"))
+    return _flatten(ExperimentConfig(experiment="dispersion_scan"))
 
 
 def _parse_scalar(key: str, kind, tags, token: str):
@@ -222,12 +217,8 @@ def _render_value(kind, many, tags, value) -> str:
     return _render_scalar(kind, value)
 
 
-def parse_config_text(text: str):
-    """Parse a config document; unknown or duplicate keys are rejected."""
-    from .protocols import ExperimentConfig
-
-    schema = _schema()
-    tokens = {}
+def _pairs(text: str):
+    """(line number, key, token) per ``key = value`` line, skipping blank and # comment lines."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -235,12 +226,21 @@ def parse_config_text(text: str):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, token = line.partition("=")
-        key = key.strip()
+        yield lineno, key.strip(), token.strip()
+
+
+def parse_config_text(text: str):
+    """Parse a config document; unknown or duplicate keys are rejected."""
+    from .protocols import ExperimentConfig
+
+    schema = _schema()
+    tokens = {}
+    for lineno, key, token in _pairs(text):
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} (line {lineno})")
         if key in tokens:
             raise ConfigError(f"duplicate key {key!r} (line {lineno})")
-        tokens[key] = token.strip()
+        tokens[key] = token
     if "experiment" not in tokens:
         raise ConfigError("missing required key 'experiment'")
     values = _defaults() | {key: parse_value(key, token) for key, token in tokens.items()}
@@ -263,7 +263,7 @@ def render_config(config) -> str:
     """Render every schema key (defaults materialized) in canonical order."""
     schema = _schema()
     lines = [f"# {UNITS_HEADER}"]
-    for key, value in _flatten(type(config), config).items():
+    for key, value in _flatten(config).items():
         lines.append(f"{key} = {_render_value(*schema[key], value)}")
     return "\n".join(lines) + "\n"
 
@@ -526,11 +526,5 @@ def write_metrics(metrics: dict, path) -> None:
 
 
 def read_metrics(path) -> dict:
-    out = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, token = line.partition("=")
-        out[key.strip()] = _parse_metric(token.strip())
-    return out
+    text = Path(path).read_text(encoding="utf-8")
+    return {key: _parse_metric(token) for _, key, token in _pairs(text)}

@@ -31,13 +31,9 @@ COLOR_ANCHORS = (
 
 def _build_table() -> tuple:
     anchors = np.asarray(COLOR_ANCHORS, dtype=float)
-    pos = np.linspace(0.0, 1.0, len(anchors))
-    xs = np.linspace(0.0, 1.0, 256)
-    table = []
-    for x in xs:
-        rgb = [np.interp(x, pos, anchors[:, c]) for c in range(3)]
-        table.append(tuple(int(round(v)) for v in rgb))
-    return tuple(table)
+    pos, xs = np.linspace(0.0, 1.0, len(anchors)), np.linspace(0.0, 1.0, 256)
+    rgb = np.rint([np.interp(xs, pos, anchors[:, c]) for c in range(3)]).astype(int)
+    return tuple(map(tuple, rgb.T.tolist()))  # half-way values round to even, as round() does
 
 
 COLOR_TABLE = _build_table()

@@ -311,28 +311,14 @@ def build_sandwich_hamiltonian(spec: SandwichSpec) -> Operator:
     +q0 on the right; boundary rows at +/-n_half carry v_c + i*xi with the
     mixed hoppings (plain kappa toward the core); core rows are Hermitian.
     """
-    ch = spec.chain
-    n_half = spec.n_half
+    ch, m, n = spec.chain, spec.n_half, spec.chain.site_labels
     hop_q_plus = ch.kappa + 1j * ch.beta * cmath.exp(1j * spec.q0)
     hop_q_minus = ch.kappa + 1j * ch.beta * cmath.exp(-1j * spec.q0)
-    kap = complex(ch.kappa)
-
-    def row(n: int) -> tuple:
-        # (diagonal, coefficient of c_{n+1}, coefficient of c_{n-1})
-        if n < -n_half:
-            return (-1j * ch.gamma, hop_q_minus, hop_q_plus)
-        if n == -n_half:
-            return (spec.v_c + 1j * spec.xi, kap, hop_q_plus)
-        if n < n_half:
-            return (0j, kap, kap)
-        if n == n_half:
-            return (spec.v_c + 1j * spec.xi, hop_q_plus, kap)
-        return (-1j * ch.gamma, hop_q_plus, hop_q_minus)
-
-    labels = ch.site_labels
-    diag, to_next, to_prev = np.array([row(int(n)) for n in labels], dtype=complex).T
-    bands = (to_prev[1:], diag, to_next[:-1])
-    return Operator(_banded_csr(bands, (-1, 0, 1), len(labels)), labels)
+    kap, defect = complex(ch.kappa), spec.v_c + 1j * spec.xi
+    to_next = np.select([n < -m, n < m], [hop_q_minus, kap], hop_q_plus)  # coefficient of c_{n+1}
+    to_prev = np.select([n <= -m, n <= m], [hop_q_plus, kap], hop_q_minus)  # of c_{n-1}
+    diag = np.select([np.abs(n) < m, np.abs(n) == m], [0j, defect], -1j * ch.gamma)
+    return Operator(_banded_csr((to_prev[1:], diag, to_next[:-1]), (-1, 0, 1), len(n)), n)
 
 
 def dispersion(kappa: float, beta: float, gamma: float, phi: float, q):
@@ -364,20 +350,20 @@ class ReducedChain:
     u_eff: complex
     n_sites: int
 
-    def to_chain_spec(self, index_origin: int = 0, boundary: str = "open",
-                      atol: float = 1e-12) -> ChainSpec:
-        """Map onto a ChainSpec with hoppings kappa + i*beta*e^{+/-i*phi}.
+    def to_chain_spec(self, index_origin: int = 0) -> ChainSpec:
+        """Map onto an open ChainSpec with hoppings kappa + i*beta*e^{+/-i*phi}.
 
         Only possible when the hopping asymmetry has that exact form (the
-        u_b = i*j^2/beta working point); otherwise raises ValueError.
+        u_b = i*j^2/beta working point), to 1e-12 relative; otherwise raises
+        ValueError.
         """
         d1, d2 = self.j1 - self.kappa, self.j2 - self.kappa
         beta = abs(d1)
         phi = cmath.phase(d1 / (1j * beta)) if beta else 0.0
-        # at beta = 0 this asks |d2| <= atol, as max(1, |d2|) > 1 only when |d2| > 1 > atol
-        if abs(d2 - 1j * beta * cmath.exp(-1j * phi)) > atol * max(1.0, abs(d2)):
+        # at beta = 0 this asks |d2| <= 1e-12, as max(1, |d2|) > 1 only when |d2| > 1
+        if abs(d2 - 1j * beta * cmath.exp(-1j * phi)) > 1e-12 * max(1.0, abs(d2)):
             raise ValueError("hoppings do not have the kappa + i*beta*e^{+/-i*phi} form")
-        if abs(self.u_eff.real) > atol * max(1.0, abs(self.u_eff)):
+        if abs(self.u_eff.real) > 1e-12 * max(1.0, abs(self.u_eff)):
             raise ValueError("effective potential has a real part; no ChainSpec equivalent")
         return ChainSpec(
             kappa=self.kappa,
@@ -386,7 +372,6 @@ class ReducedChain:
             phi=phi,
             n_sites=self.n_sites,
             index_origin=index_origin,
-            boundary=boundary,
         )
 
 

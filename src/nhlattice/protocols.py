@@ -216,6 +216,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     _require(exc is not None, "excitation.kind: experiment needs an excitation")
     want = "single_site" if cfg.experiment == "transport_single_site" else "gaussian"
     _require(exc.kind == want, f"excitation.kind: must be {want} for this experiment")
+    _require(cfg.boundary == "open" or cfg.experiment not in ("storage", "reduction_check"),
+             f"boundary: {cfg.experiment} runs on an open chain, got {cfg.boundary!r}")
     if cfg.experiment == "storage":
         n_half = cfg.storage.n_half
         _require(n_half >= 1, f"storage.n_half: must be a positive integer, got {n_half}")
@@ -345,17 +347,16 @@ def run_dispersion_scan(config: ExperimentConfig) -> ExperimentResult:
     half = (p - 1) // 2
     step = 2.0 * math.pi / (p - 1)
     q_grid = np.array([(k - half) * step for k in range(p)])
-    rows = []
+    vg = group_velocity(cfg.kappa, q_grid)
+    blocks = []
     for i, phi in enumerate(cfg.dispersion.phi_values):
         e = dispersion(cfg.kappa, cfg.beta, cfg.gamma, phi, q_grid)
-        vg = group_velocity(cfg.kappa, q_grid)
-        for k in range(p):
-            rows.append((phi, q_grid[k], e.real[k], e.imag[k], vg[k]))
+        blocks.append(np.column_stack((np.full(p, phi), q_grid, e.real, e.imag, vg)))
         arg = int(np.argmax(e.imag))
         metrics[f"phi[{i}].value"] = phi
         metrics[f"phi[{i}].q_max_im"] = float(q_grid[arg])
         metrics[f"phi[{i}].max_im"] = float(e.imag[arg])
-    table = (("phi", "q", "reE", "imE", "vg"), np.asarray(rows, dtype=float))
+    table = (("phi", "q", "reE", "imE", "vg"), np.reshape(blocks, (-1, 5)))  # no phi: no row
     return ExperimentResult(config=cfg, table=table, metrics=metrics, manifest=manifest)
 
 
@@ -539,15 +540,13 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run ``config`` with the runner of its experiment kind."""
-    if config.experiment == "dispersion_scan":  # a table, no trajectory
-        return run_dispersion_scan(config)
-    runner = {
+    return {
+        "dispersion_scan": run_dispersion_scan,
         "transport_single_site": run_transport,
         "transport_gaussian": run_transport,
         "storage": run_storage,
         "reduction_check": run_reduction_check,
-    }[config.experiment]
-    return runner(config)
+    }[config.experiment](config)
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import workloads  # noqa: E402
 @pytest.mark.parametrize("workload,op_name", [
     ("figures", "fig2"),
     ("figures", "reduction"),
+    ("figures", "fig6a"),  # a storage run: the sandwich and the metrics reader
     ("artifacts", "reduction"),
     ("long_chain", "n301"),
 ])

@@ -226,6 +226,10 @@ def test_bad_timing_or_auto_extent_exits_2_naming_the_key(tmp_path, capsys, line
                  id="storage-fig6a-chain ends at 4"),
     pytest.param("storage", "fig6b", "chain_length = 80\nindex_origin = -5\nexcitation.n0 = 20",
                  "index_origin", id="storage-fig6b-chain starts at -5"),
+    # the sandwich and the sawtooth are open chains
+    pytest.param("storage", "fig6a", "boundary = periodic\nchain_length = 80\nindex_origin = -45",
+                 "boundary", id="storage-fig6a-boundary = periodic"),
+    ("reduce-check", "reduction", "boundary = periodic", "boundary"),
 ])
 def test_bad_storage_or_reduction_key_exits_2_before_any_write(tmp_path, capsys, command,
                                                                preset, line, key):
@@ -304,33 +308,34 @@ import sys, time
 from nhlattice import cli, configio, dynamics
 
 owner, name, at = {"propagation": (dynamics._Stepper, "__call__", 10),
-                   "csv_write": (configio, "_format_values", 1)}[sys.argv.pop(1)]
+                   "csv_write": (configio, "_format_values", 1),
+                   "heatmap": (cli, "render_heatmap", 1)}[sys.argv.pop(1)]
 real, calls = getattr(owner, name), []
 
-def paused(*args):
+def paused(*args, **kwargs):
     calls.append(None)
     if len(calls) == at:
         print("paused", file=sys.stderr, flush=True)
         while True:
             time.sleep(60)
-    return real(*args)
+    return real(*args, **kwargs)
 
 setattr(owner, name, paused)
 sys.exit(cli.main())
 """
 
 
-def _sigterm_when_paused(tmp_path, stage):
+def _sigterm_when_paused(tmp_path, stage, *extra):
     """Run FAST_TRANSPORT_CFG, paused at ``stage``; SIGTERM it there and check it exits 143."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_TRANSPORT_CFG)
     out = tmp_path / "o" / "nested"
     proc = subprocess.Popen([sys.executable, "-c", PAUSING_CLI, stage, "transport",
-                             "--config", str(cfg), "--out", str(out)],
+                             "--config", str(cfg), "--out", str(out), *extra],
                             env=_CHILD_ENV, stderr=subprocess.PIPE, text=True)
     try:
         assert proc.stderr.readline() == "paused\n"
-        written = list(out.glob("*.tmp")) if out.exists() else None
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else None
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=30)
     finally:
@@ -344,12 +349,40 @@ def _sigterm_when_paused(tmp_path, stage):
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
 def test_sigterm_exits_143_and_leaves_nothing(tmp_path):
     # stopped in the CSV write, with --out made and the CSV's temp file in it
-    assert len(_sigterm_when_paused(tmp_path, "csv_write")) == 1
+    [written] = _sigterm_when_paused(tmp_path, "csv_write")
+    assert written.startswith("trajectory.csv") and written.endswith(".tmp")
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
 def test_sigterm_during_propagation_exits_143_and_leaves_nothing(tmp_path):
     assert _sigterm_when_paused(tmp_path, "propagation") is None  # before --out is made
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
+def test_sigterm_during_heatmap_exits_143_and_leaves_nothing(tmp_path):
+    # stopped after the CSV, manifest and metrics are whole in the --out it made
+    written = _sigterm_when_paused(tmp_path, "heatmap", "--format", "csv+svg")
+    assert written == ["manifest.cfg", "metrics.txt", "trajectory.csv"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["made out", "existing out"])
+def test_failed_heatmap_removes_only_what_the_run_wrote_into_an_out_it_made(tmp_path, monkeypatch,
+                                                                            existing):
+    def broken(*args, **kwargs):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr("nhlattice.cli.render_heatmap", broken)
+    out = tmp_path / "o"
+    if existing:  # its own files stay, and so do the artifacts this run completed
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+    with pytest.raises(RuntimeError, match="render failed"):
+        _run_fast_transport_with(tmp_path, "", "--format", "csv+svg")
+    if existing:
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.cfg", "metrics.txt", "notes.txt", "trajectory.csv"]
+    else:
+        _assert_left_nothing(tmp_path, out)
 
 
 def test_sigterm_handler_restored_and_main_runs_off_the_main_thread(capsys):

@@ -457,6 +457,13 @@ def test_metrics_roundtrip(tmp_path):
     assert read_metrics(path) == metrics
 
 
+def test_metrics_line_without_equals_rejected_naming_the_line(tmp_path):
+    path = tmp_path / "metrics.txt"
+    path.write_text("preset = fig6a\n# a comment\n\nefficiency 0.5\n")
+    with pytest.raises(ConfigError, match="line 4: expected 'key = value', got 'efficiency 0.5'"):
+        read_metrics(path)
+
+
 def test_metrics_keys_for_transport_and_storage(preset_results):
     transport, _ = preset_results("fig4d")
     assert "reflection_fraction" in transport.metrics

@@ -25,6 +25,12 @@ def test_color_table_luminance_monotone():
     assert lums[-1] > lums[0] + 100  # dark to bright, not a flat ramp
 
 
+def test_color_table_digest():
+    # pins all 256 levels; the golden SVGs hold only the levels their presets reach
+    digest = hashlib.sha256(repr(COLOR_TABLE).encode()).hexdigest()
+    assert digest == "07519e6fae9e9bde3fa18c248f0e9fba50d6362b68760b53505daba398f11c9b"
+
+
 def test_render_deterministic():
     rng = np.random.default_rng(1)
     amps = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))

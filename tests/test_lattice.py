@@ -352,9 +352,11 @@ def test_sandwich_interior_rows_hermitian():
 
 
 @given(q0=finite_phases, xi=st.floats(-1.0, 1.0), v_c=st.floats(-2.0, 2.0),
-       n_half=st.integers(1, 4))
-def test_sandwich_matches_reference_dense(q0, xi, v_c, n_half):
-    spec = _sandwich(n_sites=2 * n_half + 7, origin=-(n_half + 3),
+       n_half=st.integers(1, 5), left=st.integers(1, 8), right=st.integers(1, 8))
+@settings(derandomize=True, max_examples=100)
+def test_sandwich_matches_reference_dense(q0, xi, v_c, n_half, left, right):
+    # the two leads' lengths are drawn independently, so the extent is asymmetric
+    spec = _sandwich(n_sites=left + 2 * n_half + 1 + right, origin=-(n_half + left),
                      q0=q0, v_c=v_c, xi=xi, n_half=n_half)
     h = build_sandwich_hamiltonian(spec)
     want = dense_sandwich(1.0, 0.4, 0.8, spec.q0, n_half, v_c, xi,
