@@ -26,36 +26,27 @@ __all__ = [
     "centroid",
     "centroid_series",
     "centroid_velocity",
-    "region_norm_fraction",
+    "region_fractions",
     "measure_reflection",
     "fit_gaussian",
     "storage_efficiency",
     "normalized_profile",
-    "normalized_profile_matrix",
 ]
 
-#: sites excluded next to a barrier when summing the reflected region
-DEFAULT_REFLECTION_MARGIN = 3
+#: sites left out next to a barrier on each side of region_fractions' partition
+REFLECTION_MARGIN = 3
 
 #: steps the Gaussian fit may take before it reports the profile degenerate
 FIT_MAX_ITERATIONS = 500
 
 
-def normalized_profile(c: StateVector) -> np.ndarray:
-    """rho_n = sqrt(|c_n|^2 / S); invariant under any nonzero rescaling of c."""
-    s = c.norm
-    if s <= 0.0:
-        raise ValueError("cannot normalize a zero-norm state")
-    return np.abs(c.amplitudes) / math.sqrt(s)
-
-
-def normalized_profile_matrix(traj: Trajectory) -> np.ndarray:
-    """rho_n(t_k) for all samples, shape (n_samples, dim)."""
-    mags = np.abs(traj.amplitudes)
-    norms = np.sqrt(np.sum(mags**2, axis=1))
+def normalized_profile(amplitudes) -> np.ndarray:
+    """rho_n = |c_n| / sqrt(sum_m |c_m|^2) along the last axis: one state, or one row a sample."""
+    mags = np.abs(amplitudes)
+    norms = np.sqrt(np.sum(mags**2, axis=-1, keepdims=True))
     if np.any(norms <= 0.0):
-        raise ValueError("trajectory contains a zero-norm snapshot")
-    return mags / norms[:, None]
+        raise ValueError("cannot normalize a zero-norm state")
+    return mags / norms
 
 
 @dataclass(frozen=True)
@@ -142,33 +133,26 @@ def centroid_velocity(traj: Trajectory, t_window) -> float:
     return float(np.polyfit(traj.times[mask], cents, 1)[0])
 
 
-def _region_mask(site_labels: np.ndarray, region) -> np.ndarray:
-    """The sites inside the inclusive label interval; there must be one."""
-    lo, hi = region
-    mask = (site_labels >= lo) & (site_labels <= hi)
-    if not np.any(mask):
-        raise ValueError(f"region [{lo}, {hi}] contains no sites")
-    return mask
+def region_fractions(c: StateVector, barrier_lo: int, barrier_hi: int) -> tuple:
+    """(reflected, transmitted, interior) shares of the weights |c_n|^2/S around a barrier.
 
-
-def region_norm_fraction(c: StateVector, region) -> float:
-    """Fraction of the intensity inside the inclusive label interval."""
-    mask = _region_mask(c.site_labels, region)
+    Normalized, so global decay cannot mask relative backscatter.  The sides
+    are the sites at least REFLECTION_MARGIN below barrier_lo and above
+    barrier_hi, clear of the barrier's evanescent tail; an empty side reads 0.0.
+    """
     s = c.norm
     if s <= 0.0:
         raise ValueError("zero-norm state")
-    return float(np.sum(np.abs(c.amplitudes[mask]) ** 2) / s)
+    weights = np.abs(c.amplitudes) ** 2 / s
+    left = c.site_labels <= barrier_lo - REFLECTION_MARGIN
+    right = c.site_labels >= barrier_hi + REFLECTION_MARGIN
+    return (float(np.sum(weights[left])), float(np.sum(weights[right])),
+            float(np.sum(weights[~(left | right)])))
 
 
 def measure_reflection(traj: Trajectory, barrier_site: int, t_eval: float) -> float:
-    """Normalized intensity left of the barrier at the sample nearest t_eval.
-
-    Works on the normalized profile, so global decay cannot mask relative
-    backscatter; the margin keeps the barrier's evanescent tail out of the
-    reflected-region sum.
-    """
-    region = (int(traj.site_labels[0]), barrier_site - DEFAULT_REFLECTION_MARGIN)
-    return region_norm_fraction(traj.state(traj.index_at_time(t_eval)), region)
+    """region_fractions' reflected share around barrier_site at the sample nearest t_eval."""
+    return region_fractions(traj.state(traj.index_at_time(t_eval)), barrier_site, barrier_site)[0]
 
 
 @dataclass(frozen=True)
@@ -252,11 +236,13 @@ def storage_efficiency(traj: Trajectory, t_in: float, t_out: float,
     k_in = traj.index_at_time(t_in)
     k_out = traj.index_at_time(t_out)
 
-    def region_sum(k, region):
-        mask = _region_mask(traj.site_labels, region)
+    def region_sum(k, lo, hi):
+        mask = (traj.site_labels >= lo) & (traj.site_labels <= hi)
+        if not np.any(mask):
+            raise ValueError(f"region [{lo}, {hi}] contains no sites")
         return float(np.sum(np.abs(traj.amplitudes[k, mask]) ** 2))
 
-    denom = region_sum(k_in, in_region)
+    denom = region_sum(k_in, *in_region)
     if denom <= 0.0:
         raise ValueError("input region holds zero norm at t_in")
-    return region_sum(k_out, out_region) / denom
+    return region_sum(k_out, *out_region) / denom

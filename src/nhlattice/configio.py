@@ -459,6 +459,10 @@ def read_trajectory_csv(path, method_tag: str = METHOD_TAG):
     if len(data) % n_sites != 0:
         raise ConfigError(f"{path}: row count {len(data)} is not a multiple of the site count")
     data = data.reshape(-1, n_sites, 4)
+    if np.any(data[:, :, 1] != data[0, :, 1]):
+        raise ConfigError(f"{path}: a sample lists other sites than the first sample's")
+    if np.any(data[:, :, 0] != data[:, :1, 0]):
+        raise ConfigError(f"{path}: the time changes within a sample's {n_sites} rows")
     amps = np.empty(data.shape[:2], dtype=complex)
     amps.real = data[:, :, 2]
     amps.imag = data[:, :, 3]
@@ -478,12 +482,22 @@ def write_table_csv(table, path) -> None:
 
 
 def read_table_csv(path) -> tuple:
+    """Read a (header, rows) scan table; rows has shape (rows, len(header))."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty table")
     header = tuple(lines[0].split(","))
-    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    return header, rows
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        try:
+            rows.append([float(x) for x in cells])
+        except ValueError:
+            cells = ()  # not all numbers: fails the width check below
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}: line {lineno}: expected {len(header)} numbers, "
+                              f"got {line!r}")
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def _render_metric(value) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import normalized_profile_matrix
+from .analysis import normalized_profile
 from .dynamics import Trajectory
 
 __all__ = ["COLOR_TABLE", "COLOR_ANCHORS", "luminance", "render_heatmap"]
@@ -86,7 +86,7 @@ def render_heatmap(traj: Trajectory, title: str = "") -> str:
     """Render the trajectory's profile as an SVG document string."""
     if traj.n_samples < 1 or len(traj.site_labels) < 1:
         raise ValueError("cannot render an empty trajectory")
-    rho = normalized_profile_matrix(traj)  # (n_samples, n_sites)
+    rho = normalized_profile(traj.amplitudes)  # (n_samples, n_sites)
     vmax = float(np.max(rho))
     if vmax <= 0.0:
         raise ValueError("profile is identically zero")

@@ -19,13 +19,13 @@ import numpy as np
 from . import configio
 from ._sizing import EDGE_FRACTION_LIMIT, auto_extent
 from .analysis import (
-    DEFAULT_REFLECTION_MARGIN,
     ExcitationSpec,
     centroid_series,
     centroid_velocity,
     fit_gaussian,
     make_excitation,
-    normalized_profile_matrix,
+    normalized_profile,
+    region_fractions,
     storage_efficiency,
     window_mask,
 )
@@ -327,7 +327,7 @@ def _start(config: ExperimentConfig, method_tag: str = METHOD_TAG) -> tuple:
 def _chain_result(cfg: ExperimentConfig, manifest: str, metrics: dict, traj: Trajectory,
                   table=None) -> ExperimentResult:
     """Record the most intensity the two end sites ever hold, and bundle the run."""
-    rho = normalized_profile_matrix(traj)
+    rho = normalized_profile(traj.amplitudes)
     edge = float(np.max(rho[:, 0] ** 2 + rho[:, -1] ** 2))
     metrics["edge_fraction_max"] = edge
     metrics["edge_fraction_ok"] = cfg.boundary != "open" or not edge > EDGE_FRACTION_LIMIT
@@ -372,19 +372,16 @@ def run_transport(config: ExperimentConfig) -> ExperimentResult:
     state0 = make_excitation(cfg.excitation, spec.site_labels)
     traj = evolve_exact(build_chain_hamiltonian(spec), state0, t_final, cfg.timing.sample_dt)
     window = _velocity_window(cfg)
-    margin = DEFAULT_REFLECTION_MARGIN
     barrier = [d.site for d in cfg.defects] or [cfg.excitation.n0]
     barrier_lo, barrier_hi = min(barrier), max(barrier)
     t_eval = 0.9 * t_final
-    snap = traj.state(traj.index_at_time(t_eval))
-    weights = np.abs(snap.amplitudes) ** 2 / snap.norm
-    left = traj.site_labels <= barrier_lo - margin
-    right = traj.site_labels >= barrier_hi + margin
+    reflected, transmitted, interior = region_fractions(
+        traj.state(traj.index_at_time(t_eval)), barrier_lo, barrier_hi)
     metrics.update(
         velocity_estimate=centroid_velocity(traj, window),
-        reflection_fraction=float(np.sum(weights[left])),
-        transmission_fraction=float(np.sum(weights[right])),
-        interior_fraction=float(np.sum(weights[~(left | right)])),
+        reflection_fraction=reflected,
+        transmission_fraction=transmitted,
+        interior_fraction=interior,
         centroid_series=tuple(float(x) for x in centroid_series(traj)),
         velocity_window_start=window[0],
         velocity_window_end=window[1],
@@ -445,7 +442,7 @@ def _storage_single(cfg: ExperimentConfig, xi: float) -> tuple:
     release_v = centroid_velocity(traj, _velocity_window(cfg))
     direction = "forward" if (release_v > 0) == (incident_v > 0) else "reversed"
 
-    rho = normalized_profile_matrix(traj)
+    rho = normalized_profile(traj.amplitudes)
     inside = np.abs(traj.site_labels) <= sp.n_half + 2
     inside_fraction = np.sum(rho[:, inside] ** 2, axis=1)
     confinement = float(np.min(inside_fraction[_capture_mask(traj.times, t.t_prime)]))
@@ -508,7 +505,7 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
     h_chain = build_chain_hamiltonian(chain)
     state0 = make_excitation(cfg.excitation, chain.site_labels)
     chain_traj = evolve_exact(h_chain, state0, t.t_final, t.sample_dt)
-    rho_chain = normalized_profile_matrix(chain_traj)
+    rho_chain = normalized_profile(chain_traj.amplitudes)
 
     columns = ("j", "u_b_abs", "adiabaticity_ratio", "profile_error", "warned")
     rows = []
@@ -525,9 +522,7 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
             psi0[1::2] = _slaved_b(a0, saw)
         saw_traj = evolve_exact(h_saw, StateVector(psi0, h_saw.site_labels),
                                 t.t_final, t.sample_dt)
-        a_amps = saw_traj.amplitudes[:, 0::2]
-        a_norms = np.sqrt(np.sum(np.abs(a_amps) ** 2, axis=1))
-        rho_a = np.abs(a_amps) / a_norms[:, None]
+        rho_a = normalized_profile(saw_traj.amplitudes[:, 0::2])
         error = float(np.max(np.abs(rho_a - rho_chain)))
         errors.append(error)
         ratio = saw.adiabaticity_ratio

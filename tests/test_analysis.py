@@ -21,8 +21,9 @@ from nhlattice import (
     group_velocity,
     make_excitation,
     measure_reflection,
+    normalized_profile,
     preset_config,
-    region_norm_fraction,
+    region_fractions,
     resolve_config,
     run_experiment,
     storage_efficiency,
@@ -162,7 +163,7 @@ def test_region_fraction_full_range():
     labels = np.arange(-4, 5)
     rng = np.random.default_rng(0)
     c = StateVector(rng.normal(size=9) + 1j * rng.normal(size=9), labels)
-    assert region_norm_fraction(c, (-4, 4)) == pytest.approx(1.0)
+    assert sum(region_fractions(c, 0, 0)) == pytest.approx(1.0)
 
 
 def test_region_fraction_disjoint_delta():
@@ -170,31 +171,74 @@ def test_region_fraction_disjoint_delta():
     amps = np.zeros(16, dtype=complex)
     amps[4] = 1.0
     c = StateVector(amps, labels)
-    assert region_norm_fraction(c, (1, 10)) == 0.0
+    assert region_fractions(c, 5, 5) == (1.0, 0.0, 0.0)  # site 0 lies 5 below the barrier
+    assert region_fractions(c, -3, -3) == (0.0, 1.0, 0.0)
+    assert region_fractions(c, -2, 2) == (0.0, 0.0, 1.0)
 
 
 def test_region_fraction_half_split():
-    # packet symmetric about the midpoint between sites -1 and 0
+    # packet symmetric about the midpoint between sites -1 and 0, as is the barrier [-1, 0]
     labels = np.arange(-60, 60)
     amps = np.exp(-(((labels + 0.5) / 6.0) ** 2) + 0.4j * labels)
     c = StateVector(amps, labels)
-    assert region_norm_fraction(c, (-60, -1)) == pytest.approx(0.5, abs=1e-3)
-    assert region_norm_fraction(c, (0, 59)) == pytest.approx(0.5, abs=1e-3)
-
-
-def test_region_fraction_empty_region():
-    c = StateVector(np.ones(5, dtype=complex), np.arange(5))
-    with pytest.raises(ValueError, match="no sites"):
-        region_norm_fraction(c, (10, 20))
+    reflected, transmitted, interior = region_fractions(c, -1, 0)
+    assert reflected == pytest.approx(transmitted, rel=1e-12)
+    assert interior > 0.0
+    assert reflected == pytest.approx(0.5 * (1.0 - interior), rel=1e-12)
 
 
 def test_fraction_partition_sums_to_one():
     labels = np.arange(-20, 21)
     rng = np.random.default_rng(5)
     c = StateVector(rng.normal(size=41) + 1j * rng.normal(size=41), labels)
-    total = (region_norm_fraction(c, (-20, -8)) + region_norm_fraction(c, (-7, 7))
-             + region_norm_fraction(c, (8, 20)))
-    assert total == pytest.approx(1.0, abs=1e-10)
+    assert sum(region_fractions(c, -5, 5)) == pytest.approx(1.0, abs=1e-10)
+
+
+def _fractions_by_loop(state, barrier_lo, barrier_hi):
+    """Reflected, transmitted and interior shares, one site at a time, 3 sites of margin."""
+    weights = [abs(complex(a)) ** 2 for a in state.amplitudes.tolist()]
+    total = math.fsum(weights)
+    parts = ([], [], [])
+    for n, weight in zip(state.site_labels.tolist(), weights):
+        side = 0 if n <= barrier_lo - 3 else 1 if n >= barrier_hi + 3 else 2
+        parts[side].append(weight / total)
+    return tuple(math.fsum(part) for part in parts)
+
+
+@pytest.mark.parametrize("barrier", [
+    (-20, -20), (-19, -19), (-18, -18), (-17, -17),  # lower end: empty and one-site sides
+    (20, 20), (19, 19), (17, 17),  # upper end
+    (0, 0), (-1, 0),  # middle
+    (-5, 5), (10, 20),  # a defect pair
+], ids=str)
+def test_region_fractions_match_a_per_site_loop(barrier):
+    labels = np.arange(-20, 21)
+    rng = np.random.default_rng(17)
+    for scale in (1.0, 1e-150, 3e120):
+        c = StateVector(scale * (rng.normal(size=41) + 1j * rng.normal(size=41)), labels)
+        got = region_fractions(c, *barrier)
+        want = _fractions_by_loop(c, *barrier)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert all(isinstance(part, float) for part in got)
+
+
+def test_normalized_profile_rows_equal_one_state_calls_bitwise():
+    rng = np.random.default_rng(23)
+    scales = 10.0 ** rng.uniform(-150, 150, size=(7, 1))
+    amps = scales * (rng.normal(size=(7, 33)) + 1j * rng.normal(size=(7, 33)))
+    rho = normalized_profile(amps)
+    assert rho.shape == amps.shape
+    for k in range(len(amps)):
+        assert rho[k].tobytes() == normalized_profile(amps[k]).tobytes()
+
+
+def test_normalized_profile_of_a_strided_slice_equals_its_contiguous_copy():
+    rng = np.random.default_rng(29)
+    amps = rng.normal(size=(9, 62)) + 1j * rng.normal(size=(9, 62))
+    for strided in (amps[:, 0::2], amps[:, 1::2], amps[::2, ::-3], amps[4, 0::2]):
+        assert not strided.flags.c_contiguous
+        copy = np.ascontiguousarray(strided)
+        assert normalized_profile(strided).tobytes() == normalized_profile(copy).tobytes()
 
 
 # ---------------------------------------------------------------- reflection

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import subprocess
@@ -58,6 +59,48 @@ def test_dispersion_preset_artifacts(tmp_path, capsys):
     metrics = read_metrics(out / "metrics.txt")
     assert metrics["preset"] == "fig2"
     assert (out / "manifest.cfg").exists()
+
+
+def test_dispersion_with_no_phi_reads_back_an_empty_scan(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = dispersion_scan\ndispersion.phi_values =\n")
+    out = tmp_path / "out"
+    assert main(["dispersion", "--config", str(cfg), "--out", str(out)]) == 0
+    header, rows = read_table_csv(out / "scan.csv")
+    assert header == ("phi", "q", "reE", "imE", "vg")
+    assert rows.shape == (0, 5)
+
+
+#: a kick in the middle of a fixed 41-site chain; a test adds the defect
+EDGE_BARRIER_CFG = """\
+experiment = transport_single_site
+kappa = 1
+beta = 0.4
+gamma = 0.8
+phi = pi/2
+chain_length = 41
+index_origin = -20
+excitation.kind = single_site
+excitation.n0 = 0
+timing.t_final = 6
+timing.sample_dt = 0.25
+"""
+
+
+@pytest.mark.parametrize("site,empty", [(-19, "reflection_fraction"),
+                                        (19, "transmission_fraction")],
+                         ids=["lower end", "upper end"])
+def test_barrier_next_to_a_chain_end_reads_0_on_its_empty_side(tmp_path, site, empty):
+    # the side within REFLECTION_MARGIN = 3 sites of the barrier holds no site
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EDGE_BARRIER_CFG + f"defects = {site}:2:0\n")
+    out = tmp_path / "out"
+    assert main(["transport", "--config", str(cfg), "--out", str(out)]) == 0
+    assert f"{empty} = 0" in (out / "metrics.txt").read_text().splitlines()
+    metrics = read_metrics(out / "metrics.txt")
+    assert (metrics["barrier_lo"], metrics["barrier_hi"]) == (site, site)
+    parts = [metrics[f"{side}_fraction"] for side in ("reflection", "transmission", "interior")]
+    assert math.fsum(parts) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transport_config_run_and_artifacts(tmp_path):

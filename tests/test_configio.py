@@ -419,7 +419,10 @@ def test_csv_prints_decimal_ties_half_to_even_like_percent_g(tmp_path):
     ("0,0,1,0\n0,1,oops,0\n", "malformed row"),
     ("0,0,1,0\n0,1,1\n", "malformed row"),
     ("0,0,1,0\n0,1,1,0\n0.5,0,1,0\n", "row count 3 is not a multiple"),
-], ids=["no_rows", "bad_number", "short_row", "bad_row_count"])
+    ("0,1,1,0\n0,2,1,0\n0.25,3,1,0\n0.25,4,1,0\n", "other sites than the first"),
+    ("0,1,1,0\n0,2,1,0\n0.25,1,1,0\n0.5,2,1,0\n", "time changes within"),
+], ids=["no_rows", "bad_number", "short_row", "bad_row_count", "sites_differ",
+        "time_changes_in_a_sample"])
 def test_trajectory_csv_reader_errors_name_the_path(tmp_path, body, match):
     path = tmp_path / "bad.csv"
     path.write_text("t,site,re,im\n" + body)
@@ -429,6 +432,29 @@ def test_trajectory_csv_reader_errors_name_the_path(tmp_path, body, match):
 
 
 # ---------------------------------------------------------------- tables, metrics
+
+
+def test_header_only_table_reads_back_zero_rows_of_its_width(tmp_path):
+    path = tmp_path / "scan.csv"
+    write_table_csv((("phi", "q", "reE"), np.empty((0, 3))), path)
+    assert path.read_text() == "phi,q,reE\n"
+    header, rows = read_table_csv(path)
+    assert header == ("phi", "q", "reE")
+    assert rows.shape == (0, 3) and rows.dtype == float
+
+
+@pytest.mark.parametrize("body,lineno", [
+    ("0,1,2\n0,1\n", 3),
+    ("0,1,2\n0,1,2,3\n", 3),
+    ("0,x,2\n", 2),
+    ("0,1,2\n\n", 3),
+], ids=["short_row", "long_row", "not_a_number", "blank_line"])
+def test_table_reader_errors_name_the_path_and_line(tmp_path, body, lineno):
+    path = tmp_path / "scan.csv"
+    path.write_text("phi,q,reE\n" + body)
+    with pytest.raises(ConfigError, match=f"line {lineno}: expected 3 numbers") as err:
+        read_table_csv(path)
+    assert str(path) in str(err.value)
 
 
 def test_table_roundtrip(tmp_path):

@@ -469,12 +469,12 @@ def test_trajectory_norm_series_consistent():
 
 def test_profile_delta():
     c = StateVector(np.array([0, 1.0, 0], dtype=complex), np.arange(3))
-    assert np.array_equal(normalized_profile(c), [0, 1.0, 0])
+    assert np.array_equal(normalized_profile(c.amplitudes), [0, 1.0, 0])
 
 
 def test_profile_equal_moduli():
     c = StateVector(np.array([3.0, 3.0j]), np.array([0, 1]))
-    assert np.allclose(normalized_profile(c), [1 / math.sqrt(2)] * 2)
+    assert np.allclose(normalized_profile(c.amplitudes), [1 / math.sqrt(2)] * 2)
 
 
 def test_profile_scale_invariance():
@@ -482,12 +482,17 @@ def test_profile_scale_invariance():
     v = rng.normal(size=9) + 1j * rng.normal(size=9)
     c = StateVector(v, np.arange(9))
     scaled = StateVector(v * (0.02 - 1.7j), np.arange(9))
-    assert np.allclose(normalized_profile(c), normalized_profile(scaled), atol=1e-12)
+    assert np.allclose(normalized_profile(c.amplitudes), normalized_profile(scaled.amplitudes),
+                       atol=1e-12)
     rotated = StateVector(1j * v, np.arange(9))
-    assert np.array_equal(normalized_profile(c), normalized_profile(rotated))
+    assert np.array_equal(normalized_profile(c.amplitudes), normalized_profile(rotated.amplitudes))
 
 
 def test_profile_rejects_zero_state():
     c = StateVector(np.zeros(4, dtype=complex), np.arange(4))
     with pytest.raises(ValueError):
-        normalized_profile(c)
+        normalized_profile(c.amplitudes)
+    rows = np.ones((3, 4), dtype=complex)
+    rows[1] = 0.0  # one zero-norm sample among the rows
+    with pytest.raises(ValueError, match="zero-norm"):
+        normalized_profile(rows)

@@ -298,7 +298,7 @@ def test_reduction_hermitian_limit_real_detuning():
     full_traj = nh.evolve_exact(h_full, nh.StateVector(psi0, h_full.site_labels), 8.0, 0.5)
     a_amps = full_traj.amplitudes[:, 0::2]
     rho_a = np.abs(a_amps) / np.sqrt(np.sum(np.abs(a_amps) ** 2, axis=1))[:, None]
-    rho_eff = nh.normalized_profile_matrix(eff_traj)
+    rho_eff = nh.normalized_profile(eff_traj.amplitudes)
     assert float(np.max(np.abs(rho_a - rho_eff))) < 0.02
 
 
@@ -317,7 +317,7 @@ def test_reduction_requires_positive_beta():
 def test_fig3d_beam_stripe_slope(preset_results):
     result, _ = preset_results("fig3d")
     tr = result.trajectory
-    rho = nh.normalized_profile_matrix(tr)
+    rho = nh.normalized_profile(tr.amplitudes)
     mask = tr.times >= 10.0
     brightest = tr.site_labels[np.argmax(rho[mask], axis=1)]
     slope = np.polyfit(tr.times[mask], brightest, 1)[0]
@@ -334,7 +334,7 @@ def test_storage_baseline_offset_leaves_weak_release(preset_results):
 def test_storage_confinement_invariant(preset_results):
     result, _ = preset_results("fig6a")
     tr = result.trajectory
-    rho2 = nh.normalized_profile_matrix(tr) ** 2
+    rho2 = nh.normalized_profile(tr.amplitudes) ** 2
     inside = np.abs(tr.site_labels) <= 5  # n_half + 2
     frac_inside = rho2[:, inside].sum(axis=1)
     cents = nh.centroid_series(tr)

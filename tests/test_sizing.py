@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from nhlattice import (DefectSpec, ExcitationSpec, ExperimentConfig, StorageParams, Timing,
-                       normalized_profile_matrix, preset_config, run_experiment)
+                       normalized_profile, preset_config, run_experiment)
 from nhlattice._sizing import EDGE_FRACTION_LIMIT, SIZE_INTENSITY_FLOOR, reach
 
 import reference
@@ -81,7 +81,7 @@ def _check_against_wider_run(result, config, wide_lo, wide_hi, tol=METRIC_REL_TO
         return
     wide = run_experiment(replace(config, chain_length=wide_hi - wide_lo + 1, index_origin=wide_lo))
     labels = wide.trajectory.site_labels
-    peak = np.max(normalized_profile_matrix(wide.trajectory) ** 2, axis=0)
+    peak = np.max(normalized_profile(wide.trajectory.amplitudes) ** 2, axis=0)
     outside = (labels < lo) | (labels > hi)
     assert float(np.max(peak[outside])) <= 0.5 * EDGE_FRACTION_LIMIT, (lo, hi)
     if lit:
