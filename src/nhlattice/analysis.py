@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import StateVector, Trajectory
-from .lattice import reduce_phase
+from .lattice import _check_options, reduce_phase
 
 __all__ = [
     "ExcitationSpec",
@@ -61,8 +61,7 @@ class ExcitationSpec:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("single_site", "gaussian"):
-            raise ValueError(f"kind must be 'single_site' or 'gaussian', got {self.kind!r}")
+        _check_options(self)
         if self.kind == "single_site":  # a site kick has no width or wavenumber
             object.__setattr__(self, "w0", None)
             object.__setattr__(self, "q0", None)

@@ -9,9 +9,11 @@ configs).  Exit codes: 0 success, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
+import os
+import shutil
 import signal
 import sys
+import tempfile
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -83,44 +85,37 @@ def _load_config(args) -> protocols.ExperimentConfig:
 _ARTIFACTS = ("trajectory.csv", "manifest.cfg", "metrics.txt", "scan.csv", "heatmap.svg")
 
 
-def _write_artifacts(result, out_dir: Path, fmt: str, written: list) -> None:
-    """Write the result's artifacts, adding each one's path to ``written`` once it is whole."""
+def _write_artifacts(result, out_dir: Path, fmt: str) -> None:
+    """Write the result's artifacts into ``out_dir``, making it if need be."""
     csv, manifest, metrics, scan, svg = (out_dir / name for name in _ARTIFACTS)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if result.trajectory is not None:  # first: a run stopped in this long write leaves no file
+    if result.trajectory is not None:
         configio.write_trajectory_csv(result.trajectory, csv)
-        written.append(csv)
     configio.write_text_atomic(manifest, result.manifest)
-    written.append(manifest)
     configio.write_metrics(result.metrics, metrics)
-    written.append(metrics)
     if result.table is not None:
         configio.write_table_csv(result.table, scan)
-        written.append(scan)
     if result.trajectory is not None and fmt == "csv+svg":
         title = result.config.preset or result.config.experiment
         configio.write_text_atomic(svg, render_heatmap(result.trajectory, title=title))
-        written.append(svg)
 
 
 def _run(args) -> int:
-    config = protocols.resolve_config(_load_config(args))  # config errors before any write
+    result = protocols.run_experiment(_load_config(args))  # config errors before any write
     out_dir = Path(args.out)
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
-    written = []
+    # one stage on --out's filesystem: a failed or stopped run leaves --out as it was
+    base = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    rel = out_dir.relative_to(base)
+    stage = Path(tempfile.mkdtemp(prefix=".nhlattice-", dir=base))
     try:
-        result = protocols.run_experiment(config)
-        _write_artifacts(result, out_dir, args.format, written)
-    except BaseException:
-        for path in written if out_dir in made else ():  # a pre-existing --out keeps them
-            with contextlib.suppress(OSError):
-                path.unlink()
-        for d in made:  # leave no directory this run made; one holding other files stays
-            with contextlib.suppress(OSError):
-                d.rmdir()
-        raise
-    print(f"wrote {args.out} ({result.metrics['experiment']}, "
-          f"preset={result.metrics['preset']})")
+        _write_artifacts(result, stage / rel, args.format)
+        if rel.parts:  # a missing --out arrives whole, with its first missing parent
+            os.rename(stage / rel.parts[0], base / rel.parts[0])
+        else:  # an existing --out: replace the artifacts one by one; other files stay
+            for path in stage.iterdir():
+                os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    print(f"wrote {args.out} ({result.metrics['experiment']}, preset={result.metrics['preset']})")
     return 0
 
 
@@ -133,7 +128,6 @@ def _preset_command(args) -> int:
     text = configio.render_config(config)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         configio.write_text_atomic(out / f"{args.name}.cfg", text)
         print(f"wrote {out / (args.name + '.cfg')}")
     else:
@@ -144,8 +138,8 @@ def _preset_command(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # SIGTERM exits 143 through SystemExit, so a killed run cleans up as a
-    # failed one does; only the main thread may set a handler
+    # SIGTERM exits 143 through SystemExit, so a killed run removes its stage
+    # as a failed one does; only the main thread may set a handler
     on_main = threading.current_thread() is threading.main_thread()
     if on_main:
         previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))

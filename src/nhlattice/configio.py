@@ -463,12 +463,16 @@ def read_trajectory_csv(path, method_tag: str = METHOD_TAG):
         raise ConfigError(f"{path}: a sample lists other sites than the first sample's")
     if np.any(data[:, :, 0] != data[:, :1, 0]):
         raise ConfigError(f"{path}: the time changes within a sample's {n_sites} rows")
+    sites = data[0, :, 1]
+    if not (np.all(np.abs(sites) < 2.0**53) and np.all(sites == np.round(sites))
+            and np.all(np.diff(sites) > 0)):
+        raise ConfigError(f"{path}: the site labels are not increasing integers")
     amps = np.empty(data.shape[:2], dtype=complex)
     amps.real = data[:, :, 2]
     amps.imag = data[:, :, 3]
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     return Trajectory(times=data[:, 0, 0].copy(), amplitudes=amps,
-                      site_labels=data[0, :, 1].astype(int), norm_series=norms,
+                      site_labels=sites.astype(int), norm_series=norms,
                       method_tag=method_tag)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse
@@ -55,6 +55,14 @@ def reduce_phase(phi: float) -> float:
     if r <= -math.pi:
         r += 2.0 * math.pi
     return r
+
+
+def _check_options(spec) -> None:
+    """Reject a value outside the options its field's metadata declares."""
+    for f in fields(spec):
+        options = f.metadata.get("options")
+        if options and getattr(spec, f.name) not in options:
+            raise ValueError(f"bad {f.name} {getattr(spec, f.name)!r}")
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -90,10 +98,11 @@ class ChainSpec:
     phi: float
     n_sites: int
     index_origin: int = 0
-    boundary: str = "open"
+    boundary: str = field(default="open", metadata={"options": ("open", "periodic")})
     defects: tuple = ()
 
     def __post_init__(self):
+        _check_options(self)
         for name in ("kappa", "beta", "gamma"):
             _require_finite(name, getattr(self, name))
         if self.kappa <= 0:
@@ -102,8 +111,6 @@ class ChainSpec:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
-        if self.boundary not in ("open", "periodic"):
-            raise ValueError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         if self.boundary == "periodic" and self.n_sites < 3:
             raise ValueError("periodic chains need n_sites >= 3 (a 2-ring double-couples one pair)")
         object.__setattr__(self, "phi", reduce_phase(self.phi))

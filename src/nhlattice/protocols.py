@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .lattice import (
     DefectSpec,
     SandwichSpec,
     SawtoothSpec,
+    _check_options,
     build_chain_hamiltonian,
     build_sandwich_hamiltonian,
     build_sawtooth_hamiltonian,
@@ -81,14 +82,6 @@ EXPERIMENTS = (
 
 #: a sawtooth whose adiabaticity_ratio exceeds this is flagged as unreliably reduced
 ADIABATICITY_WARN_THRESHOLD = 0.2
-
-
-def _check_options(config) -> None:
-    """Reject a value outside the options its field's metadata declares."""
-    for f in fields(config):
-        options = f.metadata.get("options")
-        if options and getattr(config, f.name) not in options:
-            raise ValueError(f"bad {f.name} {getattr(config, f.name)!r}")
 
 
 @dataclass(frozen=True)

@@ -345,14 +345,19 @@ def test_too_many_sub_steps_exits_3_at_once(tmp_path, line):
 
 
 #: the CLI in a child that, at a stage argv[1] names, prints "paused" on
-#: stderr and sleeps until a signal ends it
+#: stderr and sleeps until a signal ends it; an artifact's name pauses it
+#: just before that artifact's write begins
 PAUSING_CLI = """\
 import sys, time
 from nhlattice import cli, configio, dynamics
 
 owner, name, at = {"propagation": (dynamics._Stepper, "__call__", 10),
                    "csv_write": (configio, "_format_values", 1),
-                   "heatmap": (cli, "render_heatmap", 1)}[sys.argv.pop(1)]
+                   "heatmap": (cli, "render_heatmap", 1),
+                   "trajectory.csv": (configio, "_atomic", 1),
+                   "manifest.cfg": (configio, "_atomic", 2),
+                   "metrics.txt": (configio, "_atomic", 3),
+                   "heatmap.svg": (configio, "_atomic", 4)}[sys.argv.pop(1)]
 real, calls = getattr(owner, name), []
 
 def paused(*args, **kwargs):
@@ -368,44 +373,92 @@ sys.exit(cli.main())
 """
 
 
+def _files(root):
+    """Each file under ``root`` with its bytes, leaving out a run's stage; None: no ``root``."""
+    if not root.exists():
+        return None
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and ".nhlattice-" not in p.relative_to(root).as_posix()}
+
+
 def _sigterm_when_paused(tmp_path, stage, *extra):
-    """Run FAST_TRANSPORT_CFG, paused at ``stage``; SIGTERM it there and check it exits 143."""
+    """Run FAST_TRANSPORT_CFG into tmp_path/o/nested, paused at ``stage``; SIGTERM it there.
+
+    It must exit 143, and tmp_path/o must hold the same files at the pause
+    and after the exit as before the run.  Returns the files the run's stage
+    held at the pause (None: no stage yet).
+    """
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_TRANSPORT_CFG)
-    out = tmp_path / "o" / "nested"
+    before = _files(tmp_path / "o")
     proc = subprocess.Popen([sys.executable, "-c", PAUSING_CLI, stage, "transport",
-                             "--config", str(cfg), "--out", str(out), *extra],
-                            env=_CHILD_ENV, stderr=subprocess.PIPE, text=True)
+                             "--config", str(cfg), "--out", str(tmp_path / "o" / "nested"),
+                             *extra], env=_CHILD_ENV, stderr=subprocess.PIPE, text=True)
     try:
         assert proc.stderr.readline() == "paused\n"
-        written = sorted(p.name for p in out.iterdir()) if out.exists() else None
+        assert _files(tmp_path / "o") == before
+        stages = list(tmp_path.rglob(".nhlattice-*"))
+        staged = sorted(p.name for p in stages[0].rglob("*") if p.is_file()) if stages else None
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=30)
     finally:
         proc.kill()
         proc.wait()
     assert proc.returncode == 143, err
-    _assert_left_nothing(tmp_path, tmp_path / "o")
-    return written
+    _assert_left_nothing(tmp_path, tmp_path / "o", before)
+    return staged
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
 def test_sigterm_exits_143_and_leaves_nothing(tmp_path):
-    # stopped in the CSV write, with --out made and the CSV's temp file in it
-    [written] = _sigterm_when_paused(tmp_path, "csv_write")
-    assert written.startswith("trajectory.csv") and written.endswith(".tmp")
+    # stopped in the CSV write: its temp file is in the stage, and --out is not made yet
+    [staged] = _sigterm_when_paused(tmp_path, "csv_write")
+    assert staged.startswith("trajectory.csv") and staged.endswith(".tmp")
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
 def test_sigterm_during_propagation_exits_143_and_leaves_nothing(tmp_path):
-    assert _sigterm_when_paused(tmp_path, "propagation") is None  # before --out is made
+    assert _sigterm_when_paused(tmp_path, "propagation") is None  # before the stage is made
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
 def test_sigterm_during_heatmap_exits_143_and_leaves_nothing(tmp_path):
-    # stopped after the CSV, manifest and metrics are whole in the --out it made
-    written = _sigterm_when_paused(tmp_path, "heatmap", "--format", "csv+svg")
-    assert written == ["manifest.cfg", "metrics.txt", "trajectory.csv"]
+    # stopped after the CSV, manifest and metrics are whole in the stage, not in --out
+    staged = _sigterm_when_paused(tmp_path, "heatmap", "--format", "csv+svg")
+    assert staged == ["manifest.cfg", "metrics.txt", "trajectory.csv"]
+
+
+_CSV_SVG = ("trajectory.csv", "manifest.cfg", "metrics.txt", "heatmap.svg")  # in write order
+
+
+def _existing_out(tmp_path, out):
+    """Fill ``out`` with a complete csv+svg artifact set of another run, and a notes.txt."""
+    cfg = _write_config_with(tmp_path, "timing.t_final = 4")
+    assert main(["transport", "--config", str(cfg), "--out", str(out),
+                 "--format", "csv+svg"]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert sorted(_files(out)) == sorted([*_CSV_SVG, "notes.txt"])
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM is TerminateProcess there")
+@pytest.mark.parametrize("existing", [False, True], ids=["made out", "existing out"])
+@pytest.mark.parametrize("artifact", _CSV_SVG)
+def test_sigterm_at_each_artifact_write_leaves_out_as_it_was(tmp_path, artifact, existing):
+    if existing:
+        _existing_out(tmp_path, tmp_path / "o" / "nested")
+    staged = _sigterm_when_paused(tmp_path, artifact, "--format", "csv+svg")
+    assert staged == sorted(_CSV_SVG[:_CSV_SVG.index(artifact)])
+
+
+def test_run_into_an_existing_out_replaces_its_artifacts_and_keeps_other_files(tmp_path):
+    _existing_out(tmp_path, tmp_path / "o")
+    assert _run_fast_transport_with(tmp_path, "", "--format", "csv+svg") == 0
+    assert main(["transport", "--config", str(tmp_path / "run.cfg"),
+                 "--out", str(tmp_path / "fresh"), "--format", "csv+svg"]) == 0
+    after = _files(tmp_path / "o")
+    assert after.pop("notes.txt") == b"kept"
+    assert after == _files(tmp_path / "fresh")
+    assert list(tmp_path.rglob(".nhlattice-*")) == []
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["made out", "existing out"])
@@ -416,16 +469,12 @@ def test_failed_heatmap_removes_only_what_the_run_wrote_into_an_out_it_made(tmp_
 
     monkeypatch.setattr("nhlattice.cli.render_heatmap", broken)
     out = tmp_path / "o"
-    if existing:  # its own files stay, and so do the artifacts this run completed
+    if existing:  # it keeps exactly its own files; the run's finished artifacts never reach it
         out.mkdir()
         (out / "notes.txt").write_text("kept")
     with pytest.raises(RuntimeError, match="render failed"):
         _run_fast_transport_with(tmp_path, "", "--format", "csv+svg")
-    if existing:
-        assert sorted(p.name for p in out.iterdir()) == [
-            "manifest.cfg", "metrics.txt", "notes.txt", "trajectory.csv"]
-    else:
-        _assert_left_nothing(tmp_path, out)
+    _assert_left_nothing(tmp_path, out, {"notes.txt": b"kept"} if existing else None)
 
 
 def test_sigterm_handler_restored_and_main_runs_off_the_main_thread(capsys):
@@ -440,10 +489,12 @@ def test_sigterm_handler_restored_and_main_runs_off_the_main_thread(capsys):
     assert signal.getsignal(signal.SIGTERM) is before
 
 
-def _assert_left_nothing(tmp_path, out):
-    """No --out directory, no temp file and no child process after a failed run."""
-    assert not out.exists()
+def _assert_left_nothing(tmp_path, out, before=None):
+    """After a failed run: no --out, or one holding just the files ``before`` names; no temp
+    file, no stage and no child process."""
+    assert _files(out) == before
     assert list(tmp_path.rglob("*.tmp")) == []
+    assert list(tmp_path.rglob(".nhlattice-*")) == []
     if hasattr(os, "fork"):
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

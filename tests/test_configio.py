@@ -421,8 +421,11 @@ def test_csv_prints_decimal_ties_half_to_even_like_percent_g(tmp_path):
     ("0,0,1,0\n0,1,1,0\n0.5,0,1,0\n", "row count 3 is not a multiple"),
     ("0,1,1,0\n0,2,1,0\n0.25,3,1,0\n0.25,4,1,0\n", "other sites than the first"),
     ("0,1,1,0\n0,2,1,0\n0.25,1,1,0\n0.5,2,1,0\n", "time changes within"),
+    ("0,1.5,1,0\n0,1.5,1,0\n0.25,1.5,1,0\n0.25,1.5,1,0\n", "not increasing integers"),
+    ("0,2,1,0\n0,1,1,0\n0.25,2,1,0\n0.25,1,1,0\n", "not increasing integers"),
+    ("0,1e300,1,0\n0.25,1e300,1,0\n", "not increasing integers"),
 ], ids=["no_rows", "bad_number", "short_row", "bad_row_count", "sites_differ",
-        "time_changes_in_a_sample"])
+        "time_changes_in_a_sample", "fractional_repeated_sites", "decreasing_sites", "huge_site"])
 def test_trajectory_csv_reader_errors_name_the_path(tmp_path, body, match):
     path = tmp_path / "bad.csv"
     path.write_text("t,site,re,im\n" + body)
