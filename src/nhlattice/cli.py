@@ -99,11 +99,20 @@ def _write_artifacts(result, out_dir: Path, fmt: str) -> None:
         configio.write_text_atomic(svg, render_heatmap(result.trajectory, title=title))
 
 
+def _deepest_existing(out_dir: Path) -> Path:
+    """The deepest existing path among out_dir and its parents, which must be a directory."""
+    base = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not base.is_dir():
+        raise ConfigError(f"--out: {str(base)!r} is not a directory")
+    return base
+
+
 def _run(args) -> int:
-    result = protocols.run_experiment(_load_config(args))  # config errors before any write
+    config = _load_config(args)
     out_dir = Path(args.out)
     # one stage on --out's filesystem: a failed or stopped run leaves --out as it was
-    base = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    base = _deepest_existing(out_dir)  # checked, as the config is, before the run and any write
+    result = protocols.run_experiment(config)
     rel = out_dir.relative_to(base)
     stage = Path(tempfile.mkdtemp(prefix=".nhlattice-", dir=base))
     try:
@@ -128,6 +137,7 @@ def _preset_command(args) -> int:
     text = configio.render_config(config)
     if args.out:
         out = Path(args.out)
+        _deepest_existing(out)
         configio.write_text_atomic(out / f"{args.name}.cfg", text)
         print(f"wrote {out / (args.name + '.cfg')}")
     else:

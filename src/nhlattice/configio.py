@@ -21,7 +21,6 @@ import hashlib
 import math
 import os
 import re
-import tempfile
 import typing
 from pathlib import Path
 
@@ -286,10 +285,15 @@ def config_hash(manifest_text: str) -> str:
 
 @contextlib.contextmanager
 def _atomic(path):
-    """A binary file that replaces ``path`` once written whole; a temp file until then."""
+    """A binary file that replaces ``path`` once written whole; a temp file until then.
+
+    The temp file is created new and exclusive, as by mkstemp, but with mode
+    0o666 less the umask, as by ``open()``: mkstemp's 0o600 would hide every
+    artifact from the other users of a shared directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -437,7 +441,7 @@ def write_trajectory_csv(traj, path) -> None:
                 len(chunk), len(sites), 64)
             rows[:, :, lead + 31] = ord(",")
             rows[:, :, -1] = ord("\n")
-            fh.write(rows[rows != 0].tobytes())
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def read_trajectory_csv(path, method_tag: str = METHOD_TAG):

@@ -5,9 +5,10 @@ propagator, algorithm 3.2 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2),
 It is the arithmetic of ``scipy.sparse.linalg.expm_multiply``, so states are
 bit-identical to calling it gap by gap, but the set-up scipy redoes on every
 call (trace shift, shifted matrix, 1-norm, Taylor degree and scaling) is done
-once per distinct step length and kept.  The theta_m table that picks the
-Taylor degree is a copy of scipy's, so importing this module loads
-scipy.sparse but not scipy.sparse.linalg or scipy.linalg.
+once per distinct step length and kept.  That set-up is numpy on the
+Operator's CSR arrays, in the order and rounding of scipy's sparse kernels
+(_trace_shift), and the theta_m table that picks the Taylor degree is a copy
+of scipy's, so no scipy package is imported.
 
 Each Taylor term costs a product through scipy's CSR kernel (see
 Operator.matvec) and one max|b|.  max|f| enters only scipy's stop test,
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .lattice import Operator
 
@@ -159,11 +159,30 @@ class Trajectory:
         return int(np.argmin(np.abs(self.times - t)))
 
 
-def _trace_shift(a) -> tuple:
-    """scipy's trace shift mu = trace(a)/n, a - mu*I, and the exact 1-norm of a - mu*I."""
-    mu = a.trace() / float(a.shape[0])
-    shifted = a - mu * scipy.sparse.eye_array(a.shape[0], dtype=complex, format="csr")
-    return mu, shifted, float(abs(shifted).sum(axis=0).max())
+def _trace_shift(a: Operator) -> tuple:
+    """scipy's trace shift of a, in scipy's arithmetic: mu = a.trace()/n, the
+    CSR arrays of a - mu*eye_array(n) and the exact 1-norm of that, its
+    abs(...).sum(axis=0).max()."""
+    n = a.dim
+    keys = np.repeat(np.arange(n), np.diff(a.indptr)) * n + a.indices  # ascending, row-major
+    diag_keys = np.arange(n) * (n + 1)
+    at = np.searchsorted(keys, diag_keys)  # each row's diagonal entry, or where it would go
+    absent = np.append(keys, -1)[at] != diag_keys
+    diag = np.zeros(n, dtype=complex)
+    diag[~absent] = a.data[at[~absent]]
+    mu = (0 + diag).sum() / float(n)  # csr_diagonal adds each entry to 0: -0.0 parts turn +0.0
+    # csr_binop_csr merges rows in column order: a_ij - 0 off the diagonal,
+    # a_ii - 1*mu on it (0 - 1*mu where absent), and drops what comes out 0
+    data = np.insert(a.data, at[absent], 0)
+    indices = np.insert(a.indices, at[absent], np.flatnonzero(absent))
+    inserted = np.concatenate(([0], np.cumsum(absent)))  # before each row
+    data[at + inserted[:-1]] = diag - np.ones(1, dtype=complex) * mu
+    keep = data != 0
+    indptr = np.concatenate(([0], np.cumsum(keep)))[a.indptr + inserted].astype(a.indptr.dtype)
+    data, indices = data[keep], indices[keep]
+    # ones @ |a - mu*I| sums each column from 0 in row order, as bincount does
+    norm = float(np.bincount(indices, np.abs(data), minlength=n).max())
+    return mu, (data, indices, indptr), norm
 
 
 class _Step:
@@ -172,7 +191,7 @@ class _Step:
     the shifted operator a - mu*I, its exact 1-norm, the degree m_star and
     scaling s of fragment 3.1, and eta = exp(mu/s)."""
 
-    def __init__(self, a, site_labels):
+    def __init__(self, a: Operator):
         mu, shifted, norm = _trace_shift(a)
         # norm <= STEP_NORM_LIMIT keeps fragment 3.1 in its condition (3.13)
         # branch: the first theta-table degree m minimising m*ceil(norm/theta_m)
@@ -181,7 +200,7 @@ class _Step:
         else:
             m_star = min(_THETA, key=lambda m: m * math.ceil(norm / _THETA[m]))
             s = math.ceil(norm / _THETA[m_star])
-        self.op = Operator(shifted, site_labels)
+        self.op = Operator(*shifted, a.site_labels)
         self.s = s
         self.coeffs = [1.0 / float(s * (j + 1)) for j in range(m_star)]
         self.eta = np.exp(1.0 * mu / float(s))  # scipy's exp(t*mu/s) at t = 1
@@ -236,7 +255,7 @@ class _Stepper:
 
     def __init__(self, h):
         self.h = h
-        self.shifted_norm = _trace_shift(h.matrix)[2]
+        self.shifted_norm = _trace_shift(h)[2]
         self.steps = {}
 
     def __call__(self, gap: float, state: np.ndarray) -> np.ndarray:
@@ -246,7 +265,9 @@ class _Stepper:
                 raise StepCountError(f"a sample gap of {gap!r} needs {n:.3g} sub-steps (limit "
                                      f"{MAX_SUB_STEPS}): the rates are too large to finish")
             n = max(1, math.ceil(n))
-            self.steps[gap] = (_Step(self.h.matrix * (-1j * gap / n), self.h.site_labels), n)
+            h = self.h  # scipy's csr * scalar: each entry times it, the structure kept
+            self.steps[gap] = (_Step(Operator(h.data * (-1j * gap / n), h.indices, h.indptr,
+                                              h.site_labels)), n)
         step, n = self.steps[gap]
         for _ in range(n):
             state = step(state)

@@ -17,19 +17,23 @@ Convention throughout::
 with row n of H holding the coefficients of the evolution equation of
 site n.  All builders are pure functions of their specs; every value is
 immutable after construction and safe to share between workers.
+
+An Operator holds H as its CSR arrays.  Its product runs scipy's compiled
+CSR kernel, loaded from the kernel's own extension file: no scipy package
+(``scipy``, ``scipy.sparse``) is imported, which would be most of a run's
+start-up.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse
-# the C++ CSR product kernel behind ``csr_array @ x``; ``import scipy.sparse``
-# has already loaded it
-from scipy.sparse._sparsetools import csr_matvec
 
 __all__ = [
     "DefectSpec",
@@ -211,27 +215,71 @@ class SandwichSpec:
             )
 
 
+def _load_csr_matvec():
+    """scipy's C++ CSR product kernel, the one ``csr_array @ x`` ends in,
+    loaded from its extension file so that neither ``scipy/__init__`` nor
+    ``scipy.sparse`` runs; only where no such file exists is it imported
+    through the package."""
+    scipy_spec = importlib.util.find_spec("scipy")  # locates scipy without running it
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if scipy_spec else ():
+        path = os.path.join(scipy_spec.submodule_search_locations[0], "sparse",
+                            "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.sparse._sparsetools", path)
+            kernel = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(kernel)
+            return kernel.csr_matvec
+    from scipy.sparse._sparsetools import csr_matvec
+    return csr_matvec
+
+
+_csr_matvec = _load_csr_matvec()
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Sparse complex operator H on labeled sites: row n of ``matrix``
-    holds the coefficients of the evolution equation of site n."""
+    """Sparse complex operator H on labeled sites, as CSR arrays: row n holds
+    the coefficients of the evolution equation of site n, in ``data`` at the
+    places ``indptr[n]:indptr[n + 1]``, at the columns ``indices`` there."""
 
-    matrix: scipy.sparse.csr_array
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     site_labels: np.ndarray
 
     def __post_init__(self):
-        matrix = scipy.sparse.csr_array(self.matrix, dtype=complex)
+        # matvec's kernel reads without bounds checks: every index is checked here
+        data = np.ascontiguousarray(self.data, dtype=complex)
+        indices, indptr = np.ascontiguousarray(self.indices), np.ascontiguousarray(self.indptr)
         labels = np.ascontiguousarray(self.site_labels, dtype=int)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {matrix.shape}")
-        if labels.shape != (matrix.shape[0],):
-            raise ValueError(f"site_labels must have length {matrix.shape[0]}")
-        if not np.all(np.isfinite(matrix.data)):
+        if indices.dtype.kind != "i" or indptr.dtype.kind != "i":
+            raise ValueError("indices and indptr must be integer arrays")
+        index_dtype = np.result_type(np.int32, indices, indptr)  # one the kernel takes
+        indices, indptr = (a.astype(index_dtype, copy=False) for a in (indices, indptr))
+        n = labels.size
+        if labels.ndim != 1:
+            raise ValueError(f"site_labels must be a 1-D array, got shape {labels.shape}")
+        if data.ndim != 1 or indices.shape != data.shape:
+            raise ValueError(f"data and indices must be 1-D arrays of equal length, got shapes "
+                             f"{data.shape} and {indices.shape}")
+        if indptr.shape != (n + 1,):
+            raise ValueError(f"indptr must have len(site_labels) + 1 = {n + 1} entries, "
+                             f"got shape {indptr.shape}")
+        if indptr[0] != 0 or indptr[-1] != data.size or np.any(np.diff(indptr) < 0):
+            raise ValueError(f"indptr must rise from 0 to the entry count {data.size}")
+        if data.size and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError(f"column indices must lie in [0, {n})")
+        rising = np.diff(indices) > 0
+        starts = indptr[1:-1]  # where each row after the first begins
+        rising[starts[(starts > 0) & (starts < data.size)] - 1] = True  # no order across rows
+        if not rising.all():
+            raise ValueError("each row's column indices must strictly ascend")
+        if not np.all(np.isfinite(data)):
             raise ValueError("operator entries must be finite")
-        for arr in (matrix.data, matrix.indices, matrix.indptr, labels):
+        for name, arr in (("data", data), ("indices", indices), ("indptr", indptr),
+                          ("site_labels", labels)):
             arr.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "site_labels", labels)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -240,23 +288,23 @@ class Operator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H @ x for an array x of shape (dim,), as complex128.
 
-        Calls the kernel that ``matrix @ x`` ends in, with the same zeroed
-        complex output, so the bytes are the same; it skips scipy's dispatch,
-        which costs as much as the product on a few hundred sites.  The kernel
-        reads x without bounds checks, hence the shape check."""
+        Calls the kernel that scipy's ``csr_array @ x`` ends in, with the same
+        zeroed complex output, so the bytes are the same; it skips scipy's
+        dispatch, which costs as much as the product on a few hundred sites.
+        The kernel reads x without bounds checks, hence the shape check."""
         n = self.dim
         if x.shape != (n,):
             raise ValueError(f"matvec needs an array of shape ({n},), got {x.shape}")
         out = np.zeros(n, dtype=complex)
-        m = self.matrix
-        csr_matvec(n, n, m.indptr, m.indices, m.data, x, out)
+        _csr_matvec(n, n, self.indptr, self.indices, self.data, x, out)
         return out
 
 
-def _banded_csr(bands, offsets, n: int) -> scipy.sparse.csr_array:
-    """The n x n CSR array with bands[k] (one value, or one per cell) along
-    diagonal offsets[k]: the arrays ``diags_array`` gives, filled in place
-    without its DIA and COO copies.  Offsets ascend, so each row's columns do."""
+def _banded_csr(bands, offsets, n: int) -> tuple:
+    """The CSR arrays (data, indices, indptr) of the n x n matrix with
+    bands[k] (one value, or one per cell) along diagonal offsets[k]: the
+    arrays scipy's ``diags_array`` gives, filled in place.  Offsets ascend,
+    so each row's columns do."""
     rows = [slice(max(0, -k), n - max(0, k)) for k in offsets]
     bands = [np.broadcast_to(band, (r.stop - r.start,)) for band, r in zip(bands, rows)]
     keep = np.zeros((n, len(offsets)), dtype=bool)  # exact zeros and cells off the matrix drop
@@ -269,7 +317,7 @@ def _banded_csr(bands, offsets, n: int) -> scipy.sparse.csr_array:
         data[slot[r, j][keep[r, j]] - 1] = band[keep[r, j]]
     indices = (np.arange(n, dtype=index_dtype)[:, None] + np.array(offsets, index_dtype))[keep]
     indptr = np.concatenate((np.zeros(1, dtype=index_dtype), slot[:, -1]))
-    return scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
+    return data, indices, indptr
 
 
 def build_chain_hamiltonian(spec: ChainSpec) -> Operator:
@@ -290,7 +338,7 @@ def build_chain_hamiltonian(spec: ChainSpec) -> Operator:
     if spec.boundary == "periodic":
         # last row to its wrapped right neighbour, row 0 to its wrapped left one
         bands, offsets = [hop_up, *bands, hop_dn], [1 - n, *offsets, n - 1]
-    return Operator(_banded_csr(bands, offsets, n), spec.site_labels)
+    return Operator(*_banded_csr(bands, offsets, n), spec.site_labels)
 
 
 def build_sawtooth_hamiltonian(spec: SawtoothSpec) -> Operator:
@@ -308,7 +356,7 @@ def build_sawtooth_hamiltonian(spec: SawtoothSpec) -> Operator:
     band_2 = np.zeros(dim - 2, dtype=complex)
     band_2[0::2] = spec.kappa  # a_n <-> a_{n+1}; b rows have no second-neighbour coupling
     bands = (band_2, spec.j * phase.conjugate(), diag, spec.j * phase, band_2)
-    return Operator(_banded_csr(bands, (-2, -1, 0, 1, 2), dim), np.arange(dim))
+    return Operator(*_banded_csr(bands, (-2, -1, 0, 1, 2), dim), np.arange(dim))
 
 
 def build_sandwich_hamiltonian(spec: SandwichSpec) -> Operator:
@@ -325,7 +373,7 @@ def build_sandwich_hamiltonian(spec: SandwichSpec) -> Operator:
     to_next = np.select([n < -m, n < m], [hop_q_minus, kap], hop_q_plus)  # coefficient of c_{n+1}
     to_prev = np.select([n <= -m, n <= m], [hop_q_plus, kap], hop_q_minus)  # of c_{n-1}
     diag = np.select([np.abs(n) < m, np.abs(n) == m], [0j, defect], -1j * ch.gamma)
-    return Operator(_banded_csr((to_prev[1:], diag, to_next[:-1]), (-1, 0, 1), len(n)), n)
+    return Operator(*_banded_csr((to_prev[1:], diag, to_next[:-1]), (-1, 0, 1), len(n)), n)
 
 
 def dispersion(kappa: float, beta: float, gamma: float, phi: float, q):

@@ -4,7 +4,8 @@ builders are checked against, plus a fixed-step RK4, a dense-expm schedule
 propagator, a gap-by-gap ``scipy.sparse.linalg.expm_multiply`` propagator
 and the closed-form Bessel propagator of the infinite homogeneous chain for
 the dynamics, a per-element trajectory CSV writer, and scipy's ``curve_fit``
-for the Gaussian fit; they share no code with the package."""
+for the Gaussian fit; they share no code with the package.  The tests reach
+scipy's sparse arrays through the two adapters ``operator`` and ``csr``."""
 
 import cmath
 import math
@@ -16,6 +17,19 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.special import jv
+
+from nhlattice.lattice import Operator
+
+
+def operator(matrix, site_labels):
+    """The package's Operator holding the CSR arrays of a scipy sparse matrix."""
+    m = scipy.sparse.csr_array(matrix, dtype=complex)
+    return Operator(m.data, m.indices, m.indptr, site_labels)
+
+
+def csr(op):
+    """The scipy csr_array on an Operator's CSR arrays."""
+    return scipy.sparse.csr_array((op.data, op.indices, op.indptr), shape=(op.dim, op.dim))
 
 
 def dense_chain(kappa, beta, gamma, phi, labels, defects=(), periodic=False):

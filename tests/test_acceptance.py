@@ -60,7 +60,7 @@ def test_c1_dispersion_vs_brute_force_eigenvalues():
     for phi in (0.0, math.pi / 4, math.pi / 2):
         spec = ChainSpec(phi=phi, n_sites=n, boundary="periodic", **NH)
         h = build_chain_hamiltonian(spec)
-        eigs = np.linalg.eigvals(h.matrix.toarray())
+        eigs = np.linalg.eigvals(reference.csr(h).toarray())
         qs = np.array([2.0 * math.pi * k / n for k in range(n)])
         qs = np.where(qs > math.pi, qs - 2.0 * math.pi, qs)
         analytic = dispersion(1.0, 0.4, 0.8, spec.phi, qs)

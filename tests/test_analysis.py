@@ -117,7 +117,7 @@ def test_centroid_within_label_range(seed):
 
 def test_centroid_velocity_stationary():
     h = build_chain_hamiltonian(ChainSpec(kappa=1, beta=0, gamma=0, phi=0, n_sites=9))
-    zero_h = type(h)(0 * h.matrix, h.site_labels)
+    zero_h = reference.operator(0 * reference.csr(h), h.site_labels)
     c0 = make_excitation(ExcitationSpec(kind="single_site", n0=4), h.site_labels)
     traj = evolve_exact(zero_h, c0, 3.0, 0.5)
     assert centroid_velocity(traj, (0.0, 3.0)) == pytest.approx(0.0, abs=1e-6)

@@ -500,6 +500,52 @@ def _assert_left_nothing(tmp_path, out, before=None):
             os.waitpid(-1, os.WNOHANG)
 
 
+#: the CLI in a child whose experiment runner exits 9 at once: a run that
+#: exits 2 under it never started the experiment
+NO_RUN_CLI = """\
+import sys
+from nhlattice import cli, protocols
+
+protocols.run_experiment = lambda config: sys.exit(9)
+sys.exit(cli.main())
+"""
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["out_is_a_file", "out_under_a_file"])
+def test_out_naming_a_file_exits_2_before_the_run(tmp_path, under):
+    (tmp_path / "F").write_text("kept")
+    out = tmp_path / "F" / under if under else tmp_path / "F"
+    proc = subprocess.run([sys.executable, "-c", NO_RUN_CLI, "dispersion", "--preset", "fig2",
+                           "--out", str(out)], env=_CHILD_ENV, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: config: --out: {str(tmp_path / 'F')!r} is not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]  # no stage, no temp file
+    assert (tmp_path / "F").read_text() == "kept"
+    # the preset command's --out is checked the same way
+    proc = subprocess.run([sys.executable, "-m", "nhlattice", "preset", "fig2", "--out", str(out)],
+                          env=_CHILD_ENV, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: config: --out: {str(tmp_path / 'F')!r} is not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no POSIX modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_artifacts_get_the_mode_open_gives_under_the_umask(tmp_path, umask):
+    # in a child, so this process's umask stays; set before any thread starts
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_TRANSPORT_CFG)
+    code = ("import os, sys; os.umask(int(sys.argv.pop(1))); from nhlattice import cli; "
+            "sys.exit(cli.main())")
+    proc = subprocess.run([sys.executable, "-c", code, str(umask), "transport", "--config",
+                           str(cfg), "--out", str(tmp_path / "o"), "--format", "csv+svg"],
+                          env=_CHILD_ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "o").iterdir()}
+    assert modes == {name: 0o666 & ~umask for name in _CSV_SVG}
+    assert (tmp_path / "o").stat().st_mode & 0o777 == 0o777 & ~umask
+
+
 def test_subcommand_experiment_mismatch_exits_2(tmp_path, capsys):
     code = main(["storage", "--preset", "fig3d", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -586,29 +632,84 @@ def test_dt_and_tfinal_overrides(tmp_path, capsys):
     assert "--dt" in capsys.readouterr().err
 
 
+#: the scipy modules a child has loaded, printed as one line
+_PRINT_SCIPY = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
 def test_cli_import_leaves_out_optimize_and_linalg():
-    # a fresh interpreter, since other tests load scipy.optimize into this one; the
-    # CSV writer's tables are built on its first write, not on import
-    code = ("import sys, nhlattice.cli, nhlattice; print(' '.join(sorted(m for m in "
-            "('scipy.optimize', 'scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules)), "
-            "nhlattice.configio._csv_tables.cache_info().currsize)")
+    # a fresh interpreter, since other tests load scipy into this one; the CSV
+    # writer's tables are built on its first write, not on import.  Of scipy
+    # only the CSR kernel's own module is loaded, from its file
+    code = ("import sys, nhlattice.cli, nhlattice; "
+            "print(nhlattice.configio._csv_tables.cache_info().currsize); " + _PRINT_SCIPY)
     proc = subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
+    assert proc.stdout.splitlines() == ["0", "scipy.sparse._sparsetools"]
 
 
 def test_storage_run_leaves_out_optimize_and_linalg(tmp_path):
     # a fresh interpreter, as above; a storage run fits the released packet's Gaussian
     code = ("import sys; from nhlattice.cli import main; "
             f"code = main(['storage', '--preset', 'fig6a', '--out', {str(tmp_path / 'out')!r}]); "
-            "print(code, *sorted(m for m in ('scipy.optimize', 'scipy.linalg', "
-            "'scipy.sparse.linalg') if m in sys.modules))")
+            "print(code); " + _PRINT_SCIPY)
     proc = subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["0"]
+    assert proc.stdout.splitlines()[-2:] == ["0", "scipy.sparse._sparsetools"]
     assert (tmp_path / "out" / "metrics.txt").is_file()
+
+
+#: a child that loads the package with scipy.sparse imported after it, before
+#: it, or with no kernel file to find (argv[1]), prints the scipy modules the
+#: package import left loaded, then the products of storage and builder
+#: operators on seeded vectors that equal csr_array @ x bytewise, of how many
+KERNEL_CHILD = """\
+import importlib.machinery, sys
+mode = sys.argv[1]
+if mode == "scipy first":
+    import scipy.sparse
+elif mode == "no kernel file":
+    importlib.machinery.EXTENSION_SUFFIXES.clear()
+import numpy as np
+import nhlattice as nh
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import reference
+ops = []
+for name in ("fig6a", "fig7"):
+    cfg = nh.protocols.resolve_config(nh.preset_config(name))
+    ops += [s.hamiltonian for s in nh.protocols._storage_schedule(cfg, cfg.storage.xi).segments]
+ops.append(nh.build_chain_hamiltonian(nh.ChainSpec(
+    kappa=1.0, beta=0.4, gamma=0.8, phi=0.7, n_sites=31, boundary="periodic",
+    defects=(nh.DefectSpec(3, 1.0, 0.4),))))
+ops.append(nh.build_sawtooth_hamiltonian(nh.SawtoothSpec(
+    kappa=1.0, j=2.0, theta=0.4, gamma_a=0.1, u_b=-40j, n_cells=16)))
+rng = np.random.default_rng(12)
+same = 0
+for h in ops:
+    for _ in range(4):
+        x = rng.normal(size=(2, h.dim)) * 10.0 ** rng.integers(-300, 300, (2, h.dim))
+        x = x[0] + 1j * x[1]
+        same += h.matvec(x).tobytes() == (reference.csr(h) @ x).tobytes()
+print(*loaded)
+print(same, 4 * len(ops))
+"""
+
+
+@pytest.mark.parametrize("mode", ["scipy after", "scipy first", "no kernel file"])
+def test_kernel_products_equal_csr_matmul_whatever_loaded_scipy(mode):
+    env = {**_CHILD_ENV, "PYTHONPATH": os.pathsep.join((str(Path(__file__).parent),
+                                                        _CHILD_ENV["PYTHONPATH"]))}
+    proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, mode], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, counts = proc.stdout.splitlines()
+    if mode == "scipy after":  # the kernel came from its file
+        assert loaded == "scipy.sparse._sparsetools"
+    else:  # the package import, made before the package or by its fallback
+        assert "scipy.sparse" in loaded.split()
+    same, total = map(int, counts.split())
+    assert same == total == 4 * 6
 
 
 def test_module_entry_point_runs():

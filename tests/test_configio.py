@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from nhlattice import (
@@ -13,7 +12,6 @@ from nhlattice import (
     ConfigError,
     ExcitationSpec,
     GainRunawayError,
-    Operator,
     StateVector,
     Trajectory,
     build_chain_hamiltonian,
@@ -310,7 +308,7 @@ def test_streamed_csv_bytes_match_reference(tmp_path, monkeypatch, cpus):
 
 def test_streamed_csv_abort_when_the_run_raises_mid_propagation(tmp_path):
     # the CSV is written only after propagation, so a run that raises leaves no file at all
-    h = Operator(scipy.sparse.csr_array(40j * np.eye(3)), np.arange(3))
+    h = reference.operator(40j * np.eye(3), np.arange(3))
     c0 = StateVector(np.ones(3, dtype=complex), np.arange(3))
     with pytest.raises(GainRunawayError):
         write_trajectory_csv(evolve_exact(h, c0, 10.0, 0.25), tmp_path / "trajectory.csv")

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from nhlattice import (
     ChainSpec,
+    DefectSpec,
     GainRunawayError,
     NormUnderflowError,
     Operator,
@@ -28,13 +29,13 @@ from nhlattice import (
 )
 
 import reference
-from nhlattice.dynamics import _THETA, STEP_NORM_LIMIT, _Step
+from nhlattice.dynamics import _THETA, STEP_NORM_LIMIT, _Step, _trace_shift
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
 
 
 def _single_site_h(value):
-    return Operator(scipy.sparse.csr_array(np.array([[value]])), np.array([0]))
+    return reference.operator(np.array([[value]]), np.array([0]))
 
 
 def _chain(n=41, phi=math.pi / 2, origin=None, **overrides):
@@ -51,7 +52,7 @@ def _delta(h, n0=0):
 
 
 def test_exact_zero_hamiltonian_is_identity():
-    h = Operator(scipy.sparse.csr_array((3, 3), dtype=complex), np.arange(3))
+    h = reference.operator(scipy.sparse.csr_array((3, 3), dtype=complex), np.arange(3))
     c0 = StateVector(np.array([0.2 + 0.1j, -0.5j, 1.0]), np.arange(3))
     traj = evolve_exact(h, c0, 2.0, 0.5)
     for k in range(traj.n_samples):
@@ -98,7 +99,7 @@ def test_exact_matches_dense_expm_for_non_dyadic_sample_dt():
     c0 = _delta(h)
     traj = evolve_exact(h, c0, 3.0, 0.3)
     assert traj.n_samples == 11
-    want = reference.expm_schedule([(0.0, h.matrix.toarray())], c0.amplitudes, traj.times)
+    want = reference.expm_schedule([(0.0, reference.csr(h).toarray())], c0.amplitudes, traj.times)
     assert np.max(np.abs(traj.amplitudes - want)) < 1e-10
 
 
@@ -136,9 +137,9 @@ def _sandwich(xi):
                                                    v_c=1.0, xi=xi))
 
 
-_ZERO = Operator(scipy.sparse.csr_array((5, 5), dtype=complex), np.arange(5))
+_ZERO = reference.operator(scipy.sparse.csr_array((5, 5), dtype=complex), np.arange(5))
 # a unit gap has shifted 1-norm 29.85, where degrees 40 and 50 tie in cost
-_TIE = Operator(scipy.sparse.csr_array(np.array([[0.0, 29.85], [29.85, 0.0]])), np.arange(2))
+_TIE = reference.operator(np.array([[0.0, 29.85], [29.85, 0.0]]), np.arange(2))
 
 
 @pytest.mark.parametrize("before,after,sample_dt", [
@@ -165,7 +166,7 @@ def test_propagator_bitwise_equals_gap_by_gap_expm_multiply(before, after, sampl
     c0 = StateVector(amps, h1.site_labels)
     traj = evolve_schedule(Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.1, h2))),
                            c0, 5.0, sample_dt)
-    want = reference.expm_multiply_schedule([(0.0, h1.matrix), (3.1, h2.matrix)],
+    want = reference.expm_multiply_schedule([(0.0, reference.csr(h1)), (3.1, reference.csr(h2))],
                                             c0.amplitudes, 5.0, sample_dt, STEP_NORM_LIMIT)
     assert traj.amplitudes.shape == want.shape
     assert traj.amplitudes.tobytes() == want.tobytes()
@@ -207,6 +208,87 @@ def test_vendored_theta_table_equals_installed_scipy():
     assert list(_THETA.items()) == list(_theta.items())
 
 
+# ---------------------------------------------------------------- trace shift
+
+
+#: entry values with exact zeros and signed-zero parts, dyadic values whose
+#: sums are exact, and values that round
+_ENTRY_VALUES = st.sampled_from([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                                 complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.8),
+                                 1.0, -2.0, 0.25j, complex(1.0, -0.5), 0.1 + 0.3j, -1 / 3])
+
+
+@st.composite
+def _random_banded_operators(draw):
+    """A CSR operator on n sites with columns within a drawn bandwidth of
+    the diagonal, each row keeping a drawn subset of them, holding values
+    from _ENTRY_VALUES, explicit zeros included.  The diagonal is drawn the
+    same way (so parts may be absent), or is full with every real part -0.0,
+    or is full with its mean one of its own entries, exactly, so that those
+    entries cancel against mu."""
+    n = draw(st.integers(1, 9))
+    band = draw(st.integers(0, n - 1))
+    diagonal = draw(st.sampled_from(("drawn", "negative zero", "cancel")))
+    if diagonal == "negative zero":  # the trace's 0 + a_ii turns each -0.0 into +0.0
+        diag = [complex(-0.0, draw(st.sampled_from([0.5, -0.8, 0.0, -0.0]))) for _ in range(n)]
+    elif diagonal == "cancel":  # m + d, m - d and m about a dyadic m: sum n*m, so mu = m
+        m = draw(st.sampled_from([0.5j, complex(-0.0, -0.75), 1.0, complex(0.25, -1.5)]))
+        diag = [m + 0.5, m - 0.5][:n] + [m] * (n - 2)
+    rows = []
+    for i in range(n):
+        cols = [j for j in range(max(0, i - band), min(n, i + band + 1))
+                if (diagonal != "drawn" and j == i) or draw(st.booleans())]
+        rows.append([(j, diag[i] if j == i and diagonal != "drawn" else draw(_ENTRY_VALUES))
+                     for j in cols])
+    data = np.array([v for row in rows for _, v in row], dtype=complex)
+    indices = np.array([j for row in rows for j, _ in row], dtype=np.int32)
+    indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows]))).astype(np.int32)
+    return Operator(data, indices, indptr, np.arange(n))
+
+
+@st.composite
+def _trace_shift_cases(draw):
+    kind = draw(st.sampled_from(("chain", "periodic_chain", "hermitian_chain", "sawtooth",
+                                 "sandwich", "random")))
+    phase = draw(st.floats(-math.pi, math.pi))
+    if kind == "random":
+        return draw(_random_banded_operators())
+    if kind == "sawtooth":
+        return _saw(theta=phase, u_b=complex(draw(st.sampled_from([0.0, -0.0, 2.0])),
+                                             -draw(st.floats(0.5, 40.0))),
+                    n_cells=draw(st.integers(2, 12)))
+    if kind == "sandwich":  # core diagonal absent, boundaries and leads present
+        return _sandwich(draw(st.floats(-1.0, 1.0)))
+    n = draw(st.integers(3, 24))
+    defects = [DefectSpec(site, draw(st.sampled_from([0.0, -0.0, 1.0])),
+                          draw(st.sampled_from([0.0, -0.0, 0.8, -0.4])))
+               for site in draw(st.sets(st.integers(0, n - 1), max_size=3))]
+    hermitian = kind == "hermitian_chain"  # the whole diagonal absent, mu = 0
+    return build_chain_hamiltonian(ChainSpec(
+        kappa=1.0, beta=0.0 if hermitian else 0.4, gamma=0.0 if hermitian else
+        draw(st.sampled_from([0.8, -0.3, 0.0])), phi=phase, n_sites=n, defects=defects,
+        boundary="periodic" if kind == "periodic_chain" else "open"))
+
+
+@given(h=_trace_shift_cases())
+@settings(derandomize=True, max_examples=300)
+def test_trace_shift_bitwise_equals_scipy(h):
+    """mu, the CSR arrays of a - mu*I and its 1-norm are the bytes scipy
+    gives: -0.0 diagonal parts turned +0.0 in the trace, mu subtracted where
+    the diagonal is absent, exact zeros dropped and columns summed in row
+    order."""
+    a, n = reference.csr(h), h.dim
+    want_mu = a.trace() / float(n)
+    want = a - want_mu * scipy.sparse.eye_array(n, format="csr")
+    want_norm = float(abs(want).sum(axis=0).max())
+    mu, arrays, norm = _trace_shift(h)
+    assert np.complex128(mu).tobytes() == np.complex128(want_mu).tobytes()
+    for name, got in zip(("data", "indices", "indptr"), arrays):
+        expected = getattr(want, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+    assert norm.hex() == want_norm.hex()
+
+
 # ---------------------------------------------------------------- Taylor stop decisions
 
 
@@ -233,7 +315,7 @@ def _stop_cases(draw):
         h = _chain(n=draw(st.integers(3, 24)), phi=phase, gamma=draw(st.floats(-1.0, 1.0)),
                    boundary="periodic" if kind == "periodic_chain" else "open")
     target = STEP_NORM_LIMIT * 10.0 ** draw(st.floats(math.log10(1e-3 / STEP_NORM_LIMIT), 0.0))
-    matrix = h.matrix * (target / _shifted_norm(h.matrix))
+    matrix = reference.csr(h) * (target / _shifted_norm(reference.csr(h)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     top = draw(st.integers(-1074, 996))  # 2**996 ~ 7e299
     spread = draw(st.integers(0, 2100))
@@ -243,12 +325,12 @@ def _stop_cases(draw):
     parts[rng.random((2, h.dim)) < 0.1] = 0.0
     state = np.empty(h.dim, dtype=complex)
     state.real, state.imag = parts
-    return Operator(matrix, h.site_labels), state
+    return reference.operator(matrix, h.site_labels), state
 
 
 # gain that overflows 1e300 amplitudes to inf, then NaN, within the step
-_OVERFLOW_CASE = (Operator(scipy.sparse.csr_array(np.array([[60j, 1.0], [1.0, 0.0]])),
-                           np.arange(2)), np.array([1e300, -1e300j]))
+_OVERFLOW_CASE = (reference.operator(np.array([[60j, 1.0], [1.0, 0.0]]), np.arange(2)),
+                  np.array([1e300, -1e300j]))
 
 
 @given(case=_stop_cases())
@@ -258,10 +340,10 @@ def test_step_stop_decisions_bitwise_equal_expm_multiply(case):
     # _Step computes max|f| only where scipy's stop test might pass; every
     # break must still fall on scipy's term, so the bytes are scipy's
     h, c0 = case
-    assume(_shifted_norm(h.matrix) <= STEP_NORM_LIMIT)  # one expm_multiply call
+    assume(_shifted_norm(reference.csr(h)) <= STEP_NORM_LIMIT)  # one expm_multiply call
     with np.errstate(all="ignore"):
-        got = _Step(h.matrix * -1j, h.site_labels)(c0)
-        want = reference.expm_multiply_schedule([(0.0, h.matrix)], c0, 1.0, 1.0,
+        got = _Step(reference.operator(reference.csr(h) * -1j, h.site_labels))(c0)
+        want = reference.expm_multiply_schedule([(0.0, reference.csr(h))], c0, 1.0, 1.0,
                                                 STEP_NORM_LIMIT)[-1]
     assert got.tobytes() == want.tobytes()
 
@@ -298,7 +380,7 @@ def test_rk4_matches_exact(phi, beta, gamma):
     h = _chain(n=61, phi=phi, beta=beta, gamma=gamma)
     c0 = _delta(h)
     tr_e = evolve_exact(h, c0, 12.0, 0.25)
-    tr_r = reference.rk4([(0.0, h.matrix.toarray())], c0.amplitudes, 12.0, 1e-3, 0.25)
+    tr_r = reference.rk4([(0.0, reference.csr(h).toarray())], c0.amplitudes, 12.0, 1e-3, 0.25)
     assert np.max(np.abs(tr_e.amplitudes - tr_r)) < 1e-8
 
 
@@ -307,7 +389,7 @@ def test_rk4_hermitian_norm_conservation():
     # and the package propagator both keep the norm
     h = _chain(n=21, beta=0.0, gamma=0.0, phi=0.0)
     c0 = _delta(h)
-    states = reference.rk4([(0.0, h.matrix.toarray())], c0.amplitudes, 50.0, 1e-3, 1.0)
+    states = reference.rk4([(0.0, reference.csr(h).toarray())], c0.amplitudes, 50.0, 1e-3, 1.0)
     rk4_norms = np.sum(np.abs(states) ** 2, axis=1)
     for norms in (rk4_norms, evolve_exact(h, c0, 50.0, 1.0).norm_series):
         drift = norms[-1] / norms[0]
@@ -364,7 +446,7 @@ def test_schedule_exact_matches_rk4():
     c0 = _delta(h1)
     sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.0, h2)))
     tr_e = evolve_schedule(sched, c0, 6.0, 0.5)
-    tr_r = reference.rk4([(0.0, h1.matrix.toarray()), (3.0, h2.matrix.toarray())],
+    tr_r = reference.rk4([(0.0, reference.csr(h1).toarray()), (3.0, reference.csr(h2).toarray())],
                          c0.amplitudes, 6.0, 1e-3, 0.5)
     assert np.max(np.abs(tr_r - tr_e.amplitudes)) < 1e-8
 
@@ -376,8 +458,8 @@ def test_schedule_off_grid_switch_matches_dense_expm():
     # 3.1 lies between the samples 3.0 and 3.25 and is kept exactly
     sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.1, h2)))
     traj = evolve_schedule(sched, c0, 6.0, 0.25)
-    want = reference.expm_schedule([(0.0, h1.matrix.toarray()), (3.1, h2.matrix.toarray())],
-                                   c0.amplitudes, traj.times)
+    d1, d2 = reference.csr(h1).toarray(), reference.csr(h2).toarray()
+    want = reference.expm_schedule([(0.0, d1), (3.1, d2)], c0.amplitudes, traj.times)
     assert np.max(np.abs(traj.amplitudes - want)) < 1e-10
 
 
@@ -388,7 +470,7 @@ def test_schedule_three_segments():
     sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(2.0, h2),
                       ScheduleSegment(4.0, h1)))
     tr_e = evolve_schedule(sched, c0, 6.0, 0.5)
-    d1, d2 = h1.matrix.toarray(), h2.matrix.toarray()
+    d1, d2 = reference.csr(h1).toarray(), reference.csr(h2).toarray()
     tr_r = reference.rk4([(0.0, d1), (2.0, d2), (4.0, d1)], c0.amplitudes, 6.0, 1e-3, 0.5)
     assert np.max(np.abs(tr_r - tr_e.amplitudes)) < 1e-8
 

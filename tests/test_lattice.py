@@ -23,6 +23,7 @@ from nhlattice import (
 from nhlattice.lattice import _banded_csr
 from nhlattice.protocols import ADIABATICITY_WARN_THRESHOLD
 
+import reference
 from reference import dense_chain, dense_sandwich, dense_sawtooth
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
@@ -35,21 +36,52 @@ small_rates = st.floats(0.0, 2.0)
 
 
 @pytest.mark.parametrize("matrix, labels", [
-    (scipy.sparse.csr_array((2, 3), dtype=complex), np.arange(2)),
+    # CSR arrays hold no shape: a matrix shows itself non-square by an entry past the last column
+    (scipy.sparse.csr_array(([1.0], [2], [0, 1, 1]), shape=(2, 3)), np.arange(2)),
     (scipy.sparse.eye_array(3, format="csr"), np.arange(2)),
     (scipy.sparse.csr_array(np.array([[1.0, math.nan], [0.0, 1.0]])), np.arange(2)),
     (scipy.sparse.csr_array(np.array([[1.0, 0.0], [math.inf, 1.0]])), np.arange(2)),
 ], ids=["non_square", "label_count", "nan_entry", "inf_entry"])
 def test_operator_rejects_bad_inputs(matrix, labels):
     with pytest.raises(ValueError):
-        Operator(matrix, labels)
+        reference.operator(matrix, labels)
+
+
+#: a valid 3-site operator's CSR arrays; each case below breaks one of them
+_CSR = dict(data=[1.0, 2.0, 3.0, 4.0], indices=[0, 1, 1, 2], indptr=[0, 2, 3, 4],
+            site_labels=[0, 1, 2])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"indices": [0, 1, 1]}, "equal length"),
+    ({"data": [[1.0, 2.0], [3.0, 4.0]]}, "equal length"),
+    ({"indices": [0.0, 1.0, 1.0, 2.0]}, "integer arrays"),
+    ({"indptr": [0, 2, 4]}, r"len\(site_labels\) \+ 1 = 4"),
+    ({"site_labels": [[0, 1, 2]]}, "1-D"),
+    ({"indptr": [1, 2, 3, 4]}, "rise from 0"),
+    ({"indptr": [0, 3, 2, 4]}, "rise from 0"),
+    ({"indptr": [0, 2, 3, 3]}, "rise from 0 to the entry count 4"),
+    ({"indices": [0, 1, -1, 2]}, r"lie in \[0, 3\)"),
+    ({"indices": [0, 1, 1, 3]}, r"lie in \[0, 3\)"),
+    ({"indices": [1, 0, 1, 2]}, "strictly ascend"),
+    ({"indices": [0, 0, 1, 2]}, "strictly ascend"),
+    ({"indptr": [0, 0, 2, 4], "indices": [0, 1, 2, 1]}, "strictly ascend"),
+], ids=["indices_length", "data_2d", "float_indices", "indptr_length", "labels_2d",
+        "indptr_start", "indptr_decreases", "indptr_end", "negative_index", "index_past_n",
+        "unsorted_row", "repeated_column", "unsorted_last_row_after_an_empty_row"])
+def test_operator_checks_its_csr_arrays(change, message):
+    # the kernel reads without bounds checks: the constructor raises before any
+    # product (test_operator_rejects_bad_inputs has the label count and non-finite entries)
+    assert Operator(**_CSR).matvec(np.ones(3)).tolist() == [3.0, 3.0, 4.0]
+    with pytest.raises(ValueError, match=message):
+        Operator(**{**_CSR, **change})
 
 
 def test_operator_is_read_only():
-    h = Operator(scipy.sparse.eye_array(3, format="csr"), [4, 5, 6])
+    h = reference.operator(scipy.sparse.eye_array(3, format="csr"), [4, 5, 6])
     assert h.dim == 3
-    assert h.matrix.dtype == complex
-    for arr in (h.matrix.data, h.matrix.indices, h.matrix.indptr, h.site_labels):
+    assert h.data.dtype == complex
+    for arr in (h.data, h.indices, h.indptr, h.site_labels):
         with pytest.raises(ValueError):
             arr[0] = 7
 
@@ -83,7 +115,7 @@ def test_matvec_bytes_equal_sparse_matmul(kind):
         "negative_zeros": np.full(n, -0.0),
     }
     for name, x in inputs.items():
-        got, want = h.matvec(x), h.matrix @ x
+        got, want = h.matvec(x), reference.csr(h) @ x
         assert got.dtype == want.dtype == complex, name
         assert got.tobytes() == want.tobytes(), name
 
@@ -123,7 +155,8 @@ def test_banded_csr_equals_diags_array(n, layout, data):
         bands.append(data.draw(_BAND_VALUES) if one_value else data.draw(cells))
     arrays = [np.broadcast_to(np.asarray(band, dtype=complex), (n - abs(k),))
               for band, k in zip(bands, offsets)]
-    _assert_csr_equal_diags_array(_banded_csr(bands, offsets, n), arrays, offsets)
+    got = reference.csr(Operator(*_banded_csr(bands, offsets, n), np.arange(n)))
+    _assert_csr_equal_diags_array(got, arrays, offsets)
 
 
 @given(kind=st.sampled_from(["chain", "hermitian_chain", "ring", "sawtooth", "sandwich"]),
@@ -145,11 +178,11 @@ def test_builders_csr_equal_diags_array_of_their_diagonals(kind, n, phase, rate)
         h = build_chain_hamiltonian(ChainSpec(
             kappa=1.0, beta=0.0 if hermitian else rate, gamma=0.0 if hermitian else 2 * rate,
             phi=phase, n_sites=n, boundary="periodic" if kind == "ring" else "open"))
-    m = h.matrix
+    m = reference.csr(h)
     dense = np.zeros(m.shape, dtype=complex)  # toarray() would sum -0.0 into +0.0
     dense[np.repeat(np.arange(h.dim), np.diff(m.indptr)), m.indices] = m.data
     offsets = list(range(1 - h.dim, h.dim))
-    _assert_csr_equal_diags_array(h.matrix, [np.diagonal(dense, k) for k in offsets], offsets)
+    _assert_csr_equal_diags_array(m, [np.diagonal(dense, k) for k in offsets], offsets)
 
 
 # ---------------------------------------------------------------- chain
@@ -157,14 +190,14 @@ def test_builders_csr_equal_diags_array_of_their_diagonals(kind, n, phase, rate)
 
 def test_chain_example_nonhermitian():
     h = build_chain_hamiltonian(ChainSpec(phi=math.pi / 2, n_sites=3, **NH))
-    assert np.allclose(h.matrix.diagonal(), [-0.8j, -0.8j, -0.8j], atol=1e-15)
-    assert np.allclose(h.matrix.diagonal(1), [0.6, 0.6], atol=1e-15)
-    assert np.allclose(h.matrix.diagonal(-1), [1.4, 1.4], atol=1e-15)
+    assert np.allclose(reference.csr(h).diagonal(), [-0.8j, -0.8j, -0.8j], atol=1e-15)
+    assert np.allclose(reference.csr(h).diagonal(1), [0.6, 0.6], atol=1e-15)
+    assert np.allclose(reference.csr(h).diagonal(-1), [1.4, 1.4], atol=1e-15)
 
 
 def test_chain_example_hermitian_limit():
     h = build_chain_hamiltonian(ChainSpec(kappa=1, beta=0, gamma=0, phi=1.3, n_sites=4))
-    dense = h.matrix.toarray()
+    dense = reference.csr(h).toarray()
     assert np.array_equal(dense, dense.conj().T)
     assert np.allclose(np.diag(dense), 0)
     assert np.allclose(np.diag(dense, 1), 1.0)
@@ -174,8 +207,8 @@ def test_chain_example_defect_site():
     spec = ChainSpec(phi=math.pi / 2, n_sites=31, index_origin=0,
                      defects=(DefectSpec(10, 2.0, 0.0),), **NH)
     h = build_chain_hamiltonian(spec)
-    assert h.matrix.diagonal()[10] == pytest.approx(2.0 - 0.8j)
-    assert np.allclose(np.delete(h.matrix.diagonal(), 10), -0.8j)
+    assert reference.csr(h).diagonal()[10] == pytest.approx(2.0 - 0.8j)
+    assert np.allclose(np.delete(reference.csr(h).diagonal(), 10), -0.8j)
 
 
 def test_chain_rejects_bad_inputs():
@@ -214,21 +247,21 @@ def test_chain_matches_reference_dense(beta, gamma, phi, n, periodic):
                      index_origin=-2, boundary="periodic" if periodic else "open")
     h = build_chain_hamiltonian(spec)
     want = dense_chain(1.0, beta, gamma, spec.phi, list(spec.site_labels), periodic=periodic)
-    assert np.array_equal(h.matrix.toarray(), want)
+    assert np.array_equal(reference.csr(h).toarray(), want)
 
 
 def test_chain_defects_match_reference_dense():
     defects = ((3, 2.0, 0.0), (-1, -0.5, 0.3))
     spec = ChainSpec(phi=math.pi / 4, n_sites=9, index_origin=-4,
                      defects=tuple(DefectSpec(*d) for d in defects), **NH)
-    got = build_chain_hamiltonian(spec).matrix.toarray()
+    got = reference.csr(build_chain_hamiltonian(spec)).toarray()
     want = dense_chain(1.0, 0.4, 0.8, spec.phi, list(spec.site_labels), defects=defects)
     assert np.array_equal(got, want)
 
 
 def test_hermitian_detection_iff():
     def is_hermitian(spec):
-        dense = build_chain_hamiltonian(spec).matrix.toarray()
+        dense = reference.csr(build_chain_hamiltonian(spec)).toarray()
         return np.array_equal(dense, dense.conj().T)
 
     base = dict(kappa=1.0, phi=0.7, n_sites=6)
@@ -249,7 +282,7 @@ def test_ring_eigenmodes(k, phi):
     q = 2.0 * math.pi * k / n
     mode = np.exp(1j * q * spec.site_labels)
     energy = dispersion(1.0, 0.4, 0.8, spec.phi, q)
-    residual = h.matrix @ mode - energy * mode
+    residual = reference.csr(h) @ mode - energy * mode
     assert np.max(np.abs(residual)) <= 1e-12 * max(1.0, abs(energy))
 
 
@@ -263,7 +296,7 @@ def test_periodic_two_sites_rejected():
 
 def test_sawtooth_dense_theta_zero():
     saw = SawtoothSpec(kappa=1, j=1, theta=0.0, gamma_a=0.0, u_b=5.0, n_cells=2)
-    dense = build_sawtooth_hamiltonian(saw).matrix.toarray()
+    dense = reference.csr(build_sawtooth_hamiltonian(saw)).toarray()
     # interleaved order (a1, b1, a2, b2)
     expected = np.array([
         [0, 1, 1, 0],
@@ -276,7 +309,7 @@ def test_sawtooth_dense_theta_zero():
 
 def test_sawtooth_phase_factors():
     saw = SawtoothSpec(kappa=1, j=1, theta=math.pi / 4, gamma_a=0.0, u_b=5.0, n_cells=3)
-    dense = build_sawtooth_hamiltonian(saw).matrix.toarray()
+    dense = reference.csr(build_sawtooth_hamiltonian(saw)).toarray()
     a, b = (lambda m: 2 * m), (lambda m: 2 * m + 1)
     assert dense[b(0), a(1)] == pytest.approx(cmath.exp(1j * math.pi / 4))
     assert dense[b(0), a(0)] == pytest.approx(cmath.exp(-1j * math.pi / 4))
@@ -296,7 +329,7 @@ def test_sawtooth_matches_reference_dense(theta, j, gamma_a, ub_re, ub_im, m):
         u_b = 5.0
     saw = SawtoothSpec(kappa=1.0, j=j, theta=theta, gamma_a=gamma_a, u_b=u_b, n_cells=m)
     h = build_sawtooth_hamiltonian(saw)
-    got = h.matrix.toarray()
+    got = reference.csr(h).toarray()
     want = dense_sawtooth(1.0, j, theta, gamma_a, u_b, m)
     assert np.array_equal(got, want)
     # bandwidth <= 2 in the interleaved layout
@@ -319,7 +352,7 @@ def _sandwich(n_sites=13, origin=-6, q0=-math.pi / 2, v_c=1.0, xi=0.4, n_half=3)
 
 def test_sandwich_example_rows():
     h = build_sandwich_hamiltonian(_sandwich())
-    d = h.matrix.toarray()
+    d = reference.csr(h).toarray()
     idx = lambda n: n + 6
     assert d[idx(0), idx(0)] == 0
     assert d[idx(0), idx(1)] == pytest.approx(1.0)
@@ -334,7 +367,7 @@ def test_sandwich_example_rows():
 
 def test_sandwich_phase_zero_degenerates():
     h = build_sandwich_hamiltonian(_sandwich(q0=0.0))
-    d = h.matrix.toarray()
+    d = reference.csr(h).toarray()
     outer = [i for i, lab in enumerate(h.site_labels) if abs(lab) > 3]
     for i in outer:
         if i + 1 < h.dim and abs(h.site_labels[i + 1]) > 3:
@@ -344,7 +377,7 @@ def test_sandwich_phase_zero_degenerates():
 
 def test_sandwich_interior_rows_hermitian():
     h = build_sandwich_hamiltonian(_sandwich())
-    d = h.matrix.toarray()
+    d = reference.csr(h).toarray()
     core = [i for i, lab in enumerate(h.site_labels) if -3 < lab < 3]
     sub = d[np.ix_(core, core)]
     assert np.array_equal(sub, sub.conj().T)
@@ -361,7 +394,7 @@ def test_sandwich_matches_reference_dense(q0, xi, v_c, n_half, left, right):
     h = build_sandwich_hamiltonian(spec)
     want = dense_sandwich(1.0, 0.4, 0.8, spec.q0, n_half, v_c, xi,
                           list(spec.chain.site_labels))
-    assert np.array_equal(h.matrix.toarray(), want)
+    assert np.array_equal(reference.csr(h).toarray(), want)
 
 
 def test_sandwich_requires_containing_range():
@@ -410,9 +443,9 @@ def test_reduce_example_hoppings():
     chain = red.to_chain_spec()
     assert chain.beta == pytest.approx(0.4)
     assert chain.phi == pytest.approx(math.pi / 2)
-    got = build_chain_hamiltonian(chain).matrix.toarray()
-    want = build_chain_hamiltonian(
-        ChainSpec(kappa=1, beta=0.4, gamma=0.8, phi=math.pi / 2, n_sites=4)).matrix.toarray()
+    got = reference.csr(build_chain_hamiltonian(chain)).toarray()
+    want = reference.csr(build_chain_hamiltonian(
+        ChainSpec(kappa=1, beta=0.4, gamma=0.8, phi=math.pi / 2, n_sites=4))).toarray()
     assert np.allclose(got, want, atol=1e-14)
 
 
@@ -452,8 +485,8 @@ def test_reduction_consistency(beta, theta, j, gamma_a, kappa):
     chain = adiabatic_reduce(saw).to_chain_spec(index_origin=-2)
     direct = ChainSpec(kappa=kappa, beta=beta, gamma=gamma_a - 2 * beta,
                        phi=2 * theta, n_sites=5, index_origin=-2)
-    got = build_chain_hamiltonian(chain).matrix.toarray()
-    want = build_chain_hamiltonian(direct).matrix.toarray()
+    got = reference.csr(build_chain_hamiltonian(chain)).toarray()
+    want = reference.csr(build_chain_hamiltonian(direct)).toarray()
     scale = max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 

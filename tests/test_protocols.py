@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse
 
 import nhlattice as nh
+import reference
 from nhlattice import (
     DispersionParams,
     ExcitationSpec,
@@ -284,7 +285,7 @@ def test_reduction_hermitian_limit_real_detuning():
     red = nh.adiabatic_reduce(saw)
     assert red.j1 == red.j2
     labels = np.arange(m) - m // 2
-    eff = nh.Operator(scipy.sparse.diags_array(
+    eff = reference.operator(scipy.sparse.diags_array(
         (np.full(m - 1, red.j2), np.full(m, red.u_eff), np.full(m - 1, red.j1)),
         offsets=(-1, 0, 1), format="csr"), labels)
     exc = nh.make_excitation(
