@@ -43,10 +43,15 @@ FIT_MAX_ITERATIONS = 500
 def normalized_profile(amplitudes) -> np.ndarray:
     """rho_n = |c_n| / sqrt(sum_m |c_m|^2) along the last axis: one state, or one row a sample."""
     mags = np.abs(amplitudes)
-    norms = np.sqrt(np.sum(mags**2, axis=-1, keepdims=True))
-    if np.any(norms <= 0.0):
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        sums = np.sum(mags**2, axis=-1, keepdims=True)
+    off = ~((sums >= 2.0**-1022) & (sums < np.inf))  # not a finite normal double
+    if np.any(off):  # only these rows are first divided by their largest modulus, >= 2^-1022
+        mags = np.where(off, mags / np.max(mags, axis=-1, keepdims=True, initial=2.0**-1022), mags)
+        sums = np.where(off, np.sum(mags**2, axis=-1, keepdims=True), sums)
+    if np.any(sums <= 0.0):
         raise ValueError("cannot normalize a zero-norm state")
-    return mags / norms
+    return mags / np.sqrt(sums)
 
 
 @dataclass(frozen=True)

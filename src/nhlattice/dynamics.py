@@ -5,10 +5,9 @@ propagator, algorithm 3.2 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2),
 It is the arithmetic of ``scipy.sparse.linalg.expm_multiply``, so states are
 bit-identical to calling it gap by gap, but the set-up scipy redoes on every
 call (trace shift, shifted matrix, 1-norm, Taylor degree and scaling) is done
-once per distinct step length and kept.  That set-up is numpy on the
-Operator's CSR arrays, in the order and rounding of scipy's sparse kernels
-(_trace_shift), and the theta_m table that picks the Taylor degree is a copy
-of scipy's, so no scipy package is imported.
+once per distinct step length and kept, by the sparse kernels scipy's own
+set-up calls (_trace_shift) and a copy of scipy's theta_m table for the
+Taylor degree, so no scipy package is imported.
 
 Each Taylor term costs a product through scipy's CSR kernel (see
 Operator.matvec) and one max|b|.  max|f| enters only scipy's stop test,
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Operator
+from .lattice import Operator, _sparsetools
 
 __all__ = ["StateVector", "ScheduleSegment", "Schedule", "Trajectory", "GainRunawayError",
            "NormUnderflowError", "evolve_exact", "evolve_schedule"]
@@ -91,10 +90,9 @@ class StateVector:
             raise ValueError("amplitudes and site_labels must be 1D arrays of equal length")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        amps.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "site_labels", labels)
+        for name, arr in (("amplitudes", amps), ("site_labels", labels)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def norm(self) -> float:
@@ -160,26 +158,20 @@ class Trajectory:
 
 
 def _trace_shift(a: Operator) -> tuple:
-    """scipy's trace shift of a, in scipy's arithmetic: mu = a.trace()/n, the
-    CSR arrays of a - mu*eye_array(n) and the exact 1-norm of that, its
-    abs(...).sum(axis=0).max()."""
-    n = a.dim
-    keys = np.repeat(np.arange(n), np.diff(a.indptr)) * n + a.indices  # ascending, row-major
-    diag_keys = np.arange(n) * (n + 1)
-    at = np.searchsorted(keys, diag_keys)  # each row's diagonal entry, or where it would go
-    absent = np.append(keys, -1)[at] != diag_keys
-    diag = np.zeros(n, dtype=complex)
-    diag[~absent] = a.data[at[~absent]]
-    mu = (0 + diag).sum() / float(n)  # csr_diagonal adds each entry to 0: -0.0 parts turn +0.0
-    # csr_binop_csr merges rows in column order: a_ij - 0 off the diagonal,
-    # a_ii - 1*mu on it (0 - 1*mu where absent), and drops what comes out 0
-    data = np.insert(a.data, at[absent], 0)
-    indices = np.insert(a.indices, at[absent], np.flatnonzero(absent))
-    inserted = np.concatenate(([0], np.cumsum(absent)))  # before each row
-    data[at + inserted[:-1]] = diag - np.ones(1, dtype=complex) * mu
-    keep = data != 0
-    indptr = np.concatenate(([0], np.cumsum(keep)))[a.indptr + inserted].astype(a.indptr.dtype)
-    data, indices = data[keep], indices[keep]
+    """scipy's trace shift of a, call for call as expm_multiply sets it up:
+    mu = a.trace()/n, the CSR arrays of a - mu*eye_array(n) (csr_minus_csr,
+    then pruned) and the exact 1-norm of that, its abs(...).sum(axis=0).max()."""
+    n, index_dtype = a.dim, a.indptr.dtype
+    diag = np.empty(n, dtype=complex)
+    _sparsetools.csr_diagonal(0, n, n, a.indptr, a.indices, a.data, diag)
+    mu = diag.sum() / float(n)
+    eye = np.arange(n + 1, dtype=index_dtype)  # the identity's indptr; its indices are eye[:n]
+    indptr = np.empty(n + 1, dtype=index_dtype)
+    indices = np.empty(a.data.size + n, dtype=index_dtype)
+    data = np.empty(a.data.size + n, dtype=complex)
+    _sparsetools.csr_minus_csr(n, n, a.indptr, a.indices, a.data, eye, eye[:n],
+                               np.ones(n, dtype=complex) * mu, indptr, indices, data)
+    data, indices = data[:indptr[-1]], indices[:indptr[-1]]  # prune: exact zeros were dropped
     # ones @ |a - mu*I| sums each column from 0 in row order, as bincount does
     norm = float(np.bincount(indices, np.abs(data), minlength=n).max())
     return mu, (data, indices, indptr), norm

@@ -18,10 +18,9 @@ with row n of H holding the coefficients of the evolution equation of
 site n.  All builders are pure functions of their specs; every value is
 immutable after construction and safe to share between workers.
 
-An Operator holds H as its CSR arrays.  Its product runs scipy's compiled
-CSR kernel, loaded from the kernel's own extension file: no scipy package
-(``scipy``, ``scipy.sparse``) is imported, which would be most of a run's
-start-up.
+An Operator holds H as its CSR arrays.  scipy's compiled sparse kernels, loaded
+as ``nhlattice._sparsetools`` (_load_kernel), check and multiply them with no
+scipy package imported, which would be most of a run's start-up.
 """
 
 from __future__ import annotations
@@ -215,25 +214,24 @@ class SandwichSpec:
             )
 
 
-def _load_csr_matvec():
-    """scipy's C++ CSR product kernel, the one ``csr_array @ x`` ends in,
-    loaded from its extension file so that neither ``scipy/__init__`` nor
-    ``scipy.sparse`` runs; only where no such file exists is it imported
-    through the package."""
+def _load_kernel():
+    """scipy's C++ sparse kernels, loaded from their extension file as ``nhlattice._sparsetools``
+    so that neither ``scipy/__init__`` nor ``scipy.sparse`` runs and scipy's own module name
+    stays free; only where no such file exists are they imported through ``scipy.sparse``."""
     scipy_spec = importlib.util.find_spec("scipy")  # locates scipy without running it
     for suffix in importlib.machinery.EXTENSION_SUFFIXES if scipy_spec else ():
         path = os.path.join(scipy_spec.submodule_search_locations[0], "sparse",
                             "_sparsetools" + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location("scipy.sparse._sparsetools", path)
+        if os.path.isfile(path):  # PyInit__sparsetools reads only the name's last part
+            spec = importlib.util.spec_from_file_location("nhlattice._sparsetools", path)
             kernel = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(kernel)
-            return kernel.csr_matvec
-    from scipy.sparse._sparsetools import csr_matvec
-    return csr_matvec
+            return kernel
+    from scipy.sparse import _sparsetools
+    return _sparsetools
 
 
-_csr_matvec = _load_csr_matvec()
+_sparsetools = _load_kernel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +246,7 @@ class Operator:
     site_labels: np.ndarray
 
     def __post_init__(self):
-        # matvec's kernel reads without bounds checks: every index is checked here
+        # the kernels (the order check's too) read without bounds checks: inputs are checked first
         data = np.ascontiguousarray(self.data, dtype=complex)
         indices, indptr = np.ascontiguousarray(self.indices), np.ascontiguousarray(self.indptr)
         labels = np.ascontiguousarray(self.site_labels, dtype=int)
@@ -269,10 +267,7 @@ class Operator:
             raise ValueError(f"indptr must rise from 0 to the entry count {data.size}")
         if data.size and (indices.min() < 0 or indices.max() >= n):
             raise ValueError(f"column indices must lie in [0, {n})")
-        rising = np.diff(indices) > 0
-        starts = indptr[1:-1]  # where each row after the first begins
-        rising[starts[(starts > 0) & (starts < data.size)] - 1] = True  # no order across rows
-        if not rising.all():
+        if not _sparsetools.csr_has_canonical_format(n, indptr, indices):
             raise ValueError("each row's column indices must strictly ascend")
         if not np.all(np.isfinite(data)):
             raise ValueError("operator entries must be finite")
@@ -296,7 +291,7 @@ class Operator:
         if x.shape != (n,):
             raise ValueError(f"matvec needs an array of shape ({n},), got {x.shape}")
         out = np.zeros(n, dtype=complex)
-        _csr_matvec(n, n, self.indptr, self.indices, self.data, x, out)
+        _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.data, x, out)
         return out
 
 

@@ -194,8 +194,8 @@ def _require(ok: bool, message: str) -> None:
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     """Materialize every automatic field so manifests are self-contained.
 
-    Also rejects, naming the key, the values a run would otherwise reject
-    only after its output directory exists."""
+    Also rejects, each naming its key and before any of the run's work, the
+    values the run would otherwise reject only partway through, or by no key."""
     cfg = config
     _require(not any(c in (cfg.preset or "") for c in "=\n"),
              f"preset: {cfg.preset!r} holds '=' or a newline, which metrics.txt cannot hold")

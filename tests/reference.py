@@ -5,18 +5,16 @@ propagator, a gap-by-gap ``scipy.sparse.linalg.expm_multiply`` propagator
 and the closed-form Bessel propagator of the infinite homogeneous chain for
 the dynamics, a per-element trajectory CSV writer, and scipy's ``curve_fit``
 for the Gaussian fit; they share no code with the package.  The tests reach
-scipy's sparse arrays through the two adapters ``operator`` and ``csr``."""
+scipy's sparse arrays through the two adapters ``operator`` and ``csr``.
+Only ``scipy.sparse`` loads with this module; each oracle imports the rest of
+scipy it needs, so a test child that wants only ``csr`` starts quicker."""
 
 import cmath
 import math
 import warnings
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 import scipy.sparse
-import scipy.sparse.linalg
-from scipy.special import jv
 
 from nhlattice.lattice import Operator
 
@@ -170,6 +168,8 @@ def rk4(segments, c0, t_final, dt, sample_dt):
 def expm_schedule(segments, c0, times):
     """States at ``times`` under [(t_start, dense H), ...] by dense expm,
     restarting from the state at every switch time."""
+    import scipy.linalg
+
     out = []
     for t in times:
         c = np.array(c0, dtype=complex)
@@ -186,6 +186,7 @@ def expm_multiply_schedule(segments, c0, t_final, sample_dt, norm_limit):
     """Samples every sample_dt under [(t_start, sparse H), ...], each sample
     gap (split at a switch inside it) carried by scipy's expm_multiply in the
     fewest equal sub-steps whose trace-shifted 1-norm is within norm_limit."""
+    import scipy.sparse.linalg
 
     def carry(h, gap, c):
         n = h.shape[0]
@@ -241,6 +242,8 @@ def bessel_chain(c0, times, kappa, beta, gamma, phi, open_above=False, tail=1e-3
     |J_k(z)| <= (|z|/2)^k / k!, is below ``tail`` are dropped; for the image
     that bound covers |r^(n-m)| too, as |n-m| < 2E-n-m.
     """
+    from scipy.special import jv
+
     u = kappa + 1j * beta * cmath.exp(1j * phi)
     l = kappa + 1j * beta * cmath.exp(-1j * phi)
     s = cmath.sqrt(u * l)
@@ -276,6 +279,8 @@ def curve_fit_gaussian(labels, values):
     values from the peak's guess, with amp >= 0, center within a site of the
     labels and width in [1e-6, 4*span]: ((amp, center, width), 1 - RSS/TSS
     clipped to [0, 1]), or None where it does not converge in 10000 calls."""
+    import scipy.optimize
+
     labels = np.asarray(labels, dtype=float)
     tss = float(np.sum(values**2))
     peak = int(np.argmax(values))

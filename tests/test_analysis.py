@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -239,6 +240,23 @@ def test_normalized_profile_of_a_strided_slice_equals_its_contiguous_copy():
         assert not strided.flags.c_contiguous
         copy = np.ascontiguousarray(strided)
         assert normalized_profile(strided).tobytes() == normalized_profile(copy).tobytes()
+
+
+def test_normalized_profile_where_the_squares_leave_the_normal_range():
+    # squares that overflow, underflow to 0, or turn subnormal and lose digits;
+    # the rows in between keep the plain arithmetic
+    rows = np.array([[1e200, 1e199], [1e-170, 1e-171], [1e-160, 3e-160], [1.0, 3.0]])
+    want = [[10.0 / math.sqrt(101.0), 1.0 / math.sqrt(101.0)]] * 2 + [
+        [1.0 / math.sqrt(10.0), 3.0 / math.sqrt(10.0)]] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = normalized_profile(rows)
+        for k, row in enumerate(rows):
+            assert rho[k].tobytes() == normalized_profile(row).tobytes()
+    np.testing.assert_allclose(rho, want, rtol=4e-16, atol=0.0)
+    assert rho[3].tobytes() == (rows[3] / math.sqrt(10.0)).tobytes()
+    with pytest.raises(ValueError, match="zero-norm"):
+        normalized_profile(np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------- reflection

@@ -638,14 +638,14 @@ _PRINT_SCIPY = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scip
 
 def test_cli_import_leaves_out_optimize_and_linalg():
     # a fresh interpreter, since other tests load scipy into this one; the CSV
-    # writer's tables are built on its first write, not on import.  Of scipy
-    # only the CSR kernel's own module is loaded, from its file
+    # writer's tables are built on its first write, not on import.  No scipy
+    # module is loaded: the sparse kernels come from their file as nhlattice._sparsetools
     code = ("import sys, nhlattice.cli, nhlattice; "
             "print(nhlattice.configio._csv_tables.cache_info().currsize); " + _PRINT_SCIPY)
     proc = subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0", "scipy.sparse._sparsetools"]
+    assert proc.stdout.splitlines() == ["0", ""]
 
 
 def test_storage_run_leaves_out_optimize_and_linalg(tmp_path):
@@ -656,14 +656,16 @@ def test_storage_run_leaves_out_optimize_and_linalg(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["0", "scipy.sparse._sparsetools"]
+    assert proc.stdout.splitlines()[-2:] == ["0", ""]
     assert (tmp_path / "out" / "metrics.txt").is_file()
 
 
 #: a child that loads the package with scipy.sparse imported after it, before
 #: it, or with no kernel file to find (argv[1]), prints the scipy modules the
-#: package import left loaded, then the products of storage and builder
-#: operators on seeded vectors that equal csr_array @ x bytewise, of how many
+#: package import left loaded, then, of storage and builder operators, how
+#: many products on seeded vectors equal csr_array @ x bytewise and how many
+#: trace shifts equal scipy's (mu, the CSR arrays of a - mu*I, the 1-norm), of
+#: how many.  scipy.sparse, imported after the package, still has its kernels
 KERNEL_CHILD = """\
 import importlib.machinery, sys
 mode = sys.argv[1]
@@ -675,6 +677,8 @@ import numpy as np
 import nhlattice as nh
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import reference
+import scipy.sparse
+assert callable(scipy.sparse._sparsetools.csr_matvec)
 ops = []
 for name in ("fig6a", "fig7"):
     cfg = nh.protocols.resolve_config(nh.preset_config(name))
@@ -685,14 +689,22 @@ ops.append(nh.build_chain_hamiltonian(nh.ChainSpec(
 ops.append(nh.build_sawtooth_hamiltonian(nh.SawtoothSpec(
     kappa=1.0, j=2.0, theta=0.4, gamma_a=0.1, u_b=-40j, n_cells=16)))
 rng = np.random.default_rng(12)
-same = 0
+same = shifts = 0
 for h in ops:
+    a, n = reference.csr(h), h.dim
     for _ in range(4):
-        x = rng.normal(size=(2, h.dim)) * 10.0 ** rng.integers(-300, 300, (2, h.dim))
+        x = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))
         x = x[0] + 1j * x[1]
-        same += h.matvec(x).tobytes() == (reference.csr(h) @ x).tobytes()
+        same += h.matvec(x).tobytes() == (a @ x).tobytes()
+    mu = a.trace() / float(n)
+    want = a - mu * scipy.sparse.eye_array(n, format="csr")
+    want = (np.complex128(mu), want.data, want.indices, want.indptr,
+            np.float64(abs(want).sum(axis=0).max()))
+    got_mu, arrays, got_norm = nh.dynamics._trace_shift(h)
+    shifts += all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in
+                  zip((np.complex128(got_mu), *arrays, np.float64(got_norm)), want))
 print(*loaded)
-print(same, 4 * len(ops))
+print(same, 4 * len(ops), shifts, len(ops))
 """
 
 
@@ -704,12 +716,12 @@ def test_kernel_products_equal_csr_matmul_whatever_loaded_scipy(mode):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded, counts = proc.stdout.splitlines()
-    if mode == "scipy after":  # the kernel came from its file
-        assert loaded == "scipy.sparse._sparsetools"
+    if mode == "scipy after":  # the kernels came from their file, under the package's name
+        assert loaded == ""
     else:  # the package import, made before the package or by its fallback
         assert "scipy.sparse" in loaded.split()
-    same, total = map(int, counts.split())
-    assert same == total == 4 * 6
+    same, total, shifts, ops = map(int, counts.split())
+    assert same == total == 4 * 6 and shifts == ops == 6
 
 
 def test_module_entry_point_runs():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nhlattice import Trajectory
+from nhlattice.configio import read_trajectory_csv
 from nhlattice.heatmap import COLOR_TABLE, luminance, render_heatmap
 
 
@@ -69,6 +70,16 @@ def test_empty_profile_rejected():
     amps = np.zeros((2, 5), dtype=complex)
     with pytest.raises(ValueError):
         render_heatmap(_trajectory(amps))
+
+
+def test_read_back_trajectory_beyond_the_range_of_squares_renders(tmp_path):
+    # |c|^2 overflows on every site; the profile is the one of the same state at 1e-199 scale
+    path = tmp_path / "trajectory.csv"
+    path.write_text("t,site,re,im\n0,0,1e200,0\n0,1,0,1e199\n0.5,0,3e199,0\n0.5,1,0,4e199\n")
+    with np.errstate(over="ignore"):  # the read-back norm series overflows too
+        traj = read_trajectory_csv(path)
+    small = _trajectory([[10.0, 1.0j], [3.0, 4.0j]])
+    assert render_heatmap(traj, title="x") == render_heatmap(small, title="x")
 
 
 def test_dimensions_scale_with_input():
