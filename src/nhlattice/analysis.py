@@ -40,17 +40,25 @@ REFLECTION_MARGIN = 3
 FIT_MAX_ITERATIONS = 500
 
 
-def normalized_profile(amplitudes) -> np.ndarray:
-    """rho_n = |c_n| / sqrt(sum_m |c_m|^2) along the last axis: one state, or one row a sample."""
+def _moduli_and_sums(amplitudes) -> tuple:
+    """(|c_n|, sum_m |c_m|^2) along the last axis, the sums kept as an axis.  A row
+    whose sum is not a finite normal double is first divided by its largest
+    modulus (>= 2^-1022), which leaves every ratio |c_n|^2 / sum unchanged."""
     mags = np.abs(amplitudes)
     with np.errstate(over="ignore"):  # an overflowing row is rescaled below
         sums = np.sum(mags**2, axis=-1, keepdims=True)
     off = ~((sums >= 2.0**-1022) & (sums < np.inf))  # not a finite normal double
-    if np.any(off):  # only these rows are first divided by their largest modulus, >= 2^-1022
+    if np.any(off):
         mags = np.where(off, mags / np.max(mags, axis=-1, keepdims=True, initial=2.0**-1022), mags)
         sums = np.where(off, np.sum(mags**2, axis=-1, keepdims=True), sums)
     if np.any(sums <= 0.0):
         raise ValueError("cannot normalize a zero-norm state")
+    return mags, sums
+
+
+def normalized_profile(amplitudes) -> np.ndarray:
+    """rho_n = |c_n| / sqrt(sum_m |c_m|^2) along the last axis: one state, or one row a sample."""
+    mags, sums = _moduli_and_sums(amplitudes)
     return mags / np.sqrt(sums)
 
 
@@ -72,9 +80,9 @@ class ExcitationSpec:
             object.__setattr__(self, "q0", None)
         else:
             if self.w0 is None or not (math.isfinite(self.w0) and self.w0 > 0):
-                raise ValueError(f"gaussian excitation needs w0 > 0, got {self.w0!r}")
+                raise ValueError(f"w0: a gaussian excitation needs w0 > 0, got {self.w0!r}")
             if self.q0 is None or not math.isfinite(self.q0):
-                raise ValueError(f"gaussian excitation needs a finite q0, got {self.q0!r}")
+                raise ValueError(f"q0: a gaussian excitation needs a finite q0, got {self.q0!r}")
             object.__setattr__(self, "q0", reduce_phase(self.q0))
 
 
@@ -95,8 +103,9 @@ def make_excitation(spec: ExcitationSpec, site_labels) -> StateVector:
                 f"sites of clearance to a chain end (want >= {4.0 * spec.w0:g})",
                 stacklevel=2,
             )
-        delta = (labels - spec.n0) / spec.w0
-        amps = np.exp(-delta**2 + 1j * spec.q0 * labels)
+        with np.errstate(over="ignore"):  # far off a narrow packet's centre, exp(-inf) = 0
+            delta = (labels - spec.n0) / spec.w0
+            amps = np.exp(-delta**2 + 1j * spec.q0 * labels)
     if spec.normalize:
         amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     return StateVector(amps, labels)
@@ -104,20 +113,14 @@ def make_excitation(spec: ExcitationSpec, site_labels) -> StateVector:
 
 def centroid(c: StateVector) -> float:
     """Intensity-weighted mean site label."""
-    s = c.norm
-    if s <= 0.0:
-        raise ValueError("centroid of a zero-norm state is undefined")
-    weights = np.abs(c.amplitudes) ** 2
-    return float(np.dot(c.site_labels, weights) / s)
+    mags, sums = _moduli_and_sums(c.amplitudes)
+    return float(np.dot(c.site_labels, mags**2) / sums[0])
 
 
 def centroid_series(traj: Trajectory) -> np.ndarray:
     """Centroid at every sample of a trajectory."""
-    weights = np.abs(traj.amplitudes) ** 2
-    norms = np.sum(weights, axis=1)
-    if np.any(norms <= 0.0):
-        raise ValueError("trajectory contains a zero-norm snapshot")
-    return (weights @ traj.site_labels) / norms
+    mags, sums = _moduli_and_sums(traj.amplitudes)
+    return (mags**2 @ traj.site_labels) / sums[:, 0]
 
 
 def window_mask(times: np.ndarray, t_window) -> np.ndarray:
@@ -144,10 +147,8 @@ def region_fractions(c: StateVector, barrier_lo: int, barrier_hi: int) -> tuple:
     are the sites at least REFLECTION_MARGIN below barrier_lo and above
     barrier_hi, clear of the barrier's evanescent tail; an empty side reads 0.0.
     """
-    s = c.norm
-    if s <= 0.0:
-        raise ValueError("zero-norm state")
-    weights = np.abs(c.amplitudes) ** 2 / s
+    mags, sums = _moduli_and_sums(c.amplitudes)
+    weights = mags**2 / sums
     left = c.site_labels <= barrier_lo - REFLECTION_MARGIN
     right = c.site_labels >= barrier_hi + REFLECTION_MARGIN
     return (float(np.sum(weights[left])), float(np.sum(weights[right])),

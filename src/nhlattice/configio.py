@@ -142,7 +142,9 @@ def _flatten(config) -> dict:
 
 
 def _build(cls, values: dict, prefix: str = ""):
-    """The inverse of _flatten: a nested config whose first key is None is None."""
+    """The inverse of _flatten: a nested config whose first key is None is None.
+    A config dataclass's checks name their field first; the ValueError of one
+    gains the prefix that turns that field into its key."""
     kwargs = {}
     for f, kind, _, nested in _fields(cls):
         key = prefix + f.name
@@ -151,7 +153,10 @@ def _build(cls, values: dict, prefix: str = ""):
             kwargs[f.name] = None if values[first] is None else _build(kind, values, key + ".")
         else:
             kwargs[f.name] = values[key]
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 @functools.cache
@@ -243,10 +248,7 @@ def parse_config_text(text: str):
     if "experiment" not in tokens:
         raise ConfigError("missing required key 'experiment'")
     values = _defaults() | {key: parse_value(key, token) for key, token in tokens.items()}
-    try:
-        return _build(ExperimentConfig, values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _build(ExperimentConfig, values)
 
 
 def read_config(path):
@@ -474,7 +476,8 @@ def read_trajectory_csv(path, method_tag: str = METHOD_TAG):
     amps = np.empty(data.shape[:2], dtype=complex)
     amps.real = data[:, :, 2]
     amps.imag = data[:, :, 3]
-    norms = np.sum(np.abs(amps) ** 2, axis=1)
+    with np.errstate(over="ignore"):  # a sum past the double range reads inf
+        norms = np.sum(np.abs(amps) ** 2, axis=1)
     return Trajectory(times=data[:, 0, 0].copy(), amplitudes=amps,
                       site_labels=sites.astype(int), norm_series=norms,
                       method_tag=method_tag)

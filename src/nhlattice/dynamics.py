@@ -1,19 +1,20 @@
 """Time evolution under constant and scheduled (quenched) operators: one
 propagator, algorithm 3.2 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2),
-2011) on the sparse operator, one sample gap at a time.
+2011) on the sparse operator, one sample gap at a time.  A schedule is a
+sequence of (t_start, operator) pairs; evolve_exact is its one-pair form.
 
 It is the arithmetic of ``scipy.sparse.linalg.expm_multiply``, so states are
 bit-identical to calling it gap by gap, but the set-up scipy redoes on every
 call (trace shift, shifted matrix, 1-norm, Taylor degree and scaling) is done
-once per distinct step length and kept, by the sparse kernels scipy's own
-set-up calls (_trace_shift) and a copy of scipy's theta_m table for the
-Taylor degree, so no scipy package is imported.
+once per operator and gap length and kept in _Stepper, by the sparse kernels
+scipy's own set-up calls (_trace_shift) and a copy of scipy's theta_m table
+for the Taylor degree, so no scipy package is imported.
 
 Each Taylor term costs a product through scipy's CSR kernel (see
 Operator.matvec) and one max|b|.  max|f| enters only scipy's stop test,
 so it is computed only when that test could pass against a running upper
 bound on it; the bound is never below the computed max|f| (proof in
-_Step.__call__), so the loop breaks on the same term as scipy's."""
+_Stepper.__call__), so the loop breaks on the same term as scipy's."""
 
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ import numpy as np
 
 from .lattice import Operator, _sparsetools
 
-__all__ = ["StateVector", "ScheduleSegment", "Schedule", "Trajectory", "GainRunawayError",
-           "NormUnderflowError", "evolve_exact", "evolve_schedule"]
+__all__ = ["StateVector", "Trajectory", "GainRunawayError", "NormUnderflowError", "evolve_exact",
+           "evolve_schedule"]
 
 #: any |c_n| beyond this aborts the run as gain runaway
 OVERFLOW_LIMIT = 1e150
@@ -42,7 +43,7 @@ MAX_SUB_STEPS = 1000
 _TIME_EPS = 1e-9
 #: scipy's Taylor truncation tolerance, the double-precision unit roundoff
 _TAYLOR_TOL = 2.0**-53
-#: growth factor of the running bound on max|f| in _Step, 1 + 32 * 2^-53
+#: growth factor of the running bound on max|f| in _Stepper, 1 + 32 * 2^-53
 _BOUND_GROWTH = 1.0 + 2.0**-48
 #: smallest normal double; below it tol * bound is no longer trusted
 _NORMAL_MIN = 2.0**-1022
@@ -100,35 +101,6 @@ class StateVector:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
-@dataclass(frozen=True)
-class ScheduleSegment:
-    t_start: float
-    hamiltonian: object
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered piecewise-constant sequence of operators with switch times."""
-
-    segments: tuple
-
-    def __post_init__(self):
-        segments = tuple(self.segments)
-        if not segments:
-            raise ValueError("schedule needs at least one segment")
-        if segments[0].t_start != 0.0:
-            raise ValueError("first segment must start at t = 0")
-        starts = [s.t_start for s in segments]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("segment start times must be strictly increasing")
-        h0 = segments[0].hamiltonian
-        if any(s.hamiltonian.dim != h0.dim
-               or not np.array_equal(s.hamiltonian.site_labels, h0.site_labels)
-               for s in segments[1:]):
-            raise ValueError("all segments must share dim and site labels")
-        object.__setattr__(self, "segments", segments)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled states plus the derived intensity series."""
@@ -177,27 +149,41 @@ def _trace_shift(a: Operator) -> tuple:
     return mu, (data, indices, indptr), norm
 
 
-class _Step:
-    """One exp(a) @ b by algorithm 3.2 of Al-Mohy & Higham in the arithmetic
-    of scipy's expm_multiply, with its set-up done once: the trace shift mu,
-    the shifted operator a - mu*I, its exact 1-norm, the degree m_star and
-    scaling s of fragment 3.1, and eta = exp(mu/s)."""
+class _Stepper:
+    """exp(-iH*gap) @ c in the fewest n equal sub-steps a = -iH*gap/n whose
+    trace-shifted 1-norms stay within STEP_NORM_LIMIT, each one call of
+    scipy's expm_multiply (algorithm 3.2 of Al-Mohy & Higham).  Kept per gap
+    length: n, a - mu*I, the degree m_star and scaling s of fragment 3.1, the
+    Taylor coefficients and eta = exp(mu/s).  scipy starts each call with
+    f = b and ends each scaling step with f = eta*f; b = f, so n calls are one
+    loop of n*s scaling steps.  Non-finite amplitudes are carried on (_checked)."""
 
-    def __init__(self, a: Operator):
-        mu, shifted, norm = _trace_shift(a)
-        # norm <= STEP_NORM_LIMIT keeps fragment 3.1 in its condition (3.13)
-        # branch: the first theta-table degree m minimising m*ceil(norm/theta_m)
-        if norm == 0.0:
-            m_star, s = 0, 1
-        else:
-            m_star = min(_THETA, key=lambda m: m * math.ceil(norm / _THETA[m]))
-            s = math.ceil(norm / _THETA[m_star])
-        self.op = Operator(*shifted, a.site_labels)
-        self.s = s
-        self.coeffs = [1.0 / float(s * (j + 1)) for j in range(m_star)]
-        self.eta = np.exp(1.0 * mu / float(s))  # scipy's exp(t*mu/s) at t = 1
+    def __init__(self, h):
+        self.h = h
+        self.shifted_norm = _trace_shift(h)[2]
+        self.steps = {}
 
-    def __call__(self, b: np.ndarray) -> np.ndarray:
+    def __call__(self, gap: float, b: np.ndarray) -> np.ndarray:
+        if gap not in self.steps:
+            n = gap * self.shifted_norm / STEP_NORM_LIMIT
+            if not n <= MAX_SUB_STEPS:  # NaN included
+                raise StepCountError(f"a sample gap of {gap!r} needs {n:.3g} sub-steps (limit "
+                                     f"{MAX_SUB_STEPS}): the rates are too large to finish")
+            n, h = max(1, math.ceil(n)), self.h
+            # scipy's csr * scalar: each entry times it, the structure kept
+            mu, shifted, norm = _trace_shift(Operator(h.data * (-1j * gap / n), h.indices,
+                                                      h.indptr, h.site_labels))
+            # norm <= STEP_NORM_LIMIT keeps fragment 3.1 in its condition (3.13)
+            # branch: the first theta-table degree m minimising m*ceil(norm/theta_m)
+            if norm == 0.0:
+                m_star, s = 0, 1
+            else:
+                m_star = min(_THETA, key=lambda m: m * math.ceil(norm / _THETA[m]))
+                s = math.ceil(norm / _THETA[m_star])
+            self.steps[gap] = (Operator(*shifted, h.site_labels), n * s,
+                               [1.0 / float(s * (j + 1)) for j in range(m_star)],
+                               np.exp(1.0 * mu / float(s)))  # scipy's exp(t*mu/s) at t = 1
+        op, steps, coeffs, eta = self.steps[gap]
         # scipy breaks when c1 + c2 <= tol * max|f|, with max|f| computed as
         # np.abs(f).max().  `bound` is kept >= that computed max|f|.  Rounding
         # is monotone, underflow included, so then tol * bound >= tol * max|f|
@@ -224,10 +210,10 @@ class _Step:
         # - if a part of f_k overflows, the same lead carries bound_k to inf.
         #   inf and NaN fail `>`, so they take the exact path too.
         f = b
-        for _ in range(self.s):
+        for _ in range(steps):
             c1 = bound = np.abs(b).max()
-            for coeff in self.coeffs:
-                b = coeff * self.op.matvec(b)
+            for coeff in coeffs:
+                b = coeff * op.matvec(b)
                 c2 = np.abs(b).max()
                 f = f + b
                 bound = (bound + c2) * _BOUND_GROWTH
@@ -236,38 +222,18 @@ class _Step:
                     if c1 + c2 <= _TAYLOR_TOL * bound:
                         break
                 c1 = c2
-            f = self.eta * f
+            f = eta * f
             b = f
         return f
 
 
-class _Stepper:
-    """exp(-iH*gap) @ c as the fewest equal _Step sub-steps whose
-    trace-shifted operators stay within STEP_NORM_LIMIT; one _Step per gap."""
-
-    def __init__(self, h):
-        self.h = h
-        self.shifted_norm = _trace_shift(h)[2]
-        self.steps = {}
-
-    def __call__(self, gap: float, state: np.ndarray) -> np.ndarray:
-        if gap not in self.steps:
-            n = gap * self.shifted_norm / STEP_NORM_LIMIT
-            if not n <= MAX_SUB_STEPS:  # NaN included
-                raise StepCountError(f"a sample gap of {gap!r} needs {n:.3g} sub-steps (limit "
-                                     f"{MAX_SUB_STEPS}): the rates are too large to finish")
-            n = max(1, math.ceil(n))
-            h = self.h  # scipy's csr * scalar: each entry times it, the structure kept
-            self.steps[gap] = (_Step(Operator(h.data * (-1j * gap / n), h.indices, h.indptr,
-                                              h.site_labels)), n)
-        step, n = self.steps[gap]
-        for _ in range(n):
-            state = step(state)
-        peak = float(np.max(np.abs(state)))
-        if not math.isfinite(peak) or peak > OVERFLOW_LIMIT:
-            raise GainRunawayError(f"amplitude magnitude {peak!r} exceeds {OVERFLOW_LIMIT:g}; "
-                                   "gain outruns attenuation")
-        return state
+def _checked(state: np.ndarray) -> np.ndarray:
+    """state, unless an amplitude is non-finite or beyond OVERFLOW_LIMIT (GainRunawayError)."""
+    peak = float(np.max(np.abs(state)))
+    if not math.isfinite(peak) or peak > OVERFLOW_LIMIT:
+        raise GainRunawayError(f"amplitude magnitude {peak!r} exceeds {OVERFLOW_LIMIT:g}; "
+                               "gain outruns attenuation")
+    return state
 
 
 def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
@@ -277,50 +243,55 @@ def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
 
 def evolve_exact(h, c0: StateVector, t_final: float, sample_dt: float) -> Trajectory:
     """Snapshots exp(-iH t_k) @ c0 at t_k = k*sample_dt under one operator."""
-    return evolve_schedule(Schedule((ScheduleSegment(0.0, h),)), c0, t_final, sample_dt)
+    return evolve_schedule([(0.0, h)], c0, t_final, sample_dt)
 
 
-def evolve_schedule(schedule: Schedule, c0: StateVector, t_final: float,
-                    sample_dt: float) -> Trajectory:
+def evolve_schedule(segments, c0: StateVector, t_final: float, sample_dt: float) -> Trajectory:
     """Evolve under a piecewise-constant schedule, sampled every sample_dt.
 
-    Each segment's operator acts on [t_start_k, t_start_{k+1}).  A sample gap
-    that contains a switch is split there, so switch times are exact.
-    Amplitudes that turn non-finite or exceed 1e150 raise GainRunawayError; a
-    sample whose intensity underflows to 0 raises NormUnderflowError; a gap
-    that would take more than MAX_SUB_STEPS sub-steps raises StepCountError.
+    segments is a sequence of (t_start, operator) pairs, the first starting
+    at 0 and the starts strictly increasing; each operator acts on
+    [t_start_k, t_start_{k+1}) and must share c0's dimension and site labels.
+    A sample gap that contains a switch is split there, so switch times are
+    exact.  Amplitudes that turn non-finite or exceed 1e150 raise
+    GainRunawayError; a sample whose intensity underflows to 0 raises
+    NormUnderflowError; a gap that would take more than MAX_SUB_STEPS
+    sub-steps raises StepCountError.
     """
-    segments = schedule.segments
-    h0 = segments[0].hamiltonian
+    starts = [t_start for t_start, _ in segments]
+    if not starts or starts[0] != 0.0:
+        raise ValueError("a schedule needs at least one segment, the first starting at t = 0")
+    if any(b <= a for a, b in zip(starts, starts[1:])):
+        raise ValueError("segment start times must be strictly increasing")
     if sample_dt <= 0.0:
         raise ValueError(f"sample_dt must be > 0, got {sample_dt}")
-    if not (segments[-1].t_start <= t_final < math.inf):
+    if not (starts[-1] <= t_final < math.inf):
         raise ValueError(f"t_final must be finite and >= the last segment start, got {t_final}")
-    if c0.amplitudes.shape != (h0.dim,) or not np.array_equal(c0.site_labels, h0.site_labels):
+    if any(c0.amplitudes.shape != (h.dim,) or not np.array_equal(c0.site_labels, h.site_labels)
+           for _, h in segments):
         raise ValueError("state and operator dimension or site labels differ")
     if c0.norm <= 0.0:
         raise ValueError("initial state must have positive norm")
     times = sample_times(t_final, sample_dt)
-    states = np.empty((len(times), h0.dim), dtype=complex)
+    states = np.empty((len(times), c0.amplitudes.size), dtype=complex)
     states[0] = state = c0.amplitudes
-    switches = [s.t_start for s in segments[1:]]
-    seg = 0
+    switches, seg = starts[1:], 0
     with np.errstate(over="ignore", invalid="ignore"):  # StepCountError reports a norm overflow
-        steppers = [_Stepper(s.hamiltonian) for s in segments]
+        steppers = [_Stepper(h) for _, h in segments]
         for k in range(1, len(times)):
             t = times[k - 1]
             # a switch within _TIME_EPS of a sample time acts at that sample
             while seg < len(switches) and switches[seg] < times[k] - _TIME_EPS:
                 if switches[seg] > t + _TIME_EPS:
-                    state = steppers[seg](switches[seg] - t, state)
+                    state = _checked(steppers[seg](switches[seg] - t, state))
                     t = switches[seg]
                 seg += 1
             gap = sample_dt if t == times[k - 1] else times[k] - t
-            states[k] = state = steppers[seg](gap, state)
+            states[k] = state = _checked(steppers[seg](gap, state))
     norm_series = np.sum(np.abs(states) ** 2, axis=1)
     if not norm_series.all():
         t = float(times[np.argmin(norm_series)])  # the first zero
         raise NormUnderflowError(f"intensity sum |c_n|^2 underflows to 0 at t = {t!r}; "
                                  "attenuation outruns the double-precision range")
-    return Trajectory(times=times, amplitudes=states, site_labels=h0.site_labels,
+    return Trajectory(times=times, amplitudes=states, site_labels=segments[0][1].site_labels,
                       norm_series=norm_series, method_tag=METHOD_TAG)

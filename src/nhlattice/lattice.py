@@ -65,7 +65,7 @@ def _check_options(spec) -> None:
     for f in fields(spec):
         options = f.metadata.get("options")
         if options and getattr(spec, f.name) not in options:
-            raise ValueError(f"bad {f.name} {getattr(spec, f.name)!r}")
+            raise ValueError(f"{f.name}: {getattr(spec, f.name)!r} is not one of {options}")
 
 
 def _require_finite(name: str, value: float) -> None:

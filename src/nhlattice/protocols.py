@@ -31,8 +31,6 @@ from .analysis import (
 )
 from .dynamics import (
     METHOD_TAG,
-    Schedule,
-    ScheduleSegment,
     StateVector,
     Trajectory,
     evolve_exact,
@@ -136,7 +134,7 @@ class DispersionParams:
 
     def __post_init__(self):
         if self.q_points < 3:
-            raise ValueError("q_points must be >= 3")
+            raise ValueError(f"q_points: must be >= 3, got {self.q_points}")
         object.__setattr__(self, "phi_values", tuple(float(p) for p in self.phi_values))
 
 
@@ -236,7 +234,9 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
                  f"{key}: set both chain_length and index_origin, or neither (auto)")
         lo, hi = auto_extent(cfg)
         cfg = replace(cfg, chain_length=hi - lo + 1, index_origin=lo)
-    _require(cfg.chain_length >= 2, "chain_length: must be >= 2")
+    least = 3 if cfg.boundary == "periodic" else 2  # a 2-ring double-couples one pair
+    _require(cfg.chain_length >= least, f"chain_length: must be >= {least} with boundary = "
+             f"{cfg.boundary}, got {cfg.chain_length}")
     _check_trajectory_fits(cfg)
     times = sample_times(t.t_final, t.sample_dt)
     if cfg.experiment != "reduction_check":  # the runs that fit a velocity
@@ -386,8 +386,8 @@ def run_transport(config: ExperimentConfig) -> ExperimentResult:
     return _chain_result(cfg, manifest, metrics, traj)
 
 
-def _storage_schedule(cfg: ExperimentConfig, xi: float) -> Schedule:
-    """Capture then release operator for one offset value."""
+def _storage_schedule(cfg: ExperimentConfig, xi: float) -> list:
+    """The (t_start, operator) pairs of one offset value: capture from 0, release from t_prime."""
     template = replace(_chain_spec(cfg, defects=()), phi=0.0, boundary="open")
     sp = cfg.storage
     q0 = cfg.excitation.q0
@@ -396,10 +396,7 @@ def _storage_schedule(cfg: ExperimentConfig, xi: float) -> Schedule:
     phi_release = -q0 if sp.retrieval_phase_sign == "forward" else q0
     release_spec = replace(template, phi=phi_release, defects=(
         DefectSpec(-sp.n_half, sp.v_c, 0.0), DefectSpec(sp.n_half, sp.v_c, 0.0)))
-    return Schedule((
-        ScheduleSegment(0.0, h_capture),
-        ScheduleSegment(cfg.timing.t_prime, build_chain_hamiltonian(release_spec)),
-    ))
+    return [(0.0, h_capture), (cfg.timing.t_prime, build_chain_hamiltonian(release_spec))]
 
 
 def _capture_mask(times: np.ndarray, t_prime: float) -> np.ndarray:
@@ -421,7 +418,7 @@ def _storage_single(cfg: ExperimentConfig, xi: float) -> tuple:
     """One capture/release cycle; returns (trajectory, its metrics)."""
     t = cfg.timing
     schedule = _storage_schedule(cfg, xi)
-    state0 = make_excitation(cfg.excitation, schedule.segments[0].hamiltonian.site_labels)
+    state0 = make_excitation(cfg.excitation, schedule[0][1].site_labels)
     traj = evolve_schedule(schedule, state0, t.t_final, t.sample_dt)
 
     exc = cfg.excitation

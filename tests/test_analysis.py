@@ -14,8 +14,10 @@ from nhlattice import (
     StateVector,
     StorageParams,
     Timing,
+    Trajectory,
     build_chain_hamiltonian,
     centroid,
+    centroid_series,
     centroid_velocity,
     evolve_exact,
     fit_gaussian,
@@ -257,6 +259,29 @@ def test_normalized_profile_where_the_squares_leave_the_normal_range():
     assert rho[3].tobytes() == (rows[3] / math.sqrt(10.0)).tobytes()
     with pytest.raises(ValueError, match="zero-norm"):
         normalized_profile(np.array([[1.0, 2.0], [0.0, 0.0]]))
+
+
+def test_centroid_and_fractions_where_the_squares_leave_the_normal_range():
+    # the rows of the normalized_profile test above, each read as the same state at unit
+    # scale; a row of squares that overflow, underflow to 0 or turn subnormal included
+    rows = np.array([[1e200, 1e199], [1e-170, 1e-171], [1e-160, 3e-160], [1.0, 3.0]])
+    unit = np.array([[10.0, 1.0]] * 2 + [[1.0, 3.0]] * 2)
+    labels = np.array([-3, 4])  # each side of a barrier at 0, clear of its margin
+    traj = Trajectory(times=np.arange(4.0), amplitudes=rows.astype(complex), site_labels=labels,
+                      norm_series=np.ones(4), method_tag="exact")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = centroid_series(traj)
+        for k, (row, want) in enumerate(zip(rows, unit)):
+            weights = want**2 / np.sum(want**2)
+            c = StateVector(row, labels)
+            assert centroid(c) == pytest.approx(float(labels @ weights), rel=4e-16, abs=0.0)
+            assert series[k] == pytest.approx(float(labels @ weights), rel=4e-16, abs=0.0)
+            assert region_fractions(c, 0, 0) == pytest.approx((*weights, 0.0), rel=4e-16, abs=0.0)
+    zero = StateVector(np.zeros(2), labels)
+    for observe in (centroid, lambda c: region_fractions(c, 0, 0)):
+        with pytest.raises(ValueError, match="zero-norm"):
+            observe(zero)
 
 
 # ---------------------------------------------------------------- reflection

@@ -257,6 +257,28 @@ def test_bad_timing_or_auto_extent_exits_2_naming_the_key(tmp_path, capsys, line
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line,key", [
+    ("excitation.w0 = -1", "excitation.w0"),
+    ("dispersion.q_points = 2", "dispersion.q_points"),
+    pytest.param("boundary = periodic\nchain_length = 2\nindex_origin = -15", "chain_length",
+                 id="periodic two-site chain"),
+])
+def test_config_dataclass_check_exits_2_naming_the_key(tmp_path, capsys, line, key):
+    # the checks of ExcitationSpec, DispersionParams and ExperimentConfig themselves
+    assert _run_fast_transport_with(tmp_path, line) == 2
+    _single_config_error(capsys, key)
+    assert not (tmp_path / "o").exists()
+
+
+def test_narrow_packet_run_prints_nothing_on_stderr(tmp_path):
+    # |n - n0| / w0 squares past the double range off the centre site: exp(-inf) = 0
+    cfg = _write_config_with(tmp_path, "excitation.w0 = 1e-300")
+    proc = subprocess.run([sys.executable, "-m", "nhlattice", "transport", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")], env=_CHILD_ENV, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 @pytest.mark.parametrize("command,preset,line,key", [
     ("storage", "fig6a", "storage.n_half = 0", "storage.n_half"),
     ("reduce-check", "reduction", "reduction.j_values = 0", "reduction.j_values"),
@@ -682,7 +704,7 @@ assert callable(scipy.sparse._sparsetools.csr_matvec)
 ops = []
 for name in ("fig6a", "fig7"):
     cfg = nh.protocols.resolve_config(nh.preset_config(name))
-    ops += [s.hamiltonian for s in nh.protocols._storage_schedule(cfg, cfg.storage.xi).segments]
+    ops += [h for _, h in nh.protocols._storage_schedule(cfg, cfg.storage.xi)]
 ops.append(nh.build_chain_hamiltonian(nh.ChainSpec(
     kappa=1.0, beta=0.4, gamma=0.8, phi=0.7, n_sites=31, boundary="periodic",
     defects=(nh.DefectSpec(3, 1.0, 0.4),))))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,6 @@ from nhlattice import (
     Operator,
     SandwichSpec,
     SawtoothSpec,
-    Schedule,
-    ScheduleSegment,
     StateVector,
     build_chain_hamiltonian,
     build_sandwich_hamiltonian,
@@ -29,7 +28,7 @@ from nhlattice import (
 )
 
 import reference
-from nhlattice.dynamics import _THETA, STEP_NORM_LIMIT, _Step, _trace_shift
+from nhlattice.dynamics import _THETA, STEP_NORM_LIMIT, _Stepper, _trace_shift
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
 
@@ -164,8 +163,7 @@ def test_propagator_bitwise_equals_gap_by_gap_expm_multiply(before, after, sampl
     amps = rng.normal(size=h1.dim) + 1j * rng.normal(size=h1.dim)
     amps[::3] = complex(-0.0, -0.0)  # signed zeros that the final eta * f must keep
     c0 = StateVector(amps, h1.site_labels)
-    traj = evolve_schedule(Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.1, h2))),
-                           c0, 5.0, sample_dt)
+    traj = evolve_schedule([(0.0, h1), (3.1, h2)], c0, 5.0, sample_dt)
     want = reference.expm_multiply_schedule([(0.0, reference.csr(h1)), (3.1, reference.csr(h2))],
                                             c0.amplitudes, 5.0, sample_dt, STEP_NORM_LIMIT)
     assert traj.amplitudes.shape == want.shape
@@ -337,19 +335,19 @@ _OVERFLOW_CASE = (reference.operator(np.array([[60j, 1.0], [1.0, 0.0]]), np.aran
 @example(case=_OVERFLOW_CASE)
 @settings(derandomize=True, max_examples=120)
 def test_step_stop_decisions_bitwise_equal_expm_multiply(case):
-    # _Step computes max|f| only where scipy's stop test might pass; every
+    # _Stepper computes max|f| only where scipy's stop test might pass; every
     # break must still fall on scipy's term, so the bytes are scipy's
     h, c0 = case
     assume(_shifted_norm(reference.csr(h)) <= STEP_NORM_LIMIT)  # one expm_multiply call
     with np.errstate(all="ignore"):
-        got = _Step(reference.operator(reference.csr(h) * -1j, h.site_labels))(c0)
+        got = _Stepper(h)(1.0, c0)
         want = reference.expm_multiply_schedule([(0.0, reference.csr(h))], c0, 1.0, 1.0,
                                                 STEP_NORM_LIMIT)[-1]
     assert got.tobytes() == want.tobytes()
 
 
 def test_complex_abs_error_within_step_bound_assumption():
-    # _Step's running bound on max|f| assumes numpy's complex abs on arrays
+    # _Stepper's running bound on max|f| assumes numpy's complex abs on arrays
     # (where numpy may use a SIMD loop) is within 2^-50 of the modulus,
     # relative, plus 2^-1074 absolute; checked here in exact rationals
     rng = np.random.default_rng(9)
@@ -416,7 +414,7 @@ def test_single_segment_schedule_equals_exact_bitwise():
     h = _chain(n=41)
     c0 = _delta(h)
     direct = evolve_exact(h, c0, 6.0, 0.5)
-    sched = evolve_schedule(Schedule((ScheduleSegment(0.0, h),)), c0, 6.0, 0.5)
+    sched = evolve_schedule([(0.0, h)], c0, 6.0, 0.5)
     assert np.array_equal(direct.amplitudes, sched.amplitudes)
 
 
@@ -424,8 +422,7 @@ def test_identical_segments_splice_identity():
     h = _chain(n=41)
     c0 = _delta(h)
     one = evolve_exact(h, c0, 6.0, 0.5)
-    two = evolve_schedule(
-        Schedule((ScheduleSegment(0.0, h), ScheduleSegment(3.0, h))), c0, 6.0, 0.5)
+    two = evolve_schedule([(0.0, h), (3.0, h)], c0, 6.0, 0.5)
     assert np.array_equal(one.amplitudes, two.amplitudes)
 
 
@@ -433,7 +430,7 @@ def test_quench_continuity_state_unchanged_at_switch():
     h1 = _chain(n=41, phi=math.pi / 2)
     h2 = _chain(n=41, phi=-math.pi / 2)
     c0 = _delta(h1)
-    sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.0, h2)))
+    sched = [(0.0, h1), (3.0, h2)]
     spliced = evolve_schedule(sched, c0, 6.0, 0.5)
     first_leg = evolve_exact(h1, c0, 3.0, 0.5)
     k_switch = spliced.index_at_time(3.0)
@@ -444,7 +441,7 @@ def test_schedule_exact_matches_rk4():
     h1 = _chain(n=41, phi=math.pi / 2)
     h2 = _chain(n=41, phi=-math.pi / 2)
     c0 = _delta(h1)
-    sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.0, h2)))
+    sched = [(0.0, h1), (3.0, h2)]
     tr_e = evolve_schedule(sched, c0, 6.0, 0.5)
     tr_r = reference.rk4([(0.0, reference.csr(h1).toarray()), (3.0, reference.csr(h2).toarray())],
                          c0.amplitudes, 6.0, 1e-3, 0.5)
@@ -456,7 +453,7 @@ def test_schedule_off_grid_switch_matches_dense_expm():
     h2 = _chain(n=41, phi=-math.pi / 2)
     c0 = _delta(h1)
     # 3.1 lies between the samples 3.0 and 3.25 and is kept exactly
-    sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(3.1, h2)))
+    sched = [(0.0, h1), (3.1, h2)]
     traj = evolve_schedule(sched, c0, 6.0, 0.25)
     d1, d2 = reference.csr(h1).toarray(), reference.csr(h2).toarray()
     want = reference.expm_schedule([(0.0, d1), (3.1, d2)], c0.amplitudes, traj.times)
@@ -467,8 +464,7 @@ def test_schedule_three_segments():
     h1 = _chain(n=41, phi=math.pi / 2)
     h2 = _chain(n=41, phi=-math.pi / 2)
     c0 = _delta(h1)
-    sched = Schedule((ScheduleSegment(0.0, h1), ScheduleSegment(2.0, h2),
-                      ScheduleSegment(4.0, h1)))
+    sched = [(0.0, h1), (2.0, h2), (4.0, h1)]
     tr_e = evolve_schedule(sched, c0, 6.0, 0.5)
     d1, d2 = reference.csr(h1).toarray(), reference.csr(h2).toarray()
     tr_r = reference.rk4([(0.0, d1), (2.0, d2), (4.0, d1)], c0.amplitudes, 6.0, 1e-3, 0.5)
@@ -477,18 +473,109 @@ def test_schedule_three_segments():
 
 def test_schedule_validation():
     h = _chain(n=11)
+    c0 = _delta(h, n0=-5)
     with pytest.raises(ValueError):
-        Schedule(())
+        evolve_schedule([], c0, 2.0, 0.5)
     with pytest.raises(ValueError):
-        Schedule((ScheduleSegment(1.0, h),))
+        evolve_schedule([(1.0, h)], c0, 2.0, 0.5)
     with pytest.raises(ValueError):
-        Schedule((ScheduleSegment(0.0, h), ScheduleSegment(0.0, h)))
+        evolve_schedule([(0.0, h), (0.0, h)], c0, 2.0, 0.5)
     other = _chain(n=13)
     with pytest.raises(ValueError):
-        Schedule((ScheduleSegment(0.0, h), ScheduleSegment(1.0, other)))
+        evolve_schedule([(0.0, h), (1.0, other)], c0, 2.0, 0.5)
     with pytest.raises(ValueError):
-        evolve_schedule(Schedule((ScheduleSegment(0.0, h), ScheduleSegment(5.0, h))),
-                        _delta(h, n0=-5), 2.0, 0.5)
+        evolve_schedule([(0.0, h), (5.0, h)], c0, 2.0, 0.5)
+
+
+#: switch offsets from a sample time: inside the 1e-9 snap window, and just outside it
+_NEAR_SAMPLE = st.sampled_from([-9e-10, -1e-10, 0.0, 1e-10, 9e-10, -3e-9, 2e-9])
+#: shifted 1-norms of a full gap's step: any, one where degrees 40 and 50 tie in
+#: cost (29.7 < norm <= 30), and ones past STEP_NORM_LIMIT, split in 2 to 3 sub-steps
+_GAP_NORMS = st.one_of(st.none(), st.floats(29.75, 29.98), st.floats(61.0, 170.0))
+
+
+@st.composite
+def _schedule_cases(draw):
+    """1-3 (t_start, operator) pairs on one set of sites, a state whose entries
+    include signed zeros, and a non-dyadic sample_dt.  The operators are open
+    or periodic chains with defects and sandwiches on up to 40 sites, or
+    sawtooths on up to 20 cells, all scaled so that a full gap under the
+    first has a drawn shifted 1-norm (_GAP_NORMS).  Switch times fall between
+    samples or within a few 1e-9 of one."""
+    phase = st.floats(-math.pi, math.pi)
+    if draw(st.booleans()):
+        n_cells = draw(st.integers(2, 20))
+
+        def operator():
+            return _saw(theta=draw(phase), j=draw(st.floats(0.5, 8.0)), n_cells=n_cells,
+                        u_b=complex(draw(st.floats(-5.0, 5.0)), -draw(st.floats(0.5, 40.0))))
+    else:
+        n = draw(st.integers(9, 40))
+        origin = -(n // 2)
+
+        def operator():
+            kind = draw(st.sampled_from(("open", "periodic", "sandwich")))
+            chain = ChainSpec(kappa=1.0, beta=0.4, gamma=draw(st.floats(-0.3, 1.0)),
+                              phi=draw(phase), n_sites=n, index_origin=origin,
+                              boundary="periodic" if kind == "periodic" else "open",
+                              defects=[DefectSpec(site, draw(st.floats(-1.0, 1.0)),
+                                                  draw(st.floats(-0.5, 0.5)))
+                                       for site in draw(st.sets(st.integers(origin, origin + n - 1),
+                                                                max_size=3))])
+            if kind != "sandwich":
+                return build_chain_hamiltonian(chain)
+            return build_sandwich_hamiltonian(SandwichSpec(
+                chain=replace(chain, defects=()), n_half=draw(st.integers(1, (n - 1) // 2 - 1)),
+                q0=draw(phase), v_c=draw(st.floats(-1.0, 1.0)), xi=draw(st.floats(-1.0, 0.5))))
+    sample_dt = draw(st.floats(0.05, 1.0))
+    gap_norm = draw(_GAP_NORMS)
+    samples = draw(st.integers(1, 8 if gap_norm is None else 3))
+    t_final = (samples + draw(st.sampled_from([0.0, 0.37]))) * sample_dt
+    starts = [0.0]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):  # off the sample grid
+            starts.append((draw(st.integers(0, samples - 1)) + draw(st.floats(0.01, 0.99)))
+                          * sample_dt)
+        else:
+            starts.append(draw(st.integers(1, samples)) * sample_dt + draw(_NEAR_SAMPLE))
+    starts = sorted(set(starts))
+    ops = [operator() for _ in starts]
+    scale = 1.0 if gap_norm is None else gap_norm / sample_dt / _shifted_norm(reference.csr(ops[0]))
+    segments = [(t_start, reference.operator(reference.csr(h) * scale, h.site_labels))
+                for t_start, h in zip(starts, ops)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = ops[0].dim
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps[rng.random(dim) < 0.3] = draw(st.sampled_from(
+        [complex(-0.0, -0.0), complex(-0.0, 0.5), complex(0.25, -0.0)]))
+    return segments, StateVector(amps, ops[0].site_labels), max(t_final, starts[-1]), sample_dt
+
+
+@given(case=_schedule_cases())
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_drawn_schedules_bitwise_equal_gap_by_gap_expm_multiply(case):
+    """Every sample is scipy's expm_multiply carried gap by gap, bit for bit,
+    and lies within 1e-10 (2-norm, relative) of dense expm where the growth
+    bound e^(omega t) stays below 1e6, omega being the largest numerical
+    abscissa (top eigenvalue of (H - H^+)/2i) of the schedule's operators."""
+    segments, c0, t_final, sample_dt = case
+    dense = [(t_start, reference.csr(h).toarray()) for t_start, h in segments]
+    spread = [np.linalg.eigvalsh((d - d.conj().T) / 2j) for _, d in dense]
+    omega, floor = max(e[-1] for e in spread), min(e[0] for e in spread)
+    # |c(t)| lies within e^(floor t) and e^(omega t) of |c0|: no run-away, no underflow
+    assume(-300.0 < floor * t_final and omega * t_final < 300.0)
+    traj = evolve_schedule(segments, c0, t_final, sample_dt)
+    sparse = [(t_start, reference.csr(h)) for t_start, h in segments]
+    want = reference.expm_multiply_schedule(sparse, c0.amplitudes, t_final, sample_dt,
+                                            STEP_NORM_LIMIT)
+    assert traj.amplitudes.tobytes() == want.tobytes()
+    if omega * t_final < math.log(1e6):
+        # a switch within 1e-9 of a sample acts at it: give dense expm that time too
+        snapped = [(float(traj.times[np.argmin(np.abs(traj.times - t))])
+                    if np.min(np.abs(traj.times - t)) <= 1e-9 else t, d) for t, d in dense]
+        exact = reference.expm_schedule(snapped, c0.amplitudes, traj.times)
+        error = np.linalg.norm(traj.amplitudes - exact, axis=1)
+        assert np.all(error <= 1e-10 * np.linalg.norm(exact, axis=1))
 
 
 # ---------------------------------------------------------------- invariants

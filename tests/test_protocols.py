@@ -222,7 +222,7 @@ def test_storage_quench_switch_matches_capture_stage():
 
     schedule = _storage_schedule(cfg, cfg.storage.xi)
     capture_only = nh.evolve_exact(
-        schedule.segments[0].hamiltonian,
+        schedule[0][1],
         nh.make_excitation(cfg.excitation, tr.site_labels),
         cfg.timing.t_prime, cfg.timing.sample_dt)
     assert np.array_equal(tr.amplitudes[k], capture_only.amplitudes[-1])
