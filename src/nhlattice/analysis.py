@@ -182,7 +182,7 @@ def fit_gaussian(c: StateVector) -> GaussianFit:
     fit to a sub-site width (< 1 lattice spacing, unresolvable on the grid)
     are reported degenerate with zero fidelity.
     """
-    if c.norm <= 0.0:
+    if not np.any(c.amplitudes):
         raise ValueError("cannot fit a zero-norm state")
     labels = c.site_labels.astype(float)
     values = np.abs(c.amplitudes)

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__, configio, protocols
 from .configio import ConfigError
 from .dynamics import GainRunawayError, NormUnderflowError, StepCountError
-from .heatmap import render_heatmap
+from .heatmap import render_heatmap_file
 
 SUBCOMMAND_EXPERIMENTS = {
     "dispersion": ("dispersion_scan",),
@@ -96,7 +96,7 @@ def _write_artifacts(result, out_dir: Path, fmt: str) -> None:
         configio.write_table_csv(result.table, scan)
     if result.trajectory is not None and fmt == "csv+svg":
         title = result.config.preset or result.config.experiment
-        configio.write_text_atomic(svg, render_heatmap(result.trajectory, title=title))
+        render_heatmap_file(result.trajectory, svg, title=title)
 
 
 def _deepest_existing(out_dir: Path) -> Path:

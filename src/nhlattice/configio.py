@@ -461,6 +461,8 @@ def read_trajectory_csv(path, method_tag: str = METHOD_TAG):
             raise ConfigError(f"{path}: malformed row: {exc}") from exc
     if data.shape[1] != 4:
         raise ConfigError(f"{path}: malformed rows of {data.shape[1]} columns, expected 4")
+    if not np.all(np.isfinite(data[:, [0, 2, 3]])):
+        raise ConfigError(f"{path}: a time or amplitude is not finite")
     n_sites = int(np.argmax(data[:, 0] != data[0, 0])) or len(data)
     if len(data) % n_sites != 0:
         raise ConfigError(f"{path}: row count {len(data)} is not a multiple of the site count")

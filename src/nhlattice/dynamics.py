@@ -270,8 +270,10 @@ def evolve_schedule(segments, c0: StateVector, t_final: float, sample_dt: float)
     if any(c0.amplitudes.shape != (h.dim,) or not np.array_equal(c0.site_labels, h.site_labels)
            for _, h in segments):
         raise ValueError("state and operator dimension or site labels differ")
+    if not np.any(c0.amplitudes):
+        raise ValueError("initial state must have a nonzero amplitude")
     if c0.norm <= 0.0:
-        raise ValueError("initial state must have positive norm")
+        raise NormUnderflowError("intensity sum |c_n|^2 of the initial state underflows to 0")
     times = sample_times(t_final, sample_dt)
     states = np.empty((len(times), c0.amplitudes.size), dtype=complex)
     states[0] = state = c0.amplitudes

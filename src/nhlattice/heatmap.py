@@ -4,17 +4,21 @@ Renders |rho_n(t)| as a site-vs-time grid of colored cells.  The color
 map is the fixed 256-entry lookup table COLOR_TABLE, interpolated from
 the anchor ramp below; its luminance rises monotonically from dark to
 bright, so cell brightness is a monotone function of the profile value.
-Output is a plain string of SVG, byte-deterministic for identical input.
+The lit cells go in fixed byte columns, compacted a block at a time as the
+trajectory CSV is (configio._byte_columns); render_heatmap_file streams the
+bytes that render_heatmap returns as a string.  Output is byte-deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import configio
 from .analysis import normalized_profile
+from .configio import _byte_columns
 from .dynamics import Trajectory
 
-__all__ = ["COLOR_TABLE", "COLOR_ANCHORS", "luminance", "render_heatmap"]
+__all__ = ["COLOR_TABLE", "COLOR_ANCHORS", "luminance", "render_heatmap", "render_heatmap_file"]
 
 # Dark-to-bright ramp anchors (R, G, B); luminance increases along the list.
 COLOR_ANCHORS = (
@@ -62,9 +66,9 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-#: the end of a heatmap cell's <rect>, one per color level
-_CELL_TAILS = tuple(f'" width="{_CELL}" height="{_CELL}" fill="{_hex(rgb)}"/>'
-                    for rgb in COLOR_TABLE)
+#: the end of a heatmap cell's <rect>, one row of byte columns per color level
+_CELL_TAILS = _byte_columns([f'" width="{_CELL}" height="{_CELL}" fill="{_hex(rgb)}"/>'.encode()
+                             for rgb in COLOR_TABLE])
 
 
 def _text(x, y, size: int, body: str, anchor: str = "", extra: str = "") -> str:
@@ -84,13 +88,26 @@ def _line(x1, y1, x2, y2) -> str:
 
 def render_heatmap(traj: Trajectory, title: str = "") -> str:
     """Render the trajectory's profile as an SVG document string."""
+    return b"".join(_svg_pieces(traj, title)).decode("utf-8")
+
+
+def render_heatmap_file(traj: Trajectory, path, title: str = "") -> None:
+    """Write render_heatmap's document to ``path`` as it is rendered, atomically."""
+    with configio._atomic(path) as fh:
+        fh.writelines(_svg_pieces(traj, title))
+
+
+def _svg_pieces(traj: Trajectory, title: str):
+    """The SVG document in UTF-8 pieces: the head, the cells a block at a time, the axes."""
     if traj.n_samples < 1 or len(traj.site_labels) < 1:
         raise ValueError("cannot render an empty trajectory")
+    if not np.all(np.isfinite(traj.amplitudes)):
+        raise ValueError("cannot render a non-finite profile")
     rho = normalized_profile(traj.amplitudes)  # (n_samples, n_sites)
     vmax = float(np.max(rho))
     if vmax <= 0.0:
         raise ValueError("profile is identically zero")
-    idx = np.rint(rho / vmax * 255.0).astype(int)
+    levels = np.rint(rho / vmax * 255.0).astype(np.uint8)
 
     grid_w, grid_h = (n * _CELL for n in rho.shape)  # samples across, sites down
     width = _MARGIN_LEFT + grid_w + _MARGIN_RIGHT
@@ -106,16 +123,19 @@ def render_heatmap(traj: Trajectory, title: str = "") -> str:
         out.append(_text(x0, _MARGIN_TOP - 2, 10, title))
     # background = color of zero, individual cells drawn only above it
     out.append(_rect(x0, y0, grid_w, grid_h, _hex(COLOR_TABLE[0])))
-    # each cell is '<rect x="col" y="row" width=.. height=.. fill=../>'
-    row_ys = [f'" y="{y0 + (n_max - n) * _CELL}' for n in labels.tolist()]
-    for k, levels in enumerate(idx.tolist()):
-        head = f'<rect x="{x0 + k * _CELL}'
-        out.extend(head + row_ys[i] + _CELL_TAILS[level]
-                   for i, level in enumerate(levels) if level)
+    yield "\n".join(out).encode("utf-8")
+    # each lit cell is '\n<rect x="col" y="row" width=.. height=.. fill=../>' in byte columns
+    heads = _byte_columns([b'\n<rect x="%d' % (x0 + k * _CELL) for k in range(len(levels))])
+    row_ys = _byte_columns([b'" y="%d' % (y0 + (n_max - n) * _CELL) for n in labels.tolist()])
+    step = max(1, configio._CSV_CHUNK // len(labels))  # samples a block
+    for k in range(0, len(levels), step):
+        ks, ns = np.nonzero(levels[k:k + step])
+        cells = np.concatenate((heads[k + ks], row_ys[ns], _CELL_TAILS[levels[k + ks, ns]]), axis=1)
+        yield cells.tobytes().translate(None, b"\0")
 
-    # axes
+    # axes, from a new line after the last cell
     axis_y = y0 + grid_h
-    out += [_line(x0, axis_y, x0 + grid_w, axis_y), _line(x0, y0, x0, axis_y)]
+    out = ["", _line(x0, axis_y, x0 + grid_w, axis_y), _line(x0, y0, x0, axis_y)]
     for frac in (0.0, 0.5, 1.0):
         t_val = traj.times[0] + frac * (traj.times[-1] - traj.times[0])
         tx = _fmt(x0 + frac * grid_w)
@@ -137,5 +157,5 @@ def render_heatmap(traj: Trajectory, title: str = "") -> str:
                          _hex(COLOR_TABLE[level])))
     for y, body in ((y0 + 8, _fmt(vmax)), (axis_y, "0"), (mid_y, "rho")):
         out.append(_text(bar_x + _BAR_WIDTH + 4, y, 9, body))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    yield "\n".join(out).encode("utf-8")

@@ -3,8 +3,9 @@ equations site by site.  These are the oracles the sparse Hamiltonian
 builders are checked against, plus a fixed-step RK4, a dense-expm schedule
 propagator, a gap-by-gap ``scipy.sparse.linalg.expm_multiply`` propagator
 and the closed-form Bessel propagator of the infinite homogeneous chain for
-the dynamics, a per-element trajectory CSV writer, and scipy's ``curve_fit``
-for the Gaussian fit; they share no code with the package.  The tests reach
+the dynamics, a per-element trajectory CSV writer, a per-cell heatmap SVG
+renderer, and scipy's ``curve_fit`` for the Gaussian fit; they share no code
+with the package.  The tests reach
 scipy's sparse arrays through the two adapters ``operator`` and ``csr``.
 Only ``scipy.sparse`` loads with this module; each oracle imports the rest of
 scipy it needs, so a test child that wants only ``csr`` starts quicker."""
@@ -222,6 +223,76 @@ def trajectory_csv_text(times, amplitudes, labels):
             lines.append("%.17g,%d,%.17g,%.17g" % (float(t), int(label),
                                                    float(a.real), float(a.imag)))
     return "\n".join(lines) + "\n"
+
+
+#: the heatmap's dark-to-bright color ramp, (R, G, B) anchors
+HEATMAP_ANCHORS = ((0, 0, 4), (45, 17, 90), (114, 31, 129), (183, 55, 121),
+                   (241, 96, 93), (253, 163, 74), (252, 227, 110), (252, 255, 220))
+
+
+def heatmap_svg(times, amplitudes, labels, title=""):
+    """The heatmap SVG of |c_n| / sqrt(sum |c_m|^2), one <rect> string per lit cell.
+
+    Rows must have a finite normal sum |c|^2.  Cells are 3 px (samples across,
+    sites down, the top label at the top); margins 46 left, 12 top, 30 bottom
+    and 72 right, where a 32-step color bar 14 px wide sits 16 px off the grid.
+    """
+    ramp = np.asarray(HEATMAP_ANCHORS, dtype=float)
+    xs, pos = np.linspace(0.0, 1.0, 256), np.linspace(0.0, 1.0, len(ramp))
+    rgb = np.rint([np.interp(xs, pos, ramp[:, c]) for c in range(3)]).astype(int).T
+    fills = ["#%02x%02x%02x" % tuple(row) for row in rgb.tolist()]
+    mags = np.abs(np.asarray(amplitudes, dtype=complex))
+    rho = mags / np.sqrt(np.sum(mags**2, axis=-1, keepdims=True))
+    vmax = float(np.max(rho))
+    levels = np.rint(rho / vmax * 255.0).astype(int).tolist()
+    labels = [int(n) for n in labels]
+
+    def fmt(x):
+        return "%.6g" % x
+
+    def text(x, y, size, body, anchor="", extra=""):
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        return (f'<text x="{x}" y="{y}" font-family="monospace" font-size="{size}"{anchor} '
+                f'fill="#000000"{extra}>{body}</text>')
+
+    def rect(x, y, w, h, fill):
+        return f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}"/>'
+
+    def line(x1, y1, x2, y2):
+        return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#000000" stroke-width="1"/>'
+
+    x0, y0 = 46, 12
+    grid_w, grid_h = 3 * len(levels), 3 * len(labels)
+    width, height = x0 + grid_w + 72, y0 + grid_h + 30
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">', rect(0, 0, width, height, "#ffffff")]
+    if title:
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        out.append(text(x0, 10, 10, title))
+    out.append(rect(x0, y0, grid_w, grid_h, fills[0]))
+    for k, row in enumerate(levels):
+        for n, level in zip(labels, row):
+            if level:
+                out.append(rect(x0 + 3 * k, y0 + 3 * (labels[-1] - n), 3, 3, fills[level]))
+    axis_y = y0 + grid_h
+    out += [line(x0, axis_y, x0 + grid_w, axis_y), line(x0, y0, x0, axis_y)]
+    for frac in (0.0, 0.5, 1.0):
+        tx = fmt(x0 + frac * grid_w)
+        out.append(line(tx, axis_y, tx, axis_y + 4))
+        out.append(text(tx, axis_y + 14, 9, fmt(times[0] + frac * (times[-1] - times[0])), "middle"))
+        n_val = labels[0] + frac * (labels[-1] - labels[0])
+        out.append(text(x0 - 4, fmt(axis_y - frac * grid_h + 3), 9, fmt(n_val), "end"))
+    out.append(text(x0 + grid_w // 2, axis_y + 26, 10, "time t (1/kappa)", "middle"))
+    mid_y = y0 + grid_h // 2
+    out.append(text(12, mid_y, 10, "site n", "middle", f' transform="rotate(-90 12 {mid_y})"'))
+    bar_x, step_h = x0 + grid_w + 16, grid_h / 32
+    for s in range(32):
+        fill = fills[int(round((31 - s) / 31 * 255))]
+        out.append(rect(bar_x, fmt(y0 + s * step_h), 14, fmt(step_h + 0.5), fill))
+    for y, body in ((y0 + 8, fmt(vmax)), (axis_y, "0"), (mid_y, "rho")):
+        out.append(text(bar_x + 18, y, 9, body))
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 def bessel_chain(c0, times, kappa, beta, gamma, phi, open_above=False, tail=1e-30):

@@ -395,6 +395,20 @@ def test_fit_does_not_depend_on_the_scale(scale):
         assert getattr(scaled, name) == pytest.approx(getattr(fit, name), rel=1e-9), name
 
 
+def test_fit_rejects_only_a_state_with_no_nonzero_amplitude():
+    # Sum |c|^2 underflows to 0 at 1e-170; the fit divides by the peak, so it needs no sum
+    flat = fit_gaussian(StateVector(np.full(6, 1e-170, dtype=complex), np.arange(6)))
+    assert flat == analysis.GaussianFit(3.0, 0.0, 0.0, 0.0, True)
+    labels, values = _noisy_gaussian()
+    fit = fit_gaussian(StateVector(values.astype(complex), labels))
+    tiny = fit_gaussian(StateVector((1e-170 * values).astype(complex), labels))
+    assert not tiny.degenerate
+    for name in ("center", "width", "fidelity"):
+        assert getattr(tiny, name) == pytest.approx(getattr(fit, name), rel=1e-9), name
+    with pytest.raises(ValueError, match="zero-norm"):
+        fit_gaussian(StateVector(np.zeros(6, dtype=complex), np.arange(6)))
+
+
 def test_fit_iteration_cap_reached_degenerate(monkeypatch):
     labels, values = _noisy_gaussian()
     c = StateVector(values.astype(complex), labels)

@@ -375,7 +375,7 @@ from nhlattice import cli, configio, dynamics
 
 owner, name, at = {"propagation": (dynamics._Stepper, "__call__", 10),
                    "csv_write": (configio, "_format_values", 1),
-                   "heatmap": (cli, "render_heatmap", 1),
+                   "heatmap": (cli, "render_heatmap_file", 1),
                    "trajectory.csv": (configio, "_atomic", 1),
                    "manifest.cfg": (configio, "_atomic", 2),
                    "metrics.txt": (configio, "_atomic", 3),
@@ -489,7 +489,7 @@ def test_failed_heatmap_removes_only_what_the_run_wrote_into_an_out_it_made(tmp_
     def broken(*args, **kwargs):
         raise RuntimeError("render failed")
 
-    monkeypatch.setattr("nhlattice.cli.render_heatmap", broken)
+    monkeypatch.setattr("nhlattice.cli.render_heatmap_file", broken)
     out = tmp_path / "o"
     if existing:  # it keeps exactly its own files; the run's finished artifacts never reach it
         out.mkdir()

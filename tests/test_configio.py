@@ -422,8 +422,12 @@ def test_csv_prints_decimal_ties_half_to_even_like_percent_g(tmp_path):
     ("0,1.5,1,0\n0,1.5,1,0\n0.25,1.5,1,0\n0.25,1.5,1,0\n", "not increasing integers"),
     ("0,2,1,0\n0,1,1,0\n0.25,2,1,0\n0.25,1,1,0\n", "not increasing integers"),
     ("0,1e300,1,0\n0.25,1e300,1,0\n", "not increasing integers"),
+    ("0,0,1,0\n0,1,inf,0\n", "not finite"),
+    ("0,0,1,0\n0,1,1,-inf\n", "not finite"),
+    ("nan,0,1,0\nnan,1,1,0\n", "not finite"),
 ], ids=["no_rows", "bad_number", "short_row", "bad_row_count", "sites_differ",
-        "time_changes_in_a_sample", "fractional_repeated_sites", "decreasing_sites", "huge_site"])
+        "time_changes_in_a_sample", "fractional_repeated_sites", "decreasing_sites", "huge_site",
+        "inf_real_part", "inf_imaginary_part", "nan_time"])
 def test_trajectory_csv_reader_errors_name_the_path(tmp_path, body, match):
     path = tmp_path / "bad.csv"
     path.write_text("t,site,re,im\n" + body)

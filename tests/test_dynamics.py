@@ -195,6 +195,16 @@ def test_norm_underflow_names_first_zero_intensity_sample():
         evolve_exact(h, c0, 30.0, 0.25)
 
 
+def test_initial_check_tells_a_zero_state_from_an_underflowing_one():
+    # Sum |c|^2 of [1e-170, 1e-171] underflows to 0, yet the state is not zero
+    h = reference.operator(np.zeros((2, 2), dtype=complex), np.arange(2))
+    tiny = StateVector(np.array([1e-170, 1e-171], dtype=complex), np.arange(2))
+    with pytest.raises(NormUnderflowError, match="of the initial state underflows"):
+        evolve_exact(h, tiny, 1.0, 0.5)
+    with pytest.raises(ValueError, match="nonzero amplitude"):
+        evolve_exact(h, StateVector(np.zeros(2, dtype=complex), np.arange(2)), 1.0, 0.5)
+
+
 def test_vendored_theta_table_equals_installed_scipy():
     # the one import of this private name; the package holds a copy of it
     try:
