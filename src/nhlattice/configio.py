@@ -167,21 +167,14 @@ def _defaults() -> dict:
     return _flatten(ExperimentConfig(experiment="dispersion_scan"))
 
 
-def _parse_scalar(key: str, kind, tags, token: str):
-    options = tags.get("options")
-    if options:
-        if token not in options:
-            shown = ([tags["none"]] if "none" in tags else []) + list(options)
-            raise ConfigError(f"{key}: {token!r} is not one of {', '.join(shown)}")
-        return token
+def _parse_scalar(key: str, kind, token: str):
     if kind not in _PARSERS:  # a dataclass list item, written a:b:c
         fields = _fields(kind)
         parts = token.split(":")
         if len(parts) != len(fields):
             names = ":".join(f.name for f, *_ in fields)
             raise ConfigError(f"{key}: {token!r} must be {names}")
-        return kind(*(_parse_scalar(key, k, f.metadata, part)
-                      for (f, k, *_), part in zip(fields, parts)))
+        return kind(*(_parse_scalar(key, k, part) for (_, k, *_), part in zip(fields, parts)))
     try:
         value = _PARSERS[kind](token)
     except (ValueError, KeyError):
@@ -197,8 +190,8 @@ def parse_value(key: str, token: str):
     if token == tags.get("none"):
         return () if many else None
     if many:
-        return tuple(_parse_scalar(key, kind, tags, item) for item in _split_list(token))
-    return _parse_scalar(key, kind, tags, token)
+        return tuple(_parse_scalar(key, kind, item) for item in _split_list(token))
+    return _parse_scalar(key, kind, token)
 
 
 def _render_scalar(kind, value) -> str:

@@ -103,7 +103,7 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled states plus the derived intensity series."""
+    """Uniformly sampled states, every amplitude finite, plus the derived intensity series."""
 
     times: np.ndarray
     amplitudes: np.ndarray  # shape (n_samples, dim)
@@ -112,6 +112,8 @@ class Trajectory:
     method_tag: str
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.amplitudes)):
+            raise ValueError("a trajectory cannot hold a non-finite amplitude")
         for name in ("times", "amplitudes", "norm_series", "site_labels"):
             getattr(self, name).setflags(write=False)
 

@@ -101,12 +101,8 @@ def _svg_pieces(traj: Trajectory, title: str):
     """The SVG document in UTF-8 pieces: the head, the cells a block at a time, the axes."""
     if traj.n_samples < 1 or len(traj.site_labels) < 1:
         raise ValueError("cannot render an empty trajectory")
-    if not np.all(np.isfinite(traj.amplitudes)):
-        raise ValueError("cannot render a non-finite profile")
-    rho = normalized_profile(traj.amplitudes)  # (n_samples, n_sites)
+    rho = normalized_profile(traj.amplitudes)  # (n_samples, n_sites); no row is all zero
     vmax = float(np.max(rho))
-    if vmax <= 0.0:
-        raise ValueError("profile is identically zero")
     levels = np.rint(rho / vmax * 255.0).astype(np.uint8)
 
     grid_w, grid_h = (n * _CELL for n in rho.shape)  # samples across, sites down

@@ -65,12 +65,13 @@ def _check_options(spec) -> None:
     for f in fields(spec):
         options = f.metadata.get("options")
         if options and getattr(spec, f.name) not in options:
-            raise ValueError(f"{f.name}: {getattr(spec, f.name)!r} is not one of {options}")
+            raise ValueError(f"{f.name}: {getattr(spec, f.name)!r} is not one of "
+                             f"{', '.join(options)}")
 
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name}: must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,13 @@ class ChainSpec:
         for name in ("kappa", "beta", "gamma"):
             _require_finite(name, getattr(self, name))
         if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+            raise ValueError(f"kappa: must be > 0, got {self.kappa}")
         if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.n_sites < 2:
-            raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
-        if self.boundary == "periodic" and self.n_sites < 3:
-            raise ValueError("periodic chains need n_sites >= 3 (a 2-ring double-couples one pair)")
+            raise ValueError(f"beta: must be >= 0, got {self.beta}")
+        least = 3 if self.boundary == "periodic" else 2  # a 2-ring double-couples one pair
+        if self.n_sites < least:
+            raise ValueError(f"n_sites: must be >= {least} with boundary = {self.boundary}, "
+                             f"got {self.n_sites}")
         object.__setattr__(self, "phi", reduce_phase(self.phi))
         object.__setattr__(self, "defects", tuple(self.defects))
         lo, hi = self.site_range
@@ -124,9 +125,9 @@ class ChainSpec:
             if not isinstance(d, DefectSpec):
                 raise TypeError("defects must be DefectSpec instances")
             if not (lo <= d.site <= hi):
-                raise ValueError(f"defect site {d.site} outside site range [{lo}, {hi}]")
+                raise ValueError(f"defects: site {d.site} outside chain [{lo}, {hi}]")
             if d.site in seen:
-                raise ValueError(f"duplicate defect site {d.site}")
+                raise ValueError(f"defects: duplicate site {d.site}")
             seen.add(d.site)
 
     @property
@@ -161,18 +162,18 @@ class SawtoothSpec:
         for name in ("kappa", "j", "theta", "gamma_a"):
             _require_finite(name, getattr(self, name))
         if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+            raise ValueError(f"kappa: must be > 0, got {self.kappa}")
         if self.j <= 0:
-            raise ValueError(f"j must be > 0, got {self.j}")
+            raise ValueError(f"j: must be > 0, got {self.j}")
         if self.gamma_a < 0:
-            raise ValueError(f"gamma_a must be >= 0, got {self.gamma_a}")
+            raise ValueError(f"gamma_a: sublattice loss gamma_a must be >= 0, got {self.gamma_a}")
         if self.n_cells < 2:
-            raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
+            raise ValueError(f"n_cells: must be >= 2, got {self.n_cells}")
         u_b = complex(self.u_b)
         if not (math.isfinite(u_b.real) and math.isfinite(u_b.imag)):
-            raise ValueError(f"u_b must be finite, got {u_b!r}")
+            raise ValueError(f"u_b: auxiliary potential u_b must be finite, got {u_b!r}")
         if abs(u_b) == 0.0:
-            raise ValueError("u_b must be nonzero")
+            raise ValueError("u_b: auxiliary potential u_b must be nonzero")
         object.__setattr__(self, "u_b", u_b)
 
     @property
@@ -201,17 +202,16 @@ class SandwichSpec:
 
     def __post_init__(self):
         if self.n_half < 1:
-            raise ValueError(f"n_half must be a positive integer, got {self.n_half}")
+            raise ValueError(f"n_half: must be a positive integer, got {self.n_half}")
         _require_finite("v_c", self.v_c)
         _require_finite("xi", self.xi)
         object.__setattr__(self, "q0", reduce_phase(self.q0))
         if self.chain.boundary != "open":
-            raise ValueError("sandwich structure requires an open-boundary chain")
+            raise ValueError("chain: the sandwich structure needs an open-boundary chain")
         lo, hi = self.chain.site_range
         if not (lo < -self.n_half and hi > self.n_half):
-            raise ValueError(
-                f"site range [{lo}, {hi}] must strictly contain [-{self.n_half}, {self.n_half}]"
-            )
+            raise ValueError(f"n_half: chain [{lo}, {hi}] must strictly contain "
+                             f"[-{self.n_half}, {self.n_half}]")
 
 
 def _load_kernel():

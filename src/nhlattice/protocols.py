@@ -10,6 +10,7 @@ the result bit-identically on the same platform.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -62,6 +63,7 @@ __all__ = [
     "PRESETS",
     "preset_config",
     "resolve_config",
+    "resolve_specs",
     "run_experiment",
     "run_preset",
     "run_dispersion_scan",
@@ -189,16 +191,38 @@ def _require(ok: bool, message: str) -> None:
         raise configio.ConfigError(message)
 
 
-def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Materialize every automatic field so manifests are self-contained.
+#: the config key of each spec field that is not itself a key
+_SPEC_KEYS = {"n_sites": "chain_length", "n_half": "storage.n_half", "j": "reduction.j_values",
+              "u_b": "reduction.j_values", "gamma_a": "gamma"}
 
-    Also rejects, each naming its key and before any of the run's work, the
-    values the run would otherwise reject only partway through, or by no key."""
+
+@contextlib.contextmanager
+def _named(prefix: str = ""):
+    """Raise a ValueError as a ConfigError led by ``prefix``, else by its spec field's key."""
+    try:
+        yield
+    except ValueError as err:
+        field, _, rest = str(err).partition(": ")
+        raise configio.ConfigError(f"{prefix}{err}" if prefix else
+                                   f"{_SPEC_KEYS.get(field, field)}: {rest}") from None
+
+
+def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
+    """Materialize every automatic field so manifests are self-contained (resolve_specs)."""
+    return resolve_specs(config)[0]
+
+
+def resolve_specs(config: ExperimentConfig) -> tuple:
+    """The resolved config and the lattice specs its run builds: none for a dispersion
+    scan, else the ChainSpec, then a (SandwichSpec, release ChainSpec) per storage sweep
+    member or a SawtoothSpec per reduction j.  Also rejects, each naming its key and
+    before any of the run's work, what the run would reject only partway through or by
+    no key; building the specs runs their own checks (_named)."""
     cfg = config
     _require(not any(c in (cfg.preset or "") for c in "=\n"),
              f"preset: {cfg.preset!r} holds '=' or a newline, which metrics.txt cannot hold")
     if cfg.experiment == "dispersion_scan":  # the one experiment without a chain
-        return cfg
+        return cfg, ()
     t, exc = cfg.timing, cfg.excitation
     _require(t.sample_dt > 0.0, f"timing.sample_dt: must be > 0, got {t.sample_dt!r}")
     _require(t.t_final >= 0.0, f"timing.t_final: must be >= 0, got {t.t_final!r}")
@@ -210,23 +234,16 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     _require(cfg.boundary == "open" or cfg.experiment not in ("storage", "reduction_check"),
              f"boundary: {cfg.experiment} runs on an open chain, got {cfg.boundary!r}")
     if cfg.experiment == "storage":
-        n_half = cfg.storage.n_half
-        _require(n_half >= 1, f"storage.n_half: must be a positive integer, got {n_half}")
         _require(t.t_prime is not None, "timing.t_prime: storage needs a switch time")
         _require(0.0 < t.t_prime < t.t_final, "timing.t_prime: must lie inside (0, t_final)")
     if cfg.experiment == "reduction_check":
         _require(cfg.beta > 0.0, "beta: reduction check needs beta > 0 (u_b = i*j^2/beta)")
-        j_values = cfg.reduction.j_values
-        _require(all(j > 0.0 for j in j_values),
-                 f"reduction.j_values: each j must be > 0, got {j_values}")
         gain = cfg.reduction.aux_sign == "gain"
         theta = cfg.reduction.theta
         if theta is None:
             theta = cfg.phi / 2.0 if gain else cfg.phi / 2.0 - math.pi / 2.0
-        phi = reduce_phase(2.0 * theta) if gain else reduce_phase(2.0 * theta + math.pi)
-        _require(gain or cfg.gamma >= 2.0 * cfg.beta,
-                 "gamma: the lossy-auxiliary variant needs gamma >= 2*beta "
-                 "(sublattice loss gamma_a = gamma - 2*beta must be >= 0)")
+        with _named("reduction.theta: as phi = 2*theta, the "):
+            phi = reduce_phase(2.0 * theta) if gain else reduce_phase(2.0 * theta + math.pi)
         cfg = replace(cfg, phi=phi, reduction=replace(cfg.reduction, theta=theta))
     if cfg.chain_length is None or cfg.index_origin is None:
         key = "chain_length" if cfg.index_origin is None else "index_origin"
@@ -234,34 +251,29 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
                  f"{key}: set both chain_length and index_origin, or neither (auto)")
         lo, hi = auto_extent(cfg)
         cfg = replace(cfg, chain_length=hi - lo + 1, index_origin=lo)
-    least = 3 if cfg.boundary == "periodic" else 2  # a 2-ring double-couples one pair
-    _require(cfg.chain_length >= least, f"chain_length: must be >= {least} with boundary = "
-             f"{cfg.boundary}, got {cfg.chain_length}")
+    with _named():
+        specs = [_chain_spec(cfg)]  # the chain keys' checks, for every experiment's chain
+        if cfg.experiment == "storage":
+            specs += [_storage_specs(cfg, xi) for xi in cfg.storage.xi_sweep or (cfg.storage.xi,)]
+        if cfg.experiment == "reduction_check":
+            specs += [_sawtooth_spec(cfg, j) for j in cfg.reduction.j_values]
     _check_trajectory_fits(cfg)
     times = sample_times(t.t_final, t.sample_dt)
     if cfg.experiment != "reduction_check":  # the runs that fit a velocity
-        try:
+        with _named("timing.t_final: velocity "):
             window_mask(times, _velocity_window(cfg))
-        except ValueError as err:
-            raise configio.ConfigError(f"timing.t_final: velocity {err}") from None
     if cfg.experiment == "storage":
         _require(np.any(_capture_mask(times, t.t_prime)),
                  f"timing.t_prime: capture window [{0.5 * t.t_prime!r}, {t.t_prime!r}] "
                  f"holds no sample (sample_dt {t.sample_dt!r})")
     lo, hi = cfg.index_origin, cfg.index_origin + cfg.chain_length - 1
     _require(lo <= exc.n0 <= hi, f"excitation.n0: {exc.n0} outside chain [{lo}, {hi}]")
-    sites = [d.site for d in cfg.defects]
-    for site in sites:
-        _require(lo <= site <= hi, f"defects: site {site} outside chain [{lo}, {hi}]")
-        _require(sites.count(site) == 1, f"defects: duplicate site {site}")
     if cfg.experiment == "storage":
-        _require(lo < -n_half and hi > n_half,
-                 f"storage.n_half: chain [{lo}, {hi}] must strictly contain [-{n_half}, {n_half}]")
         out_lo, out_hi = _out_region(cfg)
         _require(out_lo <= out_hi,
                  f"{'chain_length' if out_hi == hi else 'index_origin'}: chain [{lo}, {hi}] "
                  f"holds no site of the release's out region [{out_lo}, {out_hi}]")
-    return cfg
+    return cfg, tuple(specs)
 
 
 def _check_trajectory_fits(cfg: ExperimentConfig) -> None:
@@ -304,9 +316,17 @@ def _chain_spec(config: ExperimentConfig, defects=None) -> ChainSpec:
     )
 
 
+def _sawtooth_spec(cfg: ExperimentConfig, j: float) -> SawtoothSpec:
+    """The sawtooth of one j realizing the resolved chain (see ReductionParams)."""
+    gain = cfg.reduction.aux_sign == "gain"
+    return SawtoothSpec(kappa=cfg.kappa, j=j, theta=cfg.reduction.theta,
+                        gamma_a=cfg.gamma + 2.0 * cfg.beta if gain else cfg.gamma - 2.0 * cfg.beta,
+                        u_b=(1j if gain else -1j) * j * j / cfg.beta, n_cells=cfg.chain_length)
+
+
 def _start(config: ExperimentConfig, method_tag: str = METHOD_TAG) -> tuple:
-    """The resolved config, its manifest and the metrics every run leads with."""
-    cfg = resolve_config(config)
+    """The resolved config, its specs, its manifest and the metrics every run leads with."""
+    cfg, specs = resolve_specs(config)
     manifest = configio.render_manifest(cfg, method_tag=method_tag)
     metrics = {
         "preset": cfg.preset if cfg.preset else "custom",
@@ -314,7 +334,7 @@ def _start(config: ExperimentConfig, method_tag: str = METHOD_TAG) -> tuple:
         "experiment": cfg.experiment,
         "method_tag": method_tag,
     }
-    return cfg, manifest, metrics
+    return cfg, specs, manifest, metrics
 
 
 def _chain_result(cfg: ExperimentConfig, manifest: str, metrics: dict, traj: Trajectory,
@@ -335,7 +355,7 @@ def run_dispersion_scan(config: ExperimentConfig) -> ExperimentResult:
     default P=257 the values 0, +/-pi/4, +/-pi/2, +/-pi are grid points
     exactly, making argmax comparisons exact.
     """
-    cfg, manifest, metrics = _start(config, "closed_form")
+    cfg, _, manifest, metrics = _start(config, "closed_form")
     p = cfg.dispersion.q_points
     half = (p - 1) // 2
     step = 2.0 * math.pi / (p - 1)
@@ -359,9 +379,8 @@ def run_transport(config: ExperimentConfig) -> ExperimentResult:
     The three region fractions come from one normalized snapshot, so they
     sum to 1.
     """
-    cfg, manifest, metrics = _start(config)
+    cfg, (spec,), manifest, metrics = _start(config)
     t_final = cfg.timing.t_final
-    spec = _chain_spec(cfg)
     state0 = make_excitation(cfg.excitation, spec.site_labels)
     traj = evolve_exact(build_chain_hamiltonian(spec), state0, t_final, cfg.timing.sample_dt)
     window = _velocity_window(cfg)
@@ -386,17 +405,20 @@ def run_transport(config: ExperimentConfig) -> ExperimentResult:
     return _chain_result(cfg, manifest, metrics, traj)
 
 
-def _storage_schedule(cfg: ExperimentConfig, xi: float) -> list:
-    """The (t_start, operator) pairs of one offset value: capture from 0, release from t_prime."""
+def _storage_specs(cfg: ExperimentConfig, xi: float) -> tuple:
+    """The capture sandwich and the release chain of one offset value."""
     template = replace(_chain_spec(cfg, defects=()), phi=0.0, boundary="open")
-    sp = cfg.storage
-    q0 = cfg.excitation.q0
+    sp, q0 = cfg.storage, cfg.excitation.q0
     sandwich = SandwichSpec(chain=template, n_half=sp.n_half, q0=q0, v_c=sp.v_c, xi=xi)
-    h_capture = build_sandwich_hamiltonian(sandwich)
     phi_release = -q0 if sp.retrieval_phase_sign == "forward" else q0
-    release_spec = replace(template, phi=phi_release, defects=(
+    return sandwich, replace(template, phi=phi_release, defects=(
         DefectSpec(-sp.n_half, sp.v_c, 0.0), DefectSpec(sp.n_half, sp.v_c, 0.0)))
-    return [(0.0, h_capture), (cfg.timing.t_prime, build_chain_hamiltonian(release_spec))]
+
+
+def _storage_schedule(cfg: ExperimentConfig, specs: tuple) -> list:
+    """The (t_start, operator) pairs of a member's specs: capture from 0, release from t_prime."""
+    return [(0.0, build_sandwich_hamiltonian(specs[0])),
+            (cfg.timing.t_prime, build_chain_hamiltonian(specs[1]))]
 
 
 def _capture_mask(times: np.ndarray, t_prime: float) -> np.ndarray:
@@ -414,10 +436,10 @@ def _out_region(cfg: ExperimentConfig) -> tuple:
     return (sp.n_half + 3, hi) if moving_right else (lo, -sp.n_half - 3)
 
 
-def _storage_single(cfg: ExperimentConfig, xi: float) -> tuple:
-    """One capture/release cycle; returns (trajectory, its metrics)."""
+def _storage_single(cfg: ExperimentConfig, specs: tuple) -> tuple:
+    """One capture/release cycle of a member's specs; returns (trajectory, its metrics)."""
     t = cfg.timing
-    schedule = _storage_schedule(cfg, xi)
+    schedule = _storage_schedule(cfg, specs)
     state0 = make_excitation(cfg.excitation, schedule[0][1].site_labels)
     traj = evolve_schedule(schedule, state0, t.t_final, t.sample_dt)
 
@@ -455,12 +477,12 @@ def run_storage(config: ExperimentConfig) -> ExperimentResult:
     boundary sites and the retrieval phase (-q0 forward, +q0 reversed).
     The returned trajectory is the last sweep member's.
     """
-    cfg, manifest, metrics = _start(config)
+    cfg, (_, *specs), manifest, metrics = _start(config)
     sweep = cfg.storage.xi_sweep
     table = None
-    traj, last = _storage_single(cfg, sweep[-1] if sweep else cfg.storage.xi)
+    traj, last = _storage_single(cfg, specs[-1])
     if sweep:
-        members = [_storage_single(cfg, xi)[1] for xi in sweep[:-1]] + [last]
+        members = [_storage_single(cfg, member)[1] for member in specs[:-1]] + [last]
         columns = ("xi", "efficiency", "shape_fidelity", "release_velocity")
         rows = [(xi, *(member[c] for c in columns[1:])) for xi, member in zip(sweep, members)]
         for i, row in enumerate(rows):  # each column but release_velocity is a metric too
@@ -486,11 +508,8 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
     the max-norm difference between the normalized main-sublattice profile
     and the normalized chain profile.
     """
-    cfg, manifest, metrics = _start(config)
+    cfg, (_, *saws), manifest, metrics = _start(config)
     t = cfg.timing
-    theta = cfg.reduction.theta
-    gain = cfg.reduction.aux_sign == "gain"
-    gamma_a = cfg.gamma + 2.0 * cfg.beta if gain else cfg.gamma - 2.0 * cfg.beta
     chain = _chain_spec(cfg, defects=())
     h_chain = build_chain_hamiltonian(chain)
     state0 = make_excitation(cfg.excitation, chain.site_labels)
@@ -500,10 +519,7 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
     columns = ("j", "u_b_abs", "adiabaticity_ratio", "profile_error", "warned")
     rows = []
     errors = []
-    for i, j in enumerate(cfg.reduction.j_values):
-        u_b = 1j * j * j / cfg.beta if gain else -1j * j * j / cfg.beta
-        saw = SawtoothSpec(kappa=cfg.kappa, j=j, theta=theta, gamma_a=gamma_a,
-                           u_b=u_b, n_cells=cfg.chain_length)
+    for i, saw in enumerate(saws):
         h_saw = build_sawtooth_hamiltonian(saw)
         a0 = state0.amplitudes
         psi0 = np.zeros(2 * cfg.chain_length, dtype=complex)
@@ -516,7 +532,7 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
         error = float(np.max(np.abs(rho_a - rho_chain)))
         errors.append(error)
         ratio = saw.adiabaticity_ratio
-        rows.append((j, abs(u_b), ratio, error, ratio > ADIABATICITY_WARN_THRESHOLD))
+        rows.append((saw.j, abs(saw.u_b), ratio, error, ratio > ADIABATICITY_WARN_THRESHOLD))
         metrics.update((f"reduction[{i}].{name}", v) for name, v in zip(columns, rows[-1]))
     metrics["monotone_decreasing"] = all(b < a for a, b in zip(errors, errors[1:]))
     table = (columns, np.asarray(rows, dtype=float))

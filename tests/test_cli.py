@@ -1,17 +1,23 @@
+import contextlib
+import io
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nhlattice import PRESETS
+from nhlattice import PRESETS, protocols
 from nhlattice.cli import main
-from nhlattice.configio import read_metrics, read_table_csv, read_trajectory_csv, render_config
+from nhlattice.configio import (_schema, read_metrics, read_table_csv, read_trajectory_csv,
+                                render_config)
 
 
 FAST_TRANSPORT_CFG = """\
@@ -295,6 +301,13 @@ def test_narrow_packet_run_prints_nothing_on_stderr(tmp_path):
     pytest.param("storage", "fig6a", "boundary = periodic\nchain_length = 80\nindex_origin = -45",
                  "boundary", id="storage-fig6a-boundary = periodic"),
     ("reduce-check", "reduction", "boundary = periodic", "boundary"),
+    # the sawtooth's own checks: sublattice loss gamma_a = gamma + 2*beta < 0, u_b = i*j^2/beta
+    # past the double range or 0, and a phase phi = 2*theta that is not finite
+    pytest.param("reduce-check", "reduction", "reduction.aux_sign = gain\ngamma = -1", "gamma",
+                 id="reduce-check-reduction-gain with gamma = -1"),
+    ("reduce-check", "reduction", "reduction.j_values = 4, 1e200", "reduction.j_values"),
+    ("reduce-check", "reduction", "reduction.j_values = 4, 1e-200", "reduction.j_values"),
+    ("reduce-check", "reduction", "reduction.theta = 1e308", "reduction.theta"),
 ])
 def test_bad_storage_or_reduction_key_exits_2_before_any_write(tmp_path, capsys, command,
                                                                preset, line, key):
@@ -302,6 +315,87 @@ def test_bad_storage_or_reduction_key_exits_2_before_any_write(tmp_path, capsys,
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     _single_config_error(capsys, key)
     _assert_left_nothing(tmp_path, tmp_path / "o")
+
+
+#: short runs on a fixed 41-site chain, one per subcommand with a chain, for drawn configs
+_CENTRED = FAST_TRANSPORT_CFG.replace("excitation.n0 = -15", "excitation.n0 = 0") + FIXED_41
+DRAWN_BASES = {
+    "transport": _CENTRED + "\n",
+    "storage": RUNAWAY_STORAGE_CFG.replace("storage.xi = 40", "storage.xi = 0.4"),
+    "reduce-check": _CENTRED.replace("transport_gaussian", "reduction_check").replace(
+        "timing.t_final = 6", "timing.t_final = 2") + "\nreduction.aux_sign = loss\n",
+}
+#: the keys drawn on each base
+DRAWN_KEYS = {
+    "transport": ("kappa", "beta", "gamma", "phi", "chain_length", "index_origin", "defects"),
+    "storage": ("storage.n_half", "storage.v_c", "storage.xi", "storage.xi_sweep",
+                "timing.t_prime", "chain_length", "index_origin", "defects"),
+    "reduce-check": ("reduction.j_values", "reduction.theta", "reduction.aux_sign", "beta",
+                     "gamma", "chain_length", "defects"),
+}
+#: the magnitudes drawn, each with either sign
+DRAWN_MAGNITUDES = (0.0, 1.0, 5e-324, 1e-200, 1e200, 1e308)
+
+
+@st.composite
+def _drawn_runs(draw):
+    """(subcommand, config lines): one or two keys of a base set to a drawn extreme."""
+    command = draw(st.sampled_from(sorted(DRAWN_BASES)))
+    lines = []
+    for key in draw(st.lists(st.sampled_from(DRAWN_KEYS[command]), min_size=1, max_size=2,
+                             unique=True)):
+        x = draw(st.sampled_from(DRAWN_MAGNITUDES)) * draw(st.sampled_from((1.0, -1.0)))
+        if key == "defects":  # the site, the real potential or the gain of one defect
+            token = draw(st.sampled_from((f"{int(x)}:1:0", f"3:{x!r}:0", f"3:1:{x!r}")))
+        else:
+            token = {"chain_length": str(int(x)), "index_origin": str(int(x)),
+                     "storage.n_half": str(int(x)), "reduction.j_values": f"4, {x!r}",
+                     "storage.xi_sweep": f"0.4, {x!r}", "reduction.aux_sign": "gain",
+                     }.get(key, repr(x))
+        lines.append(f"{key} = {token}")
+    return command, "\n".join(lines)
+
+
+def _counted(calls, fn):
+    def count(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return count
+
+
+@given(run=_drawn_runs())
+@example(run=("reduce-check", "reduction.aux_sign = gain\ngamma = -1"))
+@example(run=("reduce-check", "reduction.j_values = 4, 1e200"))
+@example(run=("reduce-check", "reduction.j_values = 4, 1e-200"))
+@example(run=("reduce-check", "reduction.theta = 1e308"))
+@settings(derandomize=True, max_examples=60)
+def test_drawn_extreme_keys_exit_2_naming_a_key_before_any_propagation(run):
+    command, lines = run
+    calls = []
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(protocols, "evolve_exact", _counted(calls, protocols.evolve_exact)), \
+            mock.patch.object(protocols, "evolve_schedule",
+                              _counted(calls, protocols.evolve_schedule)), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        cfg = _write_config_with(Path(tmp), lines, DRAWN_BASES[command])
+        code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 2:
+        printed = err.getvalue().splitlines()
+        assert len(printed) == 1, printed
+        key = printed[0].removeprefix("error: config: ").split(": ")[0]
+        assert printed[0].startswith("error: config: ") and key in _schema(), printed[0]
+        assert calls == [], printed[0]
+
+
+def test_packet_near_a_chain_end_warns_of_its_clearance_once(tmp_path):
+    # 6 sites from the lower end, where a w0 = 3 packet wants 12
+    cfg = _write_config_with(tmp_path, f"{FIXED_41}\nexcitation.n0 = -14")
+    proc = subprocess.run([sys.executable, "-m", "nhlattice", "transport", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")], env=_CHILD_ENV, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("sites of clearance to a chain end") == 1, proc.stderr
 
 
 @pytest.mark.parametrize("command,base", [
@@ -704,7 +798,8 @@ assert callable(scipy.sparse._sparsetools.csr_matvec)
 ops = []
 for name in ("fig6a", "fig7"):
     cfg = nh.protocols.resolve_config(nh.preset_config(name))
-    ops += [h for _, h in nh.protocols._storage_schedule(cfg, cfg.storage.xi)]
+    specs = nh.protocols._storage_specs(cfg, cfg.storage.xi)
+    ops += [h for _, h in nh.protocols._storage_schedule(cfg, specs)]
 ops.append(nh.build_chain_hamiltonian(nh.ChainSpec(
     kappa=1.0, beta=0.4, gamma=0.8, phi=0.7, n_sites=31, boundary="periodic",
     defects=(nh.DefectSpec(3, 1.0, 0.4),))))

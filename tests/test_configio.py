@@ -1,5 +1,6 @@
 import math
 import os
+import types
 from decimal import Decimal
 from fractions import Fraction
 
@@ -338,12 +339,14 @@ def test_csv_write_that_raises_leaves_no_temp_file(tmp_path, monkeypatch):
 
 
 def _csv_of_numbers(tmp_path, values, sites=7):
-    """Write ``values`` as the parts of a trajectory's amplitudes: (the trajectory, its CSV)."""
+    """Write ``values`` as the parts of a trajectory's amplitudes: (the trajectory, its CSV).
+
+    The writer reads only times, amplitudes and site labels; they are passed in a plain
+    namespace, as a Trajectory holds no inf or nan amplitude and the values may."""
     values = np.concatenate([values, np.zeros(-len(values) % (2 * sites))])
     amps = values.view(complex).reshape(-1, sites)
-    traj = Trajectory(times=np.arange(len(amps)) * 0.25, amplitudes=amps,
-                      site_labels=np.arange(sites) - 3, norm_series=np.zeros(len(amps)),
-                      method_tag="expm_multiply")
+    traj = types.SimpleNamespace(times=np.arange(len(amps)) * 0.25, amplitudes=amps,
+                                 site_labels=np.arange(sites) - 3)
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj, path)
     text = path.read_text()

@@ -16,6 +16,7 @@ from nhlattice import (
     SandwichSpec,
     SawtoothSpec,
     StateVector,
+    Trajectory,
     build_chain_hamiltonian,
     build_sandwich_hamiltonian,
     build_sawtooth_hamiltonian,
@@ -203,6 +204,15 @@ def test_initial_check_tells_a_zero_state_from_an_underflowing_one():
         evolve_exact(h, tiny, 1.0, 0.5)
     with pytest.raises(ValueError, match="nonzero amplitude"):
         evolve_exact(h, StateVector(np.zeros(2, dtype=complex), np.arange(2)), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_trajectory_rejects_a_non_finite_amplitude(bad):
+    # as StateVector does; analysis.centroid_series of such a trajectory read NaN
+    amps = np.array([[1.0, 0.5], [1.0, bad]], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        Trajectory(times=np.array([0.0, 0.5]), amplitudes=amps, site_labels=np.arange(2),
+                   norm_series=np.ones(2), method_tag="exact")
 
 
 def test_vendored_theta_table_equals_installed_scipy():

@@ -218,9 +218,9 @@ def test_storage_quench_switch_matches_capture_stage():
     tr = result.trajectory
     k = tr.index_at_time(cfg.timing.t_prime)
     assert tr.times[k] == cfg.timing.t_prime
-    from nhlattice.protocols import _storage_schedule
+    from nhlattice.protocols import _storage_schedule, _storage_specs
 
-    schedule = _storage_schedule(cfg, cfg.storage.xi)
+    schedule = _storage_schedule(cfg, _storage_specs(cfg, cfg.storage.xi))
     capture_only = nh.evolve_exact(
         schedule[0][1],
         nh.make_excitation(cfg.excitation, tr.site_labels),
