@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Replay every preset's propagation steps through the package's Taylor loop
+and through scipy's plain one, and compare their bytes and their time.
+
+Runs each named preset once through ``run_experiment`` with
+``dynamics._Stepper.__call__`` wrapped so that it records each call: the
+stepper, its sample gap and its input state.  Each recorded call is then
+replayed, once through ``_Stepper`` (its per-gap set-up already kept) and
+once through plain_loop, the loop of scipy's ``_expm_multiply_simple_core``
+written out below on the same set-up; the two alternate call by call, each
+going first on every other call, so that a slow phase of the machine falls
+on both.  Every pair of outputs must be equal to the byte.  Prints, per
+preset and in total, the calls, the mismatches and the ratio of the summed
+loop times (package / plain).  Exits 1 on any mismatch.
+
+Usage: python scripts/stepper_ab.py [--rounds N]
+"""
+
+import argparse
+import sys
+import time
+
+import numpy as np
+
+from nhlattice import PRESETS, dynamics, preset_config, run_experiment
+
+
+def plain_loop(op, steps, coeffs, eta, b):
+    """scipy's loop, term by term: one new array per operation and max|f|
+    computed on every term (np.linalg.norm(x, inf) of a vector is this max)."""
+    tol = 2.0**-53
+    f = b
+    for _ in range(steps):
+        c1 = np.abs(b).max()
+        for coeff in coeffs:
+            b = coeff * op.matvec(b)
+            c2 = np.abs(b).max()
+            f = f + b
+            if c1 + c2 <= tol * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+        b = f
+    return f
+
+
+def record(name):
+    """The (stepper, gap, state) of each _Stepper call of one run of a preset."""
+    calls, real = [], dynamics._Stepper.__call__
+
+    def recording(self, gap, b):
+        calls.append((self, gap, np.array(b)))
+        return real(self, gap, b)
+
+    dynamics._Stepper.__call__ = recording
+    try:
+        run_experiment(preset_config(name))
+    finally:
+        dynamics._Stepper.__call__ = real
+    return calls
+
+
+def replay(calls, rounds):
+    """(mismatches, package seconds, plain seconds) over `rounds` passes of the calls."""
+    bad, secs, out = 0, [0.0, 0.0], [None, None]
+    for r in range(rounds):
+        for i, (stepper, gap, b) in enumerate(calls):
+            setup = stepper.steps[gap][:4]  # op, steps, coeffs, eta
+            runs = [(0, lambda: stepper(gap, b)), (1, lambda: plain_loop(*setup, b))]
+            for k, run in runs if (i + r) % 2 == 0 else runs[::-1]:
+                t0 = time.perf_counter()
+                out[k] = run()
+                secs[k] += time.perf_counter() - t0
+            bad += out[0].tobytes() != out[1].tobytes()
+    return bad, *secs
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rounds", type=int, default=1, help="replays of each call (default 1)")
+    args = parser.parse_args()
+    total = [0, 0, 0.0, 0.0]
+    print(f"{'preset':10s} {'calls':>6s} {'bad':>4s} {'ratio':>7s}")
+    with np.errstate(over="ignore", invalid="ignore"):  # as in evolve_schedule
+        for name in PRESETS:
+            calls = record(name)
+            bad, t_new, t_plain = replay(calls, args.rounds)
+            for k, v in enumerate((len(calls), bad, t_new, t_plain)):
+                total[k] += v
+            if calls:
+                print(f"{name:10s} {len(calls):6d} {bad:4d} {t_new / t_plain:7.3f}")
+    n, bad, t_new, t_plain = total
+    print(f"{'total':10s} {n:6d} {bad:4d} {t_new / t_plain:7.3f}  "
+          f"({t_new * 1e3:.0f} ms package, {t_plain * 1e3:.0f} ms plain)")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ configs).  Exit codes: 0 success, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import signal
@@ -34,6 +35,7 @@ SUBCOMMAND_EXPERIMENTS = {
 EXPERIMENT_SUBCOMMAND = {exp: sub for sub, exps in SUBCOMMAND_EXPERIMENTS.items() for exp in exps}
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhlattice",

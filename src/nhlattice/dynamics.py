@@ -10,11 +10,10 @@ once per operator and gap length and kept in _Stepper, by the sparse kernels
 scipy's own set-up calls (_trace_shift) and a copy of scipy's theta_m table
 for the Taylor degree, so no scipy package is imported.
 
-Each Taylor term costs a product through scipy's CSR kernel (see
-Operator.matvec) and one max|b|.  max|f| enters only scipy's stop test,
-so it is computed only when that test could pass against a running upper
-bound on it; the bound is never below the computed max|f| (proof in
-_Stepper.__call__), so the loop breaks on the same term as scipy's."""
+Each Taylor term is a product through scipy's CSR kernel (Operator.matvec),
+a scaling and a sum, into buffers kept for the call.  max|b| and max|f| enter
+only scipy's stop test, so each is computed only where that test could pass
+against running upper bounds (proof in _Stepper.__call__): every break is scipy's."""
 
 from __future__ import annotations
 
@@ -158,7 +157,10 @@ class _Stepper:
     length: n, a - mu*I, the degree m_star and scaling s of fragment 3.1, the
     Taylor coefficients and eta = exp(mu/s).  scipy starts each call with
     f = b and ends each scaling step with f = eta*f; b = f, so n calls are one
-    loop of n*s scaling steps.  Non-finite amplitudes are carried on (_checked)."""
+    loop of n*s scaling steps.  Non-finite amplitudes are carried on (_checked).
+    A call copies its input once and works in four buffers: f, the terms b
+    and nxt (swapped after each product) and the moduli of one of them.  A
+    term's max|b| is skipped where the last term's alone fails scipy's test."""
 
     def __init__(self, h):
         self.h = h
@@ -182,17 +184,21 @@ class _Stepper:
             else:
                 m_star = min(_THETA, key=lambda m: m * math.ceil(norm / _THETA[m]))
                 s = math.ceil(norm / _THETA[m_star])
+            m = np.diff(shifted[2])  # entries per row; r: the largest row abs-sum
+            r = np.bincount(np.repeat(np.arange(m.size), m), np.abs(shifted[0])).max(initial=0)
             self.steps[gap] = (Operator(*shifted, h.site_labels), n * s,
                                [1.0 / float(s * (j + 1)) for j in range(m_star)],
-                               np.exp(1.0 * mu / float(s)))  # scipy's exp(t*mu/s) at t = 1
-        op, steps, coeffs, eta = self.steps[gap]
+                               np.exp(1.0 * mu / float(s)),  # scipy's exp(t*mu/s) at t = 1
+                               float(r) * (1 + 2.0**-30) if m.max() < 2**20 else math.inf)
+        op, steps, coeffs, eta, r = self.steps[gap]
         # scipy breaks when c1 + c2 <= tol * max|f|, with max|f| computed as
         # np.abs(f).max().  `bound` is kept >= that computed max|f|.  Rounding
         # is monotone, underflow included, so then tol * bound >= tol * max|f|
         # and, while c1 + c2 > tol * bound, scipy's test is false without
         # computing max|f|.  Otherwise max|f| is computed, scipy's test is
-        # applied as it stands and bound restarts from max|f|.  The breaks,
-        # and so the states, are scipy's.
+        # applied as it stands and bound restarts from it: the breaks are scipy's.
+        # c2 is skipped where c1 > tol * bound_k with ub = coeff * (r * c1) >= c2
+        # in its place; the next c1 is then >= 0, or read from the last buffer.
         #
         # bound >= max|f| by induction over the terms of a sub-step, with
         # u = 2^-53 and d = 2^-1074, the smallest subnormal:
@@ -203,29 +209,45 @@ class _Stepper:
         #   relative, plus d absolute where it is subnormal; a test checks
         #   this.  So the computed |f_k[i]| <= g (bound_{k-1} + c2) + 4d,
         #   with g = (1 + e)(1 + u) / (1 - e) < 1 + 18u.
+        # - ub may stand for c2: c1 and |a_ij| are within 8u of the moduli, a
+        #   complex product within 2 sqrt(2) u, a row's sums (m < 2^20 terms)
+        #   within m u, ub's products within u, all inside r's 2^-30, and the
+        #   absolute errors, a few m d, join the 4d below.
         # - the update rounds a sum and, while bound_k is normal, a product,
         #   each within u: bound_k >= (1 - u)^2 (1 + 32u)(bound_{k-1} + c2)
         #   >= (1 + 29u)(bound_{k-1} + c2).
-        # - the lead 11u (bound_{k-1} + c2) exceeds 4d once bound_{k-1} + c2
-        #   >= 2^-1022, which holds when tol * bound_k is normal, i.e.
-        #   bound_k >= 2^-969.  Below that, max|f| is computed.
-        # - if a part of f_k overflows, the same lead carries bound_k to inf.
-        #   inf and NaN fail `>`, so they take the exact path too.
-        f = b
+        # - the lead 11u (bound_{k-1} + c2) exceeds those absolute errors once
+        #   bound_{k-1} + c2 >= 2^-1022, which holds when tol * bound_k is
+        #   normal, i.e. bound_k >= 2^-969.  Below that, max|f| is computed.
+        # - if a part of f_k, or of the product (r * c1 bounds its partial
+        #   sums), overflows, the same lead carries bound_k to inf.  inf and NaN
+        #   fail `>`, so they take the exact path (Python floats: no warning).
+        f = np.array(b, dtype=complex)
+        b, nxt, mag = f.copy(), np.empty_like(f), np.empty(f.size)
         for _ in range(steps):
-            c1 = bound = np.abs(b).max()
+            c1 = bound = float(np.maximum.reduce(np.abs(b, out=mag)))
             for coeff in coeffs:
-                b = coeff * op.matvec(b)
-                c2 = np.abs(b).max()
-                f = f + b
+                op.matvec(b, out=nxt)
+                np.multiply(coeff, nxt, out=nxt)  # scipy's operand order: bytes differ else
+                b, nxt = nxt, b
+                np.add(f, b, out=f)
+                if c1 is not None:
+                    grown = (bound + coeff * (r * c1)) * _BOUND_GROWTH
+                    if c1 > _TAYLOR_TOL * grown >= _NORMAL_MIN:
+                        bound, c1 = grown, None
+                        continue
+                c2 = float(np.maximum.reduce(np.abs(b, out=mag)))
                 bound = (bound + c2) * _BOUND_GROWTH
+                if c1 is None:  # a lower bound of 0 serves where c2 alone decides
+                    c1 = (0.0 if c2 > _TAYLOR_TOL * bound >= _NORMAL_MIN
+                          else float(np.maximum.reduce(np.abs(nxt, out=mag))))
                 if not (c1 + c2 > _TAYLOR_TOL * bound >= _NORMAL_MIN):
-                    bound = np.abs(f).max()
+                    bound = float(np.maximum.reduce(np.abs(f, out=mag)))
                     if c1 + c2 <= _TAYLOR_TOL * bound:
                         break
                 c1 = c2
-            f = eta * f
-            b = f
+            np.multiply(eta, f, out=f)
+            np.copyto(b, f)
         return f
 
 

@@ -280,17 +280,23 @@ class Operator:
     def dim(self) -> int:
         return self.site_labels.size
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H @ x for an array x of shape (dim,), as complex128.
+    def matvec(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """H @ x for an array x of shape (dim,), as complex128, into ``out`` if
+        given (a writable C-contiguous complex128 array of that shape, not x).
 
         Calls the kernel that scipy's ``csr_array @ x`` ends in, with the same
         zeroed complex output, so the bytes are the same; it skips scipy's
         dispatch, which costs as much as the product on a few hundred sites.
-        The kernel reads x without bounds checks, hence the shape check."""
+        The kernel reads and writes without bounds checks, hence the checks."""
         n = self.dim
         if x.shape != (n,):
             raise ValueError(f"matvec needs an array of shape ({n},), got {x.shape}")
-        out = np.zeros(n, dtype=complex)
+        if out is None:
+            out = np.empty(n, dtype=complex)
+        elif out.shape != (n,) or out.dtype != complex or not out.flags.carray or out is x:
+            raise ValueError(f"matvec's out must be a writable C-contiguous complex128 array "
+                             f"of shape ({n},) other than x")
+        out.fill(0.0)
         _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.data, x, out)
         return out
 

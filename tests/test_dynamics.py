@@ -349,14 +349,32 @@ def _stop_cases(draw):
 # gain that overflows 1e300 amplitudes to inf, then NaN, within the step
 _OVERFLOW_CASE = (reference.operator(np.array([[60j, 1.0], [1.0, 0.0]]), np.arange(2)),
                   np.array([1e300, -1e300j]))
+# max|f| swings across 2^-969: terms are skipped with tol * bound just above
+# 2^-1022, and refused the skip below it
+_GATE_CASE = (reference.operator(np.array([[0.0, 4.0], [4.0, 1.0]]), np.arange(2)),
+              np.array([2.0**-973, -1j * 2.0**-974]))
+# the first term's growth bound r * max|b| overflows, and so does the product
+# on site 1, where scipy breaks; coeff * r * max|b| in the other order would
+# not overflow, and site 0, which never mixes with site 1, would show a skip
+_BOUND_OVERFLOW_CASE = (reference.operator(np.diag([0.0, 100.0]), np.arange(2)),
+                        np.array([1.0, 1e307]))
+# r, set by the far site 2's row, is about twice the growth of the pair that
+# holds max|b|, so c1 + coeff * r * c1 exceeds tol * bound on a term where
+# scipy breaks: only c1 alone may decide a skip
+_LOOSE_BOUND_CASE = (reference.operator(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                                  [0.0, 0.0, 15.5]]), np.arange(3)),
+                     np.array([1.0, -0.5j, 2.0**-24]))
 
 
 @given(case=_stop_cases())
 @example(case=_OVERFLOW_CASE)
+@example(case=_GATE_CASE)
+@example(case=_BOUND_OVERFLOW_CASE)
+@example(case=_LOOSE_BOUND_CASE)
 @settings(derandomize=True, max_examples=120)
 def test_step_stop_decisions_bitwise_equal_expm_multiply(case):
-    # _Stepper computes max|f| only where scipy's stop test might pass; every
-    # break must still fall on scipy's term, so the bytes are scipy's
+    # _Stepper computes max|f| and max|b| only where scipy's stop test might
+    # pass; every break must still fall on scipy's term, so the bytes are scipy's
     h, c0 = case
     assume(_shifted_norm(reference.csr(h)) <= STEP_NORM_LIMIT)  # one expm_multiply call
     with np.errstate(all="ignore"):
@@ -364,6 +382,17 @@ def test_step_stop_decisions_bitwise_equal_expm_multiply(case):
         want = reference.expm_multiply_schedule([(0.0, reference.csr(h))], c0, 1.0, 1.0,
                                                 STEP_NORM_LIMIT)[-1]
     assert got.tobytes() == want.tobytes()
+
+
+def test_step_leaves_its_input_and_returns_a_fresh_array():
+    h = _chain(n=9)
+    stepper, c0 = _Stepper(h), _delta(h).amplitudes.copy()
+    kept = c0.tobytes()
+    first, second = stepper(0.5, c0), stepper(0.5, c0)
+    assert c0.tobytes() == kept
+    assert first.tobytes() == second.tobytes()
+    for a, b in ((first, second), (first, c0), (second, c0)):
+        assert not np.shares_memory(a, b)
 
 
 def test_complex_abs_error_within_step_bound_assumption():

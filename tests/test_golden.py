@@ -159,9 +159,9 @@ def test_preset_matvec_count_matches_recorded(monkeypatch, preset):
     calls = []
     matvec = Operator.matvec
 
-    def counted(self, x):
+    def counted(self, x, out=None):
         calls.append(None)
-        return matvec(self, x)
+        return matvec(self, x, out)
 
     monkeypatch.setattr(Operator, "matvec", counted)
     run_experiment(preset_config(preset))

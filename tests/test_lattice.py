@@ -118,6 +118,9 @@ def test_matvec_bytes_equal_sparse_matmul(kind):
         got, want = h.matvec(x), reference.csr(h) @ x
         assert got.dtype == want.dtype == complex, name
         assert got.tobytes() == want.tobytes(), name
+        out = np.full(n, complex(np.nan, -0.0))  # matvec zeroes what it writes into
+        assert h.matvec(x, out=out) is out, name
+        assert out.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("shape", [(30,), (32,), (31, 1), (1, 31), ()], ids=str)
@@ -125,6 +128,34 @@ def test_matvec_rejects_wrong_shape(shape):
     h = _MATVEC_OPERATORS["chain"]()
     with pytest.raises(ValueError, match=r"shape \(31,\)"):
         h.matvec(np.ones(shape, dtype=complex))
+    out = np.full(shape, 7j)
+    with pytest.raises(ValueError, match=r"shape \(31,\)"):
+        h.matvec(np.ones(31, dtype=complex), out=out)
+    assert np.all(out == 7j)  # refused before the zeroing and the kernel
+
+
+def _unfit_outs(x):
+    read_only = np.full(31, 7.0, dtype=complex)
+    read_only.setflags(write=False)
+    return {
+        "complex64": np.full(31, 7.0, dtype=np.complex64),
+        "float64": np.full(31, 7.0, dtype=float),
+        "byte_swapped": np.full(31, 7.0, dtype=">c16"),
+        "strided": np.full(62, 7.0, dtype=complex)[::2],
+        "read_only": read_only,
+        "x_itself": x,
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_unfit_outs(None)))
+def test_matvec_rejects_an_unfit_out(kind):
+    # the kernel writes out without checks, so a wrong buffer is refused
+    # before out is zeroed or the kernel runs
+    h, x = _MATVEC_OPERATORS["chain"](), np.full(31, 7.0, dtype=complex)
+    out = _unfit_outs(x)[kind]
+    with pytest.raises(ValueError, match="writable C-contiguous complex128 array"):
+        h.matvec(x, out=out)
+    assert np.all(out == 7.0) and np.all(x == 7.0)
 
 
 def _assert_csr_equal_diags_array(got, bands, offsets):
