@@ -89,6 +89,11 @@ def reach(kappa: float, beta: float, phi: float, t: float, sign: int, w0: float 
     return float(lit), float(edge)
 
 
+def _release_phase(storage, q0: float) -> float:
+    """The phase of a storage run's release chain: -q0 for a forward release, else +q0."""
+    return -q0 if storage.retrieval_phase_sign == "forward" else q0
+
+
 def auto_extent(config) -> tuple:
     """The sites an ExperimentConfig's light reaches (reach), padded, and never
     short of the edge bound.
@@ -137,7 +142,7 @@ def auto_extent(config) -> tuple:
             spread(n0, -math.inf, -q0, t_prime, packet=True)
         if n0 > n_half:
             spread(math.inf, n0, q0, t_prime, packet=True)
-        phi = -q0 if config.storage.retrieval_phase_sign == "forward" else q0
+        phi = _release_phase(config.storage, q0)
         lit_down, lit_up, edge_down, edge_up = reaches(phi, t_final - t_prime)
         # the run needs both leads, however little light reaches them
         lit[:] = min(lit[0], -n_half - 1) - lit_down, max(lit[1], n_half + 1) + lit_up

@@ -113,7 +113,8 @@ def _fields(cls) -> tuple:
 
 def _walk(cls, obj, prefix: str = "", none=None):
     """(key, kind, many, tags, value) of each key of a config, in canonical
-    order; a None nested config reads as its defaults."""
+    order; a None nested config reads as its defaults, and a None with an
+    ``unset`` tag as that value."""
     for i, (f, kind, many, nested) in enumerate(_fields(cls)):
         if obj is not None:
             value = getattr(obj, f.name)
@@ -123,25 +124,20 @@ def _walk(cls, obj, prefix: str = "", none=None):
             yield from _walk(kind, value, f"{prefix}{f.name}.", f.metadata.get("none"))
         else:
             tags = {**f.metadata, "none": none} if i == 0 and none else f.metadata
-            yield prefix + f.name, kind, many, tags, value
+            yield prefix + f.name, kind, many, tags, tags.get("unset") if value is None else value
 
 
 @functools.cache
 def _schema() -> dict:
-    """key -> (kind, many, tags) for every config key, in canonical order."""
+    """key -> (kind, many, tags, default) for every config key, in canonical order;
+    the default is what an omitted key reads as."""
     from .protocols import ExperimentConfig
 
-    return {key: (kind, many, tags) for key, kind, many, tags, _ in _walk(ExperimentConfig, None)}
-
-
-def _flatten(config) -> dict:
-    """{key: value} of a config, a None with an ``unset`` tag written as that."""
-    return {key: tags.get("unset") if value is None else value
-            for key, _, _, tags, value in _walk(type(config), config)}
+    return {key: tuple(rest) for key, *rest in _walk(ExperimentConfig, None)}
 
 
 def _build(cls, values: dict, prefix: str = ""):
-    """The inverse of _flatten: a nested config whose first key is None is None.
+    """The inverse of _walk: a nested config whose first key is None is None.
     A config dataclass's checks name their field first; the ValueError of one
     gains the prefix that turns that field into its key."""
     kwargs = {}
@@ -156,14 +152,6 @@ def _build(cls, values: dict, prefix: str = ""):
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
-
-
-@functools.cache
-def _defaults() -> dict:
-    """Values of a probe config: what an omitted key reads as."""
-    from .protocols import ExperimentConfig
-
-    return _flatten(ExperimentConfig(experiment="dispersion_scan"))
 
 
 def _parse_scalar(key: str, kind, token: str):
@@ -185,7 +173,7 @@ def _parse_scalar(key: str, kind, token: str):
 
 def parse_value(key: str, token: str):
     """Parse one value token of a schema key, as a config document would."""
-    kind, many, tags = _schema()[key]
+    kind, many, tags, _ = _schema()[key]
     if token == tags.get("none"):
         return () if many else None
     if many:
@@ -239,7 +227,8 @@ def parse_config_text(text: str):
         tokens[key] = token
     if "experiment" not in tokens:
         raise ConfigError("missing required key 'experiment'")
-    values = _defaults() | {key: parse_value(key, token) for key, token in tokens.items()}
+    values = ({key: default for key, (*_, default) in schema.items()}
+              | {key: parse_value(key, token) for key, token in tokens.items()})
     return _build(ExperimentConfig, values)
 
 
@@ -254,10 +243,9 @@ def read_config(path):
 
 def render_config(config) -> str:
     """Render every schema key (defaults materialized) in canonical order."""
-    schema = _schema()
     lines = [f"# {UNITS_HEADER}"]
-    for key, value in _flatten(config).items():
-        lines.append(f"{key} = {_render_value(*schema[key], value)}")
+    for key, kind, many, tags, value in _walk(type(config), config):
+        lines.append(f"{key} = {_render_value(kind, many, tags, value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import configio
-from ._sizing import EDGE_FRACTION_LIMIT, auto_extent
+from ._sizing import EDGE_FRACTION_LIMIT, _release_phase, auto_extent
 from .analysis import (
     ExcitationSpec,
     centroid_series,
@@ -254,9 +254,11 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
         lo, hi = auto_extent(cfg)
         cfg = replace(cfg, chain_length=hi - lo + 1, index_origin=lo)
     with _named():
-        specs = [_chain_spec(cfg)]  # the chain keys' checks, for every experiment's chain
+        chain = _chain_spec(cfg)  # the chain keys' checks, for every experiment's chain
+        specs = [chain]
         if cfg.experiment == "storage":
-            specs += [_storage_specs(cfg, xi) for xi in cfg.storage.xi_sweep or (cfg.storage.xi,)]
+            specs += [_storage_specs(cfg, chain, xi)
+                      for xi in cfg.storage.xi_sweep or (cfg.storage.xi,)]
         if cfg.experiment == "reduction_check":
             specs += [_sawtooth_spec(cfg, j) for j in cfg.reduction.j_values]
     _check_trajectory_fits(cfg)
@@ -268,10 +270,10 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
         _require(np.any(_capture_mask(times, t.t_prime)),
                  f"timing.t_prime: capture window [{0.5 * t.t_prime!r}, {t.t_prime!r}] "
                  f"holds no sample (sample_dt {t.sample_dt!r})")
-    lo, hi = cfg.index_origin, cfg.index_origin + cfg.chain_length - 1
+    lo, hi = chain.site_range
     _require(lo <= exc.n0 <= hi, f"excitation.n0: {exc.n0} outside chain [{lo}, {hi}]")
     if cfg.experiment == "storage":
-        out_lo, out_hi = _out_region(cfg)
+        out_lo, out_hi = _out_region(cfg, chain)
         _require(out_lo <= out_hi,
                  f"{'chain_length' if out_hi == hi else 'index_origin'}: chain [{lo}, {hi}] "
                  f"holds no site of the release's out region [{out_lo}, {out_hi}]")
@@ -407,13 +409,11 @@ def run_transport(config: ExperimentConfig) -> ExperimentResult:
     return _chain_result(cfg, manifest, metrics, traj)
 
 
-def _storage_specs(cfg: ExperimentConfig, xi: float) -> tuple:
-    """The capture sandwich and the release chain of one offset value."""
-    template = replace(_chain_spec(cfg), phi=0.0)
+def _storage_specs(cfg: ExperimentConfig, chain: ChainSpec, xi: float) -> tuple:
+    """The capture sandwich over the run's chain and the release chain of one offset value."""
     sp, q0 = cfg.storage, cfg.excitation.q0
-    sandwich = SandwichSpec(chain=template, n_half=sp.n_half, q0=q0, v_c=sp.v_c, xi=xi)
-    phi_release = -q0 if sp.retrieval_phase_sign == "forward" else q0
-    return sandwich, replace(template, phi=phi_release, defects=(
+    sandwich = SandwichSpec(chain=chain, n_half=sp.n_half, q0=q0, v_c=sp.v_c, xi=xi)
+    return sandwich, replace(chain, phi=_release_phase(sp, q0), defects=(
         DefectSpec(-sp.n_half, sp.v_c, 0.0), DefectSpec(sp.n_half, sp.v_c, 0.0)))
 
 
@@ -428,10 +428,10 @@ def _capture_mask(times: np.ndarray, t_prime: float) -> np.ndarray:
     return (times >= 0.5 * t_prime - 1e-9) & (times <= t_prime + 1e-9)
 
 
-def _out_region(cfg: ExperimentConfig) -> tuple:
-    """The sites past the core, downstream of the release, that count as retrieved."""
+def _out_region(cfg: ExperimentConfig, chain: ChainSpec) -> tuple:
+    """The sites of ``chain`` past the core, downstream of the release, that count as retrieved."""
     sp = cfg.storage
-    lo, hi = cfg.index_origin, cfg.index_origin + cfg.chain_length - 1
+    lo, hi = chain.site_range
     # a forward release keeps the incident direction of travel
     moving_right = ((group_velocity(cfg.kappa, cfg.excitation.q0) > 0)
                     == (sp.retrieval_phase_sign == "forward"))
@@ -451,7 +451,7 @@ def _storage_single(cfg: ExperimentConfig, specs: tuple) -> tuple:
     in_region = (exc.n0 - half_w, exc.n0 + half_w)
     incident_v = group_velocity(cfg.kappa, exc.q0)
     t_out = float(traj.times[-1])
-    efficiency = storage_efficiency(traj, 0.0, t_out, in_region, _out_region(cfg))
+    efficiency = storage_efficiency(traj, 0.0, t_out, in_region, _out_region(cfg, specs[1]))
     fit = fit_gaussian(traj.state(traj.index_at_time(t_out)))
     release_v = centroid_velocity(traj, _velocity_window(cfg))
     direction = "forward" if (release_v > 0) == (incident_v > 0) else "reversed"
@@ -510,9 +510,8 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
     the max-norm difference between the normalized main-sublattice profile
     and the normalized chain profile.
     """
-    cfg, (_, *saws), manifest, metrics = _start(config)
+    cfg, (chain, *saws), manifest, metrics = _start(config)
     t = cfg.timing
-    chain = _chain_spec(cfg)
     h_chain = build_chain_hamiltonian(chain)
     state0 = make_excitation(cfg.excitation, chain.site_labels)
     chain_traj = evolve_exact(h_chain, state0, t.t_final, t.sample_dt)

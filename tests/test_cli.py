@@ -542,8 +542,12 @@ def _sigterm_when_paused(tmp_path, stage, *extra):
                              "--config", str(cfg), "--out", str(tmp_path / "o" / "nested"),
                              *extra], env=_CHILD_ENV, stderr=subprocess.PIPE, text=True)
     try:
-        assert proc.stderr.readline() == "paused\n"
-        assert _files(tmp_path / "o") == before
+        line = proc.stderr.readline()
+        if line != "paused\n":  # it ended, or is running on: its stderr up to the kill
+            proc.kill()
+            pytest.fail(f"the child did not pause; its stderr: {line + proc.communicate()[1]!r}")
+        paused = _files(tmp_path / "o")
+        assert paused == before, f"files changed at the pause: {_changed(paused, before)}"
         stages = list(tmp_path.rglob(".nhlattice-*"))
         staged = sorted(p.name for p in stages[0].rglob("*") if p.is_file()) if stages else None
         proc.send_signal(signal.SIGTERM)
@@ -551,8 +555,8 @@ def _sigterm_when_paused(tmp_path, stage, *extra):
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode == 143, err
-    _assert_left_nothing(tmp_path, tmp_path / "o", before)
+    assert proc.returncode == 143, f"exit {proc.returncode}; the child's stderr: {err!r}"
+    _assert_left_nothing(tmp_path, tmp_path / "o", before, err)
     return staged
 
 
@@ -636,12 +640,20 @@ def test_sigterm_handler_restored_and_main_runs_off_the_main_thread(capsys):
     assert signal.getsignal(signal.SIGTERM) is before
 
 
-def _assert_left_nothing(tmp_path, out, before=None):
+def _changed(got, want) -> list:
+    """The names of the files two _files results differ in; ["<dir>"] if one has no root."""
+    if got is None or want is None:
+        return [] if got is want else ["<dir>"]
+    return sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+
+
+def _assert_left_nothing(tmp_path, out, before=None, err=""):
     """After a failed run: no --out, or one holding just the files ``before`` names; no temp
-    file, no stage and no child process."""
-    assert _files(out) == before
-    assert list(tmp_path.rglob("*.tmp")) == []
-    assert list(tmp_path.rglob(".nhlattice-*")) == []
+    file, no stage and no child process.  ``err``, the run's stderr, joins each message."""
+    after = _files(out)
+    assert after == before, f"files changed: {_changed(after, before)}; stderr: {err!r}"
+    assert list(tmp_path.rglob("*.tmp")) == [], err
+    assert list(tmp_path.rglob(".nhlattice-*")) == [], err
     if hasattr(os, "fork"):
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -829,7 +841,7 @@ assert callable(scipy.sparse._sparsetools.csr_matvec)
 ops = []
 for name in ("fig6a", "fig7"):
     cfg = nh.protocols.resolve_config(nh.preset_config(name))
-    specs = nh.protocols._storage_specs(cfg, cfg.storage.xi)
+    specs = nh.protocols._storage_specs(cfg, nh.protocols._chain_spec(cfg), cfg.storage.xi)
     ops += [h for _, h in nh.protocols._storage_schedule(cfg, specs)]
 ops.append(nh.build_chain_hamiltonian(nh.ChainSpec(
     kappa=1.0, beta=0.4, gamma=0.8, phi=0.7, n_sites=31, boundary="periodic",

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhlattice import (
+    EXPERIMENTS,
     ChainSpec,
     ConfigError,
+    ExperimentConfig,
     ExcitationSpec,
     GainRunawayError,
     StateVector,
@@ -77,10 +79,16 @@ def test_config_roundtrip_for_all_presets():
 
 
 def test_minimal_config_uses_defaults():
-    config = parse_config_text("experiment = dispersion_scan\n")
+    for experiment in EXPERIMENTS:  # an omitted key reads as its field's default
+        config = parse_config_text(f"experiment = {experiment}\n")
+        assert config == ExperimentConfig(experiment=experiment), experiment
+        assert parse_config_text(render_config(config)) == config, experiment
     assert config.kappa == 1.0
     assert config.dispersion.q_points == 257
     assert config.excitation is None
+    # an omitted key whose None has an unset tag reads as that value
+    excitation = parse_config_text("experiment = storage\nexcitation.kind = gaussian\n").excitation
+    assert (excitation.w0, excitation.q0) == (5.0, 0.0)
 
 
 def test_unknown_key_rejected_by_name():

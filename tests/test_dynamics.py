@@ -365,12 +365,26 @@ _LOOSE_BOUND_CASE = (reference.operator(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.
                                                   [0.0, 0.0, 15.5]]), np.arange(3)),
                      np.array([1.0, -0.5j, 2.0**-24]))
 
+# _GATE_CASE's operator and a 3-site gain chain on states at 1e-300 and below,
+# subnormal parts included: tol * bound lies under 2^-1022 on every term, so
+# each skip and each unchecked bound of the normal range is refused
+_TINY_GAIN = reference.operator(np.array([[1.5j, 3.0, 0.0], [3.0, 0.0, 3.0], [0.0, 3.0, -1.5j]]),
+                                np.arange(3))
+_TINY_CASES = ((_GATE_CASE[0], np.array([1e-300, -1e-300j])),
+               (_GATE_CASE[0], np.array([1e-310, -1e-310j])),
+               (_TINY_GAIN, np.array([1e-315, 1e-315 + 1e-315j, 0.0])),
+               (_TINY_GAIN, np.array([1e-300, 5e-324j, -1e-320])))
+
 
 @given(case=_stop_cases())
 @example(case=_OVERFLOW_CASE)
 @example(case=_GATE_CASE)
 @example(case=_BOUND_OVERFLOW_CASE)
 @example(case=_LOOSE_BOUND_CASE)
+@example(case=_TINY_CASES[0])
+@example(case=_TINY_CASES[1])
+@example(case=_TINY_CASES[2])
+@example(case=_TINY_CASES[3])
 @settings(derandomize=True, max_examples=120)
 def test_step_stop_decisions_bitwise_equal_expm_multiply(case):
     # _Stepper computes max|f| and max|b| only where scipy's stop test might
