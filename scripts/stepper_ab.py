@@ -13,16 +13,30 @@ on both.  Every pair of outputs must be equal to the byte.  Prints, per
 preset and in total, the calls, the mismatches and the ratio of the summed
 loop times (package / plain).  Exits 1 on any mismatch.
 
+Besides the presets, replays one Gaussian packet on 30001 sites with the
+physics of perfbench's long_chain workload: there the moduli outgrow the
+caches and the loop's max costs what numpy's reduce does, so a loss of the
+small-chain gains shows.
+
 Usage: python scripts/stepper_ab.py [--rounds N]
 """
 
 import argparse
+import math
 import sys
 import time
 
 import numpy as np
 
-from nhlattice import PRESETS, dynamics, preset_config, run_experiment
+from nhlattice import (PRESETS, ExcitationSpec, ExperimentConfig, Timing, dynamics,
+                       preset_config, run_experiment)
+
+#: the N = 30001 run of perfbench's long_chain workload, its packet centred
+LONG_CHAIN = ExperimentConfig(
+    experiment="transport_gaussian", beta=0.4, gamma=0.8, phi=math.pi / 2, kappa=1.0,
+    chain_length=30001, index_origin=-15000,
+    excitation=ExcitationSpec(kind="gaussian", n0=0, w0=30001 / 16.0, q0=-math.pi / 2),
+    timing=Timing(t_final=5.0, sample_dt=0.25))
 
 
 def plain_loop(op, steps, coeffs, eta, b):
@@ -44,8 +58,8 @@ def plain_loop(op, steps, coeffs, eta, b):
     return f
 
 
-def record(name):
-    """The (stepper, gap, state) of each _Stepper call of one run of a preset."""
+def record(config):
+    """The (stepper, gap, state) of each _Stepper call of one run of config."""
     calls, real = [], dynamics._Stepper.__call__
 
     def recording(self, gap, b):
@@ -54,7 +68,7 @@ def record(name):
 
     dynamics._Stepper.__call__ = recording
     try:
-        run_experiment(preset_config(name))
+        run_experiment(config)
     finally:
         dynamics._Stepper.__call__ = real
     return calls
@@ -65,7 +79,7 @@ def replay(calls, rounds):
     bad, secs, out = 0, [0.0, 0.0], [None, None]
     for r in range(rounds):
         for i, (stepper, gap, b) in enumerate(calls):
-            setup = stepper.steps[gap][:4]  # op, steps, coeffs, eta
+            setup = stepper.steps[gap][:4]  # op, steps, coeffs (floats), eta
             runs = [(0, lambda: stepper(gap, b)), (1, lambda: plain_loop(*setup, b))]
             for k, run in runs if (i + r) % 2 == 0 else runs[::-1]:
                 t0 = time.perf_counter()
@@ -82,8 +96,9 @@ def main() -> int:
     total = [0, 0, 0.0, 0.0]
     print(f"{'preset':10s} {'calls':>6s} {'bad':>4s} {'ratio':>7s}")
     with np.errstate(over="ignore", invalid="ignore"):  # as in evolve_schedule
-        for name in PRESETS:
-            calls = record(name)
+        runs = [(name, preset_config(name)) for name in PRESETS] + [("n30001", LONG_CHAIN)]
+        for name, config in runs:
+            calls = record(config)
             bad, t_new, t_plain = replay(calls, args.rounds)
             for k, v in enumerate((len(calls), bad, t_new, t_plain)):
                 total[k] += v

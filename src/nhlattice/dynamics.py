@@ -11,9 +11,11 @@ scipy's own set-up calls (_trace_shift) and a copy of scipy's theta_m table
 for the Taylor degree, so no scipy package is imported.
 
 Each Taylor term is a product through scipy's CSR kernel (Operator.matvec),
-a scaling and a sum, into buffers kept for the call.  max|b| and max|f| enter
-only scipy's stop test, so each is computed only where that test could pass
-against running upper bounds (proof in _Stepper.__call__): every break is scipy's."""
+a scaling by the coefficient kept as a complex128 scalar and a sum, into
+buffers kept for the call.  max|b| and max|f| enter only scipy's stop test,
+so each is computed only where that test could pass against running upper
+bounds (proof in _Stepper.__call__): every break is scipy's.  Each max is
+the modulus at argmax, which is numpy's max to the bit, NaN and inf included."""
 
 from __future__ import annotations
 
@@ -160,7 +162,9 @@ class _Stepper:
     loop of n*s scaling steps.  Non-finite amplitudes are carried on (_checked).
     A call copies its input once and works in four buffers: f, the terms b
     and nxt (swapped after each product) and the moduli of one of them.  A
-    term's max|b| is skipped where the last term's alone fails scipy's test."""
+    term's max|b| is skipped where the last term's alone fails scipy's test.
+    The coefficients are kept also as complex128 scalars, the value numpy
+    casts a float to, so each term's scaling skips that cast."""
 
     def __init__(self, h):
         self.h = h
@@ -186,19 +190,26 @@ class _Stepper:
                 s = math.ceil(norm / _THETA[m_star])
             m = np.diff(shifted[2])  # entries per row; r: the largest row abs-sum
             r = np.bincount(np.repeat(np.arange(m.size), m), np.abs(shifted[0])).max(initial=0)
-            self.steps[gap] = (Operator(*shifted, h.site_labels), n * s,
-                               [1.0 / float(s * (j + 1)) for j in range(m_star)],
+            coeffs = [1.0 / float(s * (j + 1)) for j in range(m_star)]
+            self.steps[gap] = (Operator(*shifted, h.site_labels), n * s, coeffs,
                                np.exp(1.0 * mu / float(s)),  # scipy's exp(t*mu/s) at t = 1
-                               float(r) * (1 + 2.0**-30) if m.max() < 2**20 else math.inf)
-        op, steps, coeffs, eta, r = self.steps[gap]
+                               float(r) * (1 + 2.0**-30) if m.max() < 2**20 else math.inf,
+                               [np.complex128(c) for c in coeffs])  # as numpy casts them
+        op, steps, coeffs, eta, r, ccoeffs = self.steps[gap]
         # scipy breaks when c1 + c2 <= tol * max|f|, with max|f| computed as
-        # np.abs(f).max().  `bound` is kept >= that computed max|f|.  Rounding
-        # is monotone, underflow included, so then tol * bound >= tol * max|f|
-        # and, while c1 + c2 > tol * bound, scipy's test is false without
-        # computing max|f|.  Otherwise max|f| is computed, scipy's test is
-        # applied as it stands and bound restarts from it: the breaks are scipy's.
+        # np.abs(f).max().  Each max here is mag at its argmax, once np.abs
+        # has filled mag: the same value, as argmax returns the first NaN (and
+        # cheaper than reduce up to a few thousand sites).  `bound` is kept
+        # >= that max|f|.  Rounding is monotone, underflow included, so then
+        # tol * bound >= tol * max|f| and, while c1 + c2 > tol * bound,
+        # scipy's test is false without computing max|f|.  Otherwise max|f|
+        # is computed, scipy's test is applied as it stands and bound
+        # restarts from it: the breaks are scipy's.
         # c2 is skipped where c1 > tol * bound_k with ub = coeff * (r * c1) >= c2
         # in its place; the next c1 is then >= 0, or read from the last buffer.
+        # A skip needs tol * bound_k >= 2^-1022 and the next bound is
+        # (bound_k + c2) * (1 + 2^-48) >= bound_k, so c2 alone is tested
+        # against tol * bound only; NaN and inf fail that `>` all the same.
         #
         # bound >= max|f| by induction over the terms of a sub-step, with
         # u = 2^-53 and d = 2^-1074, the smallest subnormal:
@@ -224,36 +235,37 @@ class _Stepper:
         #   fail `>`, so they take the exact path (Python floats: no warning).
         f = np.array(b, dtype=complex)
         b, nxt, mag = f.copy(), np.empty_like(f), np.empty(f.size)
+        matvec, absolute, multiply, add, argmax = op.matvec, np.abs, np.multiply, np.add, mag.argmax
         for _ in range(steps):
-            c1 = bound = float(np.maximum.reduce(np.abs(b, out=mag)))
-            for coeff in coeffs:
-                op.matvec(b, out=nxt)
-                np.multiply(coeff, nxt, out=nxt)  # scipy's operand order: bytes differ else
+            c1 = bound = float(absolute(b, mag)[argmax()])
+            for coeff, ccoeff in zip(coeffs, ccoeffs):
+                matvec(b, nxt)
+                multiply(ccoeff, nxt, nxt)  # scipy's operand order: bytes differ else
                 b, nxt = nxt, b
-                np.add(f, b, out=f)
+                add(f, b, f)
                 if c1 is not None:
                     grown = (bound + coeff * (r * c1)) * _BOUND_GROWTH
                     if c1 > _TAYLOR_TOL * grown >= _NORMAL_MIN:
                         bound, c1 = grown, None
                         continue
-                c2 = float(np.maximum.reduce(np.abs(b, out=mag)))
+                c2 = float(absolute(b, mag)[argmax()])
                 bound = (bound + c2) * _BOUND_GROWTH
                 if c1 is None:  # a lower bound of 0 serves where c2 alone decides
-                    c1 = (0.0 if c2 > _TAYLOR_TOL * bound >= _NORMAL_MIN
-                          else float(np.maximum.reduce(np.abs(nxt, out=mag))))
+                    c1 = 0.0 if c2 > _TAYLOR_TOL * bound else float(absolute(nxt, mag)[argmax()])
                 if not (c1 + c2 > _TAYLOR_TOL * bound >= _NORMAL_MIN):
-                    bound = float(np.maximum.reduce(np.abs(f, out=mag)))
+                    bound = float(absolute(f, mag)[argmax()])
                     if c1 + c2 <= _TAYLOR_TOL * bound:
                         break
                 c1 = c2
-            np.multiply(eta, f, out=f)
+            multiply(eta, f, f)
             np.copyto(b, f)
         return f
 
 
 def _checked(state: np.ndarray) -> np.ndarray:
     """state, unless an amplitude is non-finite or beyond OVERFLOW_LIMIT (GainRunawayError)."""
-    peak = float(np.max(np.abs(state)))
+    mag = np.abs(state)
+    peak = float(mag[mag.argmax()])  # max(mag): argmax returns the first NaN
     if not math.isfinite(peak) or peak > OVERFLOW_LIMIT:
         raise GainRunawayError(f"amplitude magnitude {peak!r} exceeds {OVERFLOW_LIMIT:g}; "
                                "gain outruns attenuation")
@@ -277,10 +289,10 @@ def evolve_schedule(segments, c0: StateVector, t_final: float, sample_dt: float)
     at 0 and the starts strictly increasing; each operator acts on
     [t_start_k, t_start_{k+1}) and must share c0's dimension and site labels.
     A sample gap that contains a switch is split there, so switch times are
-    exact.  Amplitudes that turn non-finite or exceed 1e150 raise
-    GainRunawayError; a sample whose intensity underflows to 0 raises
-    NormUnderflowError; a gap that would take more than MAX_SUB_STEPS
-    sub-steps raises StepCountError.
+    exact.  Amplitudes that turn non-finite or exceed 1e150, the initial
+    state's included, raise GainRunawayError; a sample whose intensity
+    underflows to 0 raises NormUnderflowError; a gap that would take more
+    than MAX_SUB_STEPS sub-steps raises StepCountError.
     """
     starts = [t_start for t_start, _ in segments]
     if not starts or starts[0] != 0.0:
@@ -296,6 +308,8 @@ def evolve_schedule(segments, c0: StateVector, t_final: float, sample_dt: float)
         raise ValueError("state and operator dimension or site labels differ")
     if not np.any(c0.amplitudes):
         raise ValueError("initial state must have a nonzero amplitude")
+    with np.errstate(over="ignore"):  # |1e308 + 1e308j| is inf: a runaway, not a warning
+        _checked(c0.amplitudes)  # before the norm, whose squares overflow past 1e154
     if c0.norm <= 0.0:
         raise NormUnderflowError("intensity sum |c_n|^2 of the initial state underflows to 0")
     times = sample_times(t_final, sample_dt)

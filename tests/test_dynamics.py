@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from nhlattice import (
 )
 
 import reference
-from nhlattice.dynamics import _THETA, STEP_NORM_LIMIT, _Stepper, _trace_shift
+from nhlattice.dynamics import _THETA, STEP_NORM_LIMIT, _checked, _Stepper, _trace_shift
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
 
@@ -184,6 +185,37 @@ def test_exact_gain_runaway_guard():
     c0 = StateVector(np.array([1.0 + 0j]), np.array([0]))
     with pytest.raises(GainRunawayError):
         evolve_exact(h, c0, 10.0, 0.25)
+
+
+@pytest.mark.parametrize("n", [1, 17, 240, 30001])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, complex(0.0, -np.inf),
+                                 1.5e150])
+def test_checked_finds_a_runaway_amplitude_at_any_site(n, where, bad):
+    # its max is the modulus at argmax, which returns the first NaN
+    state = np.full(n, 1e150 * (0.6 + 0.8j))  # modulus 1e150: at the limit, not beyond
+    assert _checked(state) is state
+    state[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = bad
+    with pytest.raises(GainRunawayError, match="exceeds 1e\\+150"):
+        _checked(state)
+
+
+def test_checked_accepts_an_all_zero_state():
+    state = np.zeros(240, dtype=complex)
+    assert _checked(state) is state
+
+
+@pytest.mark.parametrize("peak", [1e200, 1e152, complex(1e308, 1e308)])
+def test_initial_state_beyond_the_overflow_limit_is_a_gain_runaway(peak):
+    # |c|^2 of 1e200 overflows in StateVector.norm, |1e308 + 1e308j| in abs;
+    # 1e152 decays below the limit by the first sample, yet would have been
+    # returned as sample 0
+    lossy = reference.operator(-40j * np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1), np.arange(5))
+    c0 = StateVector(np.array([0.0, 0.5, peak, 0.5, 0.0], dtype=complex), np.arange(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GainRunawayError, match="amplitude magnitude"):
+            evolve_exact(lossy, c0, 1.0, 0.25)
 
 
 def test_norm_underflow_names_first_zero_intensity_sample():
@@ -427,6 +459,30 @@ def test_complex_abs_error_within_step_bound_assumption():
         # (1 - e)|z| - d <= r <= (1 + e)|z| + d, squared
         assert r <= d or (r - d) ** 2 <= (1 + e) ** 2 * mod2
         assert (r + d) ** 2 >= (1 - e) ** 2 * mod2
+
+
+#: moduli with NaN, inf and overflow (|1e308 + 1e308i|), subnormals, signed
+#: zeros and values whose moduli tie (1, -1, 1j; 3.5 and 3.5 + 0i)
+_MAX_VALUES = st.sampled_from([np.nan, complex(np.nan, 1.0), complex(0.0, -np.nan), np.inf,
+                               -np.inf, complex(np.nan, np.inf), 5e-324, 2.0**-1070,
+                               complex(5e-324, 5e-324), 0.0, -0.0, complex(-0.0, -0.0), 1.0,
+                               -1.0, 1j, 3.5, complex(3.5, 0.0), complex(1e308, 1e308)])
+
+
+@given(values=st.lists(_MAX_VALUES, min_size=1, max_size=300),
+       spread=st.sampled_from([0, 1, 40]))
+@settings(derandomize=True, max_examples=300)
+def test_loop_max_equals_numpy_max_bitwise(values, spread):
+    # _Stepper and _checked take max|x| as the modulus at argmax, which
+    # returns the first NaN; spread sets the drawn values among that many
+    # ordinary ones each, so that numpy's SIMD loops see long arrays
+    x = np.linspace(0.0, 2.0, (spread + 1) * len(values)) * (1 - 1j)
+    x[::spread + 1] = values
+    mag = np.empty(x.size)
+    with np.errstate(over="ignore"):
+        got = float(np.abs(x, mag)[mag.argmax()])
+        want = float(np.abs(x).max())
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------- reference rk4
