@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Run the table of mutants: one-place changes of the package that named tests must catch.
+
+Each row of MUTANTS gives a name, a file under src/, an exact old text, its
+replacement, and the pytest ids that must fail.  For each row, src/ is copied to
+a temporary directory, the old text (which must occur there exactly once) is
+replaced, and only the named tests run against the copy, through PYTHONPATH.
+A mutant is killed when every named test fails; an id without brackets names
+all the cases of a parametrized test, and fails when one of them does.  The
+named tests of every row first run once against src/ itself, where all
+must pass, so that a kill means the change was caught.
+
+Prints one line per mutant and exits 1 if a mutant survives, an old text does
+not occur exactly once, a named test is not found, or the unchanged run fails.
+
+Usage: python scripts/mutants.py [NAME ...]
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+C5B = "tests/test_acceptance.py::test_c5b_reduction_algebraic_identities"
+STOP = "tests/test_dynamics.py::test_step_stop_decisions_bitwise_equal_expm_multiply"
+FALLBACK = "tests/test_dynamics.py::test_below_the_normal_range_every_term_takes_scipy_maxima"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+#: the sawtooth <-> chain rule of protocols, then the Taylor loop of dynamics._Stepper
+MUTANTS = (
+    Mutant("gain gamma_a = gamma - 2*beta", "protocols.py",
+           "gamma_a=cfg.gamma + 2.0 * cfg.beta if gain else",
+           "gamma_a=cfg.gamma - 2.0 * cfg.beta if gain else", (C5B,)),
+    Mutant("gain theta = phi/2 + pi/2", "protocols.py",
+           "theta = cfg.phi / 2.0 if gain else",
+           "theta = cfg.phi / 2.0 + math.pi / 2.0 if gain else", (C5B,)),
+    Mutant("loss gamma_a = gamma + 2*beta", "protocols.py",
+           "if gain else cfg.gamma - 2.0 * cfg.beta,",
+           "if gain else cfg.gamma + 2.0 * cfg.beta,", (C5B,)),
+    Mutant("u_b * (1 + 1e-9)", "protocols.py",
+           "u_b=(1j if gain else -1j) * j * j / cfg.beta,",
+           "u_b=(1j if gain else -1j) * j * j / cfg.beta * (1 + 1e-9),", (C5B,)),
+    Mutant("skip with a non-exact c1", "dynamics.py",
+           "bound, c1 = grown, None", "bound = grown", (STOP,)),
+    Mutant("ub as c2's lower bound", "dynamics.py",
+           "if c1 > _TAYLOR_TOL * grown >= _NORMAL_MIN:",
+           "if c1 + coeff * (r * c1) > _TAYLOR_TOL * grown >= _NORMAL_MIN:", (STOP,)),
+    Mutant("np.multiply(f, eta) operand order", "dynamics.py",
+           "multiply(eta, f, f)", "multiply(f, eta, f)", (STOP,)),
+    Mutant("coeff * r * c1", "dynamics.py",
+           "grown = (bound + coeff * (r * c1)) * _BOUND_GROWTH",
+           "grown = (bound + coeff * r * c1) * _BOUND_GROWTH", (STOP,)),
+    Mutant("skip-test gate dropped", "dynamics.py",
+           "if c1 > _TAYLOR_TOL * grown >= _NORMAL_MIN:",
+           "if c1 > _TAYLOR_TOL * grown:", (FALLBACK,)),
+    Mutant("exact-path gate dropped", "dynamics.py",
+           "if not (c1 + c2 > _TAYLOR_TOL * bound >= _NORMAL_MIN):",
+           "if not c1 + c2 > _TAYLOR_TOL * bound:", (FALLBACK,)),
+)
+
+
+def run_tests(src: Path, tests, report: Path) -> dict:
+    """{named id: True if it failed} after running ``tests`` against the package in ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    report.unlink(missing_ok=True)
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                    f"--junitxml={report}", *tests], cwd=ROOT, env=env,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    outcome = {}
+    if report.is_file():
+        for case in ET.parse(report).getroot().iter("testcase"):
+            node = case.get("classname").replace(".", "/") + ".py::" + case.get("name")
+            failed = any(c.tag in ("failure", "error") for c in case)
+            for test in tests:
+                if node == test or node.startswith(test + "["):
+                    outcome[test] = outcome.get(test, False) or failed
+    return outcome
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 1
+    rows = [m for m in MUTANTS if not names or m.name in names]
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        tests = sorted({t for m in rows for t in m.tests})
+        clean = run_tests(ROOT / "src", tests, tmp / "clean.xml")
+        for test in tests:
+            if clean.get(test) is not False:
+                print(f"unchanged: {test} {'not found' if test not in clean else 'fails'}")
+                bad += 1
+        for m in rows:
+            src = tmp / "src"
+            shutil.rmtree(src, ignore_errors=True)
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            path = src / "nhlattice" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"STALE     {m.name}: old text occurs {text.count(m.old)} times in {m.file}")
+                bad += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            start = time.perf_counter()
+            outcome = run_tests(src, m.tests, tmp / "mutant.xml")
+            wall = time.perf_counter() - start
+            missing = [t for t in m.tests if t not in outcome]
+            alive = [t for t in m.tests if outcome.get(t) is False]
+            verdict = "killed" if not missing and not alive else "SURVIVED"
+            print(f"{verdict:9} {m.name} ({wall:.1f} s)"
+                  + "".join(f"\n  not found: {t}" for t in missing)
+                  + "".join(f"\n  passed: {t}" for t in alive))
+            bad += verdict != "killed"
+    print(f"{len(rows)} mutants, {bad} problems")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

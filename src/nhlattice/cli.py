@@ -103,10 +103,12 @@ def _write_artifacts(result, out_dir: Path, fmt: str) -> None:
 
 
 def _deepest_existing(out_dir: Path) -> Path:
-    """The deepest existing path among out_dir and its parents, which must be a directory."""
+    """The deepest existing of out_dir and its parents: a directory out_dir leaves by no '..'."""
     base = next(d for d in (out_dir, *out_dir.parents) if d.exists())
     if not base.is_dir():
         raise ConfigError(f"--out: {str(base)!r} is not a directory")
+    if ".." in out_dir.relative_to(base).parts:  # the OS resolves no '..' below a missing one
+        raise ConfigError(f"--out: {str(out_dir)!r} has a '..' under a missing directory")
     return base
 
 

@@ -5,10 +5,10 @@ couplings are complex, ``kappa + i*beta*exp(+/- i*phi)``, so the imaginary
 part of the dispersion relation can be steered by the phase ``phi`` while
 the real part (and hence the group velocity) stays fixed.  Also covered:
 the quasi-1D sawtooth two-sublattice model that realizes those couplings
-physically, the heterogeneous capture structure (two phase-opposed
+physically, and the heterogeneous capture structure (two phase-opposed
 non-Hermitian leads around a finite Hermitian segment with boundary
-defects ``V_c + i*xi``), and the adiabatic elimination of the far-detuned
-auxiliary sublattice.
+defects ``V_c + i*xi``).  Which sawtooth realizes which chain is
+protocols' rule (_sawtooth_spec).
 
 Convention throughout::
 
@@ -40,13 +40,11 @@ __all__ = [
     "SawtoothSpec",
     "SandwichSpec",
     "Operator",
-    "ReducedChain",
     "build_chain_hamiltonian",
     "build_sawtooth_hamiltonian",
     "build_sandwich_hamiltonian",
     "dispersion",
     "group_velocity",
-    "adiabatic_reduce",
     "reduce_phase",
 ]
 
@@ -390,60 +388,3 @@ def group_velocity(kappa: float, q):
     v = -2.0 * kappa * np.sin(q)
     return float(v) if v.ndim == 0 else v
 
-
-@dataclass(frozen=True)
-class ReducedChain:
-    """Effective chain produced by eliminating the auxiliary sublattice.
-
-    ``j1``/``j2`` are the forward/backward effective hoppings and ``u_eff``
-    the effective potential, the same on every site.  How well it stands for
-    its sawtooth is that SawtoothSpec's ``adiabaticity_ratio``.
-    """
-
-    kappa: float
-    j1: complex
-    j2: complex
-    u_eff: complex
-    n_sites: int
-
-    def to_chain_spec(self, index_origin: int = 0) -> ChainSpec:
-        """Map onto an open ChainSpec with hoppings kappa + i*beta*e^{+/-i*phi}.
-
-        Only possible when the hopping asymmetry has that exact form (the
-        u_b = i*j^2/beta working point), to 1e-12 relative; otherwise raises
-        ValueError.
-        """
-        d1, d2 = self.j1 - self.kappa, self.j2 - self.kappa
-        beta = abs(d1)
-        phi = cmath.phase(d1 / (1j * beta)) if beta else 0.0
-        # at beta = 0 this asks |d2| <= 1e-12, as max(1, |d2|) > 1 only when |d2| > 1
-        if abs(d2 - 1j * beta * cmath.exp(-1j * phi)) > 1e-12 * max(1.0, abs(d2)):
-            raise ValueError("hoppings do not have the kappa + i*beta*e^{+/-i*phi} form")
-        if abs(self.u_eff.real) > 1e-12 * max(1.0, abs(self.u_eff)):
-            raise ValueError("effective potential has a real part; no ChainSpec equivalent")
-        return ChainSpec(
-            kappa=self.kappa,
-            beta=beta,
-            gamma=-self.u_eff.imag,
-            phi=phi,
-            n_sites=self.n_sites,
-            index_origin=index_origin,
-        )
-
-
-def adiabatic_reduce(spec: SawtoothSpec) -> ReducedChain:
-    """Eliminate the auxiliary sublattice, slaving b_n to its a neighbours.
-
-    j1 = kappa - j^2*e^{+2i*theta}/u_b, j2 = kappa - j^2*e^{-2i*theta}/u_b,
-    u_eff = -i*gamma_a - 2*j^2/u_b.  At u_b = i*j^2/beta this is the chain
-    with phi = 2*theta and gamma = gamma_a - 2*beta, valid while
-    ``spec.adiabaticity_ratio`` << 1 (not checked here).
-    """
-    j_sq = spec.j * spec.j
-    return ReducedChain(
-        kappa=spec.kappa,
-        j1=spec.kappa - j_sq * cmath.exp(2j * spec.theta) / spec.u_b,
-        j2=spec.kappa - j_sq * cmath.exp(-2j * spec.theta) / spec.u_b,
-        u_eff=0.0 - 1j * spec.gamma_a - 2.0 * j_sq / spec.u_b,
-        n_sites=spec.n_cells,
-    )

@@ -222,6 +222,7 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
     _require(not any(c in (cfg.preset or "") for c in "=\n"),
              f"preset: {cfg.preset!r} holds '=' or a newline, which metrics.txt cannot hold")
     if cfg.experiment == "dispersion_scan":  # the one experiment without a chain
+        _check_fits(cfg)
         return cfg, ()
     t, exc = cfg.timing, cfg.excitation
     _require(t.sample_dt > 0.0, f"timing.sample_dt: must be > 0, got {t.sample_dt!r}")
@@ -261,7 +262,7 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
                       for xi in cfg.storage.xi_sweep or (cfg.storage.xi,)]
         if cfg.experiment == "reduction_check":
             specs += [_sawtooth_spec(cfg, j) for j in cfg.reduction.j_values]
-    _check_trajectory_fits(cfg)
+    _check_fits(cfg)
     times = sample_times(t.t_final, t.sample_dt)
     if cfg.experiment != "reduction_check":  # the runs that fit a velocity
         with _named("timing.t_final: velocity "):
@@ -280,12 +281,17 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
     return cfg, tuple(specs)
 
 
-def _check_trajectory_fits(cfg: ExperimentConfig) -> None:
-    """Reject a run whose trajectory (16 bytes a site and sample) outgrows physical memory."""
+def _check_fits(cfg: ExperimentConfig) -> None:
+    """Reject a trajectory (16 bytes a site and sample) or scan (40 bytes a row) past memory."""
     try:
         memory = float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     except (AttributeError, ValueError, OSError):  # no sysconf: what numpy can index
         memory = float(np.iinfo(np.intp).max)
+    if cfg.experiment == "dispersion_scan":  # the q grid is built with no phi value too
+        rows = cfg.dispersion.q_points * max(1, len(cfg.dispersion.phi_values))
+        _require(40 * rows <= memory, f"dispersion.q_points: {rows} table rows do not fit in "
+                                      f"memory ({memory:.3g} bytes)")
+        return
     sites = cfg.chain_length * (2 if cfg.experiment == "reduction_check" else 1)  # sawtooth
     _require(sites <= memory / 16,  # compared exactly, however large the int
              f"chain_length: {cfg.chain_length} sites do not fit in memory ({memory:.3g} bytes)")

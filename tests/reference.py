@@ -3,7 +3,8 @@ equations site by site.  These are the oracles the sparse Hamiltonian
 builders are checked against, plus a fixed-step RK4, a dense-expm schedule
 propagator, a gap-by-gap ``scipy.sparse.linalg.expm_multiply`` propagator
 and the closed-form Bessel propagator of the infinite homogeneous chain for
-the dynamics, a per-element trajectory CSV writer and a scan-table reader, a
+the dynamics, the effective chain of a sawtooth with its auxiliary sites
+slaved, a per-element trajectory CSV writer and a scan-table reader, a
 per-cell heatmap SVG renderer and the Rec. 709 luminance of its colors, and
 scipy's ``curve_fit`` for the Gaussian fit; they share no code with the
 package.  The tests reach scipy's sparse arrays through the two adapters
@@ -81,6 +82,24 @@ def dense_sawtooth(kappa, j, theta, gamma_a, u_b, n_cells, v_a=None):
             h[b(m), a(m + 1)] += j * ph
         h[b(m), a(m)] += j * np.conj(ph)
     return h
+
+
+def reduced_chain(saw):
+    """(j1, j2, u_eff) of the chain left when the sawtooth ``saw``'s auxiliary
+    site follows its neighbours, i db_n/dt = 0 in dense_sawtooth's equations:
+
+    b_n = -j*(e^{i*theta} a_{n+1} + e^{-i*theta} a_n) / u_b,
+
+    put into the a_n row as i da_n/dt = u_eff a_n + j1 a_{n+1} + j2 a_{n-1}.
+    """
+    to_next = -saw.j * cmath.exp(1j * saw.theta) / saw.u_b  # of a_{n+1} in b_n
+    to_here = -saw.j * cmath.exp(-1j * saw.theta) / saw.u_b  # of a_n in b_n
+    # the a_n row meets b_n through j*e^{i*theta} and b_{n-1} through j*e^{-i*theta}
+    j1 = saw.kappa + saw.j * cmath.exp(1j * saw.theta) * to_next
+    j2 = saw.kappa + saw.j * cmath.exp(-1j * saw.theta) * to_here
+    u_eff = -1j * saw.gamma_a + saw.j * (cmath.exp(1j * saw.theta) * to_here
+                                         + cmath.exp(-1j * saw.theta) * to_next)
+    return j1, j2, u_eff
 
 
 def dense_sandwich(kappa, beta, gamma, q0, n_half, v_c, xi, labels):

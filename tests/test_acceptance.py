@@ -18,13 +18,12 @@ import scipy.optimize
 import nhlattice as nh
 from nhlattice import (
     ChainSpec,
+    ConfigError,
     ExcitationSpec,
     ExperimentConfig,
     GainRunawayError,
     ReductionParams,
-    SawtoothSpec,
     Timing,
-    adiabatic_reduce,
     build_chain_hamiltonian,
     centroid_series,
     centroid_velocity,
@@ -33,6 +32,7 @@ from nhlattice import (
     make_excitation,
     preset_config,
     region_fractions,
+    resolve_specs,
 )
 from nhlattice.cli import EXPERIMENT_SUBCOMMAND, main as cli_main
 from nhlattice.configio import read_metrics, read_trajectory_csv
@@ -176,25 +176,50 @@ def test_c5a_reduction_convergence_at_specified_working_point():
 
 
 def test_c5b_reduction_algebraic_identities():
+    """The sawtooths a reduction run builds reduce to the chain it compares them with.
+
+    Each drawn config, with theta left to its default or set, goes through
+    resolve_specs; reference.reduced_chain of every SawtoothSpec it returns must
+    give the resolved chain's hoppings kappa + i*beta*e^{+/-i*phi} and potential
+    -i*gamma, and with theta defaulted also those of the config's own chain.
+    Where the working point's sublattice loss, gamma + 2*beta with a gain
+    auxiliary level and gamma - 2*beta with a lossy one, is negative, the config
+    must be rejected naming gamma.
+    """
     rng = np.random.default_rng(9)
-    worst = 0.0
-    for _ in range(200):
-        kappa = float(rng.uniform(0.2, 2.0))
-        beta = float(rng.uniform(0.05, 1.5))
-        theta = float(rng.uniform(-1.5, 1.5))
-        j = float(rng.uniform(0.5, 8.0))
-        gamma_a = float(rng.uniform(0.0, 3.0))
-        saw = SawtoothSpec(kappa=kappa, j=j, theta=theta, gamma_a=gamma_a,
-                           u_b=1j * j * j / beta, n_cells=3)
-        red = adiabatic_reduce(saw)
-        j1_err = abs(red.j1 - (kappa + 1j * beta * np.exp(2j * theta)))
-        j2_err = abs(red.j2 - (kappa + 1j * beta * np.exp(-2j * theta)))
-        gamma_err = abs(-np.imag(red.u_eff) - (gamma_a - 2.0 * beta))
-        worst = max(worst, j1_err / max(1.0, abs(red.j1)),
-                    j2_err / max(1.0, abs(red.j2)), gamma_err / max(1.0, abs(gamma_a)))
-    _report("criterion 5b", worst <= 1e-12,
-            f"j1 = kappa + i*beta*e^(2i*theta) and gamma = Gamma - 2*beta over 200 "
-            f"random parameter sets: worst rel err {worst:.2e}")
+    worst, checked, rejected, wrong = 0.0, 0, 0, []
+    for aux_sign, sign in (("gain", 1.0), ("loss", -1.0)):
+        for draw in range(200):
+            theta = None if draw % 2 else float(rng.uniform(-math.pi, math.pi))
+            cfg = ExperimentConfig(
+                experiment="reduction_check", kappa=float(rng.uniform(0.2, 2.0)),
+                beta=float(rng.uniform(0.05, 1.5)), gamma=float(rng.uniform(-1.0, 4.0)),
+                phi=float(rng.uniform(-math.pi, math.pi)), chain_length=8, index_origin=-4,
+                excitation=ExcitationSpec(kind="gaussian", n0=0, w0=1.0, q0=-math.pi / 2),
+                timing=Timing(t_final=1.0),
+                reduction=ReductionParams(j_values=tuple(rng.uniform(0.5, 8.0, draw % 3 + 1)),
+                                          theta=theta, aux_sign=aux_sign))
+            try:
+                resolved, (chain, *saws) = resolve_specs(cfg)
+            except ConfigError as exc:
+                rejected += 1
+                if not (cfg.gamma + sign * 2.0 * cfg.beta < 0.0 and str(exc).startswith("gamma: ")):
+                    wrong.append(f"{aux_sign} draw {draw} rejected: {exc}")
+                continue
+            if cfg.gamma + sign * 2.0 * cfg.beta < 0.0:
+                wrong.append(f"{aux_sign} draw {draw} accepted with negative sublattice loss")
+            targets = [chain] if theta is not None else [chain, cfg]
+            for saw in saws:
+                got = reference.reduced_chain(saw)
+                for t in targets:
+                    want = (t.kappa + 1j * t.beta * np.exp(1j * t.phi),
+                            t.kappa + 1j * t.beta * np.exp(-1j * t.phi), -1j * t.gamma)
+                    worst = max(worst, *(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want)))
+                checked += 1
+    _report("criterion 5b", worst <= 1e-12 and not wrong and checked >= 200 and rejected >= 50,
+            f"j1, j2, u_eff of {checked} resolved sawtooths against kappa + i*beta*e^(+/-i*phi) "
+            f"and -i*gamma: worst rel err {worst:.2e}; {rejected} configs rejected; "
+            f"wrong: {wrong[:3]}")
 
 
 # ------------------------------------------------------------------ 6

@@ -688,6 +688,30 @@ def test_out_naming_a_file_exits_2_before_the_run(tmp_path, under):
     assert [p.name for p in tmp_path.iterdir()] == ["F"]
 
 
+@pytest.mark.parametrize("out", ["a/../b", "a/x/../../b", "a/.."])
+def test_out_through_a_missing_directory_and_dotdot_exits_2_before_the_run(tmp_path, capsys,
+                                                                          monkeypatch, out):
+    # the run wrote into stage/a/../b, that is stage/b, then renamed the empty stage/a
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(protocols, "run_experiment", lambda config: pytest.fail("ran"))
+    for argv in (["dispersion", "--preset", "fig2", "--out", out],
+                 ["preset", "fig2", "--out", out]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: config: --out: {out!r} has a '..' under "
+                                           f"a missing directory\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_out_through_an_existing_directory_and_dotdot_runs_into_its_target(tmp_path, capsys,
+                                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").mkdir()
+    assert main(["dispersion", "--preset", "fig2", "--out", "a/../b"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+    assert list((tmp_path / "a").iterdir()) == []
+    assert (tmp_path / "b" / "scan.csv").is_file()
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="no POSIX modes")
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
 def test_artifacts_get_the_mode_open_gives_under_the_umask(tmp_path, umask):

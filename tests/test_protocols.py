@@ -168,6 +168,18 @@ def test_dispersion_scan_argmax_metrics():
         assert abs(result.metrics[f"phi[{i}].max_im"]) <= 1e-12
 
 
+@pytest.mark.parametrize("q_points, phi_values", [(10**10, ()), (10**10, (0.0,)),
+                                                  (10**8, tuple(np.linspace(0.0, 1.0, 200))),
+                                                  (10**40, (0.0,))])
+def test_dispersion_table_past_memory_is_rejected_naming_q_points(q_points, phi_values):
+    # resolved only: the scan itself would build a list of q_points floats
+    cfg = ExperimentConfig(experiment="dispersion_scan",
+                           dispersion=DispersionParams(phi_values=phi_values, q_points=q_points))
+    with pytest.raises(ConfigError, match=r"^dispersion\.q_points: \d+ table rows do not fit"):
+        resolve_config(cfg)
+    assert resolve_config(replace(cfg, dispersion=replace(cfg.dispersion, q_points=10**6)))
+
+
 # ---------------------------------------------------------------- storage
 
 
@@ -282,11 +294,11 @@ def test_reduction_hermitian_limit_real_detuning():
     # the full model tracks the reduced chain built from j1/j2/u_eff
     j, u_b, m = 2.0, 60.0, 81
     saw = nh.SawtoothSpec(kappa=1.0, j=j, theta=0.0, gamma_a=0.0, u_b=u_b, n_cells=m)
-    red = nh.adiabatic_reduce(saw)
-    assert red.j1 == red.j2
+    j1, j2, u_eff = reference.reduced_chain(saw)
+    assert j1 == j2
     labels = np.arange(m) - m // 2
     eff = reference.operator(scipy.sparse.diags_array(
-        (np.full(m - 1, red.j2), np.full(m, red.u_eff), np.full(m - 1, red.j1)),
+        (np.full(m - 1, j2), np.full(m, u_eff), np.full(m - 1, j1)),
         offsets=(-1, 0, 1), format="csr"), labels)
     exc = nh.make_excitation(
         ExcitationSpec(kind="gaussian", n0=0, w0=4.0, q0=-math.pi / 2), labels)
