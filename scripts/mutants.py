@@ -31,6 +31,14 @@ ROOT = Path(__file__).resolve().parent.parent
 C5B = "tests/test_acceptance.py::test_c5b_reduction_algebraic_identities"
 STOP = "tests/test_dynamics.py::test_step_stop_decisions_bitwise_equal_expm_multiply"
 FALLBACK = "tests/test_dynamics.py::test_below_the_normal_range_every_term_takes_scipy_maxima"
+TRACE = "tests/test_dynamics.py::test_trace_shift_bitwise_equals_scipy"
+DRAWN = "tests/test_dynamics.py::test_drawn_schedules_bitwise_equal_gap_by_gap_expm_multiply"
+PROPAGATOR = "tests/test_dynamics.py::test_propagator_bitwise_equals_gap_by_gap_expm_multiply"
+WINDOW = "tests/test_protocols.py::test_a_window_selects_a_sample_within_time_eps_of_its_end"
+CONFINEMENT = ("tests/test_protocols.py::"
+               "test_capture_confinement_is_the_least_inside_share_over_half_t_prime_to_t_prime")
+GRID = "tests/test_protocols.py::test_dispersion_grid_bytes_equal_the_per_point_rule"
+ARGMAX = "tests/test_protocols.py::test_dispersion_scan_argmax_metrics"
 
 
 class Mutant(NamedTuple):
@@ -41,7 +49,9 @@ class Mutant(NamedTuple):
     tests: tuple
 
 
-#: the sawtooth <-> chain rule of protocols, then the Taylor loop of dynamics._Stepper
+#: the sawtooth <-> chain rule of protocols, the Taylor loop of dynamics._Stepper, the
+#: trace shift, the step set-up and the switch split of dynamics, then the sampling rules:
+#: the time-window tolerance, the capture window and the dispersion scan's q grid
 MUTANTS = (
     Mutant("gain gamma_a = gamma - 2*beta", "protocols.py",
            "gamma_a=cfg.gamma + 2.0 * cfg.beta if gain else",
@@ -71,6 +81,38 @@ MUTANTS = (
     Mutant("exact-path gate dropped", "dynamics.py",
            "if not (c1 + c2 > _TAYLOR_TOL * bound >= _NORMAL_MIN):",
            "if not c1 + c2 > _TAYLOR_TOL * bound:", (FALLBACK,)),
+    Mutant("trace shift keeps a cancelled diagonal entry", "dynamics.py",
+           "    data, indices = data[:indptr[-1]], indices[:indptr[-1]]  # prune: exact zeros",
+           "    data, indices = data[:indptr[-1]], indices[:indptr[-1]]\n"
+           "    rows = np.flatnonzero(diag == mu)  # each a_ii - mu == 0 kept as an explicit 0\n"
+           "    at = [indptr[i] + int(np.count_nonzero(indices[indptr[i]:indptr[i + 1]] < i))\n"
+           "          for i in rows]\n"
+           "    data, indices = np.insert(data, at, 0), np.insert(indices, at, rows)\n"
+           "    indptr = indptr + np.searchsorted(rows, np.arange(n + 1)).astype(index_dtype)\n"
+           "    # was: exact zeros", (TRACE,)),
+    Mutant("trace shift sums each column in reverse row order", "dynamics.py",
+           "np.bincount(indices, np.abs(data), minlength=n)",
+           "np.bincount(indices[::-1], np.abs(data)[::-1], minlength=n)", (TRACE,)),
+    Mutant("trace shift by csr_plus_csr", "dynamics.py",
+           "_sparsetools.csr_minus_csr(", "_sparsetools.csr_plus_csr(", (TRACE,)),
+    Mutant("trace shift without the trim to indptr[-1]", "dynamics.py",
+           "data, indices = data[:indptr[-1]], indices[:indptr[-1]]", "", (TRACE,)),
+    Mutant("last theta-table minimum", "dynamics.py",
+           "m_star = min(_THETA, key=", "m_star = min(reversed(list(_THETA)), key=",
+           (DRAWN, PROPAGATOR + "[theta_tie]")),
+    Mutant("one sub-step per gap", "dynamics.py",
+           "n, h = max(1, math.ceil(n)), self.h", "n, h = 1, self.h",
+           (DRAWN, PROPAGATOR + "[stiff_split]")),
+    Mutant("no switch split", "dynamics.py",
+           "if switches[seg] > t + _TIME_EPS:", "if False:", (DRAWN,)),
+    Mutant("time windows without _TIME_EPS", "analysis.py",
+           "mask = (times >= t_a - _TIME_EPS) & (times <= t_b + _TIME_EPS)",
+           "mask = (times >= t_a) & (times <= t_b)", (WINDOW,)),
+    Mutant("capture window from 0.6 t_prime", "protocols.py",
+           "return (0.5 * cfg.timing.t_prime, cfg.timing.t_prime)",
+           "return (0.6 * cfg.timing.t_prime, cfg.timing.t_prime)", (CONFINEMENT,)),
+    Mutant("q grid step 2*pi/p", "protocols.py",
+           "(2.0 * math.pi / (p - 1))", "(2.0 * math.pi / p)", (GRID, ARGMAX)),
 )
 
 

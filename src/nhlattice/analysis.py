@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import StateVector, Trajectory
+from .dynamics import _TIME_EPS, StateVector, Trajectory
 from .lattice import _check_options, reduce_phase
 
 __all__ = [
@@ -115,13 +115,13 @@ def centroid_series(traj: Trajectory) -> np.ndarray:
     return (mags**2 @ traj.site_labels) / sums[:, 0]
 
 
-def window_mask(times: np.ndarray, t_window) -> np.ndarray:
-    """The sample times in [t_a, t_b]; a velocity fit needs 5 or more."""
+def window_mask(times: np.ndarray, t_window, need: int = 5) -> np.ndarray:
+    """The sample times in [t_a, t_b] +/- _TIME_EPS; ValueError under ``need`` (a fit's 5)."""
     t_a, t_b = t_window
-    mask = (times >= t_a - 1e-9) & (times <= t_b + 1e-9)
+    mask = (times >= t_a - _TIME_EPS) & (times <= t_b + _TIME_EPS)
     count = int(np.count_nonzero(mask))
-    if count < 5:
-        raise ValueError(f"window [{t_a}, {t_b}] selects {count} samples; need >= 5")
+    if count < need:
+        raise ValueError(f"window [{t_a}, {t_b}] selects {count} samples; need >= {need}")
     return mask
 
 

@@ -40,7 +40,7 @@ METHOD_TAG = "expm_multiply"
 STEP_NORM_LIMIT = 60.0
 #: most sub-steps one sample gap may take (each preset takes 1, each up to 385 products)
 MAX_SUB_STEPS = 1000
-
+#: the one tolerance of a time comparison: sample counts, switch snapping, windows
 _TIME_EPS = 1e-9
 #: scipy's Taylor truncation tolerance, the double-precision unit roundoff
 _TAYLOR_TOL = 2.0**-53

@@ -197,13 +197,14 @@ _SPEC_KEYS = {"n_sites": "chain_length", "n_half": "storage.n_half", "j": "reduc
 
 
 @contextlib.contextmanager
-def _named(prefix: str = ""):
-    """Raise a ValueError as a ConfigError led by ``prefix``, else by its spec field's key."""
+def _named(message: str = ""):
+    """Raise a ValueError as a ConfigError: ``message``, the error put in its {} if it has
+    one, else the error led by its spec field's key."""
     try:
         yield
     except ValueError as err:
         field, _, rest = str(err).partition(": ")
-        raise configio.ConfigError(f"{prefix}{err}" if prefix else
+        raise configio.ConfigError(message.format(err) if message else
                                    f"{_SPEC_KEYS.get(field, field)}: {rest}") from None
 
 
@@ -245,7 +246,7 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
         theta = cfg.reduction.theta
         if theta is None:
             theta = cfg.phi / 2.0 if gain else cfg.phi / 2.0 - math.pi / 2.0
-        with _named("reduction.theta: as phi = 2*theta, the "):
+        with _named("reduction.theta: as phi = 2*theta, the {}"):
             phi = reduce_phase(2.0 * theta) if gain else reduce_phase(2.0 * theta + math.pi)
         cfg = replace(cfg, phi=phi, reduction=replace(cfg.reduction, theta=theta))
     if cfg.chain_length is None or cfg.index_origin is None:
@@ -265,12 +266,13 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
     _check_fits(cfg)
     times = sample_times(t.t_final, t.sample_dt)
     if cfg.experiment != "reduction_check":  # the runs that fit a velocity
-        with _named("timing.t_final: velocity "):
+        with _named("timing.t_final: velocity {}"):
             window_mask(times, _velocity_window(cfg))
     if cfg.experiment == "storage":
-        _require(np.any(_capture_mask(times, t.t_prime)),
-                 f"timing.t_prime: capture window [{0.5 * t.t_prime!r}, {t.t_prime!r}] "
-                 f"holds no sample (sample_dt {t.sample_dt!r})")
+        capture = _capture_window(cfg)
+        with _named(f"timing.t_prime: capture window [{capture[0]!r}, {capture[1]!r}] holds "
+                    f"no sample (sample_dt {t.sample_dt!r})"):
+            window_mask(times, capture, 1)
     lo, hi = chain.site_range
     _require(lo <= exc.n0 <= hi, f"excitation.n0: {exc.n0} outside chain [{lo}, {hi}]")
     if cfg.experiment == "storage":
@@ -282,15 +284,17 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
 
 
 def _check_fits(cfg: ExperimentConfig) -> None:
-    """Reject a trajectory (16 bytes a site and sample) or scan (40 bytes a row) past memory."""
+    """Reject a trajectory (16 bytes a site and sample) or scan past memory: 40 bytes a table
+    row, and 40 a q point (grid, velocities, one phase's energies and phase column)."""
     try:
         memory = float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     except (AttributeError, ValueError, OSError):  # no sysconf: what numpy can index
         memory = float(np.iinfo(np.intp).max)
-    if cfg.experiment == "dispersion_scan":  # the q grid is built with no phi value too
-        rows = cfg.dispersion.q_points * max(1, len(cfg.dispersion.phi_values))
-        _require(40 * rows <= memory, f"dispersion.q_points: {rows} table rows do not fit in "
-                                      f"memory ({memory:.3g} bytes)")
+    if cfg.experiment == "dispersion_scan":
+        p = cfg.dispersion.q_points
+        rows = p * len(cfg.dispersion.phi_values)
+        _require(40 * (rows + p) <= memory, f"dispersion.q_points: {rows} table rows do not "
+                 f"fit in memory beside a {p}-point grid ({memory:.3g} bytes)")
         return
     sites = cfg.chain_length * (2 if cfg.experiment == "reduction_check" else 1)  # sawtooth
     _require(sites <= memory / 16,  # compared exactly, however large the int
@@ -361,26 +365,25 @@ def _chain_result(cfg: ExperimentConfig, manifest: str, metrics: dict, traj: Tra
 def run_dispersion_scan(config: ExperimentConfig) -> ExperimentResult:
     """Tabulate (phi, q, Re E, Im E, v_g) on a symmetric q grid.
 
-    The grid is built as (k - (P-1)/2) * (2*pi/(P-1)) so that for the
+    The grid is (k - (P-1)//2) * (2*pi/(P-1)) for k < P so that for the
     default P=257 the values 0, +/-pi/4, +/-pi/2, +/-pi are grid points
     exactly, making argmax comparisons exact.
     """
     cfg, _, manifest, metrics = _start(config, "closed_form")
-    p = cfg.dispersion.q_points
-    half = (p - 1) // 2
-    step = 2.0 * math.pi / (p - 1)
-    q_grid = np.array([(k - half) * step for k in range(p)])
+    p, phis = cfg.dispersion.q_points, cfg.dispersion.phi_values
+    q_grid = (np.arange(p) - (p - 1) // 2) * (2.0 * math.pi / (p - 1))
     vg = group_velocity(cfg.kappa, q_grid)
-    blocks = []
-    for i, phi in enumerate(cfg.dispersion.phi_values):
+    table = np.empty((len(phis) * p, 5))  # no phi: no row
+    for i, phi in enumerate(phis):
         e = dispersion(cfg.kappa, cfg.beta, cfg.gamma, phi, q_grid)
-        blocks.append(np.column_stack((np.full(p, phi), q_grid, e.real, e.imag, vg)))
+        np.stack((np.full(p, phi), q_grid, e.real, e.imag, vg), axis=1,
+                 out=table[i * p:(i + 1) * p])
         arg = int(np.argmax(e.imag))
         metrics[f"phi[{i}].value"] = phi
         metrics[f"phi[{i}].q_max_im"] = float(q_grid[arg])
         metrics[f"phi[{i}].max_im"] = float(e.imag[arg])
-    table = (("phi", "q", "reE", "imE", "vg"), np.reshape(blocks, (-1, 5)))  # no phi: no row
-    return ExperimentResult(config=cfg, table=table, metrics=metrics, manifest=manifest)
+    return ExperimentResult(config=cfg, table=(("phi", "q", "reE", "imE", "vg"), table),
+                            metrics=metrics, manifest=manifest)
 
 
 def run_transport(config: ExperimentConfig) -> ExperimentResult:
@@ -429,9 +432,9 @@ def _storage_schedule(cfg: ExperimentConfig, specs: tuple) -> list:
             (cfg.timing.t_prime, build_chain_hamiltonian(specs[1]))]
 
 
-def _capture_mask(times: np.ndarray, t_prime: float) -> np.ndarray:
-    """The samples a storage run takes its capture confinement over: [t_prime/2, t_prime]."""
-    return (times >= 0.5 * t_prime - 1e-9) & (times <= t_prime + 1e-9)
+def _capture_window(cfg: ExperimentConfig) -> tuple:
+    """The times a storage run takes its capture confinement over: [t_prime/2, t_prime]."""
+    return (0.5 * cfg.timing.t_prime, cfg.timing.t_prime)
 
 
 def _out_region(cfg: ExperimentConfig, chain: ChainSpec) -> tuple:
@@ -462,10 +465,9 @@ def _storage_single(cfg: ExperimentConfig, specs: tuple) -> tuple:
     release_v = centroid_velocity(traj, _velocity_window(cfg))
     direction = "forward" if (release_v > 0) == (incident_v > 0) else "reversed"
 
-    rho = normalized_profile(traj.amplitudes)
+    rho = normalized_profile(traj.amplitudes[window_mask(traj.times, _capture_window(cfg), 1)])
     inside = np.abs(traj.site_labels) <= sp.n_half + 2
-    inside_fraction = np.sum(rho[:, inside] ** 2, axis=1)
-    confinement = float(np.min(inside_fraction[_capture_mask(traj.times, t.t_prime)]))
+    confinement = float(np.min(np.sum(rho[:, inside] ** 2, axis=1)))
 
     return traj, {
         "efficiency": efficiency,
@@ -525,23 +527,20 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
 
     columns = ("j", "u_b_abs", "adiabaticity_ratio", "profile_error", "warned")
     rows = []
-    errors = []
     for i, saw in enumerate(saws):
         h_saw = build_sawtooth_hamiltonian(saw)
-        a0 = state0.amplitudes
         psi0 = np.zeros(2 * cfg.chain_length, dtype=complex)
-        psi0[0::2] = a0
+        psi0[0::2] = state0.amplitudes
         if cfg.reduction.b_init == "slaved":
-            psi0[1::2] = _slaved_b(a0, saw)
+            psi0[1::2] = _slaved_b(state0.amplitudes, saw)
         saw_traj = evolve_exact(h_saw, StateVector(psi0, h_saw.site_labels),
                                 t.t_final, t.sample_dt)
         rho_a = normalized_profile(saw_traj.amplitudes[:, 0::2])
         error = float(np.max(np.abs(rho_a - rho_chain)))
-        errors.append(error)
         ratio = saw.adiabaticity_ratio
         rows.append((saw.j, abs(saw.u_b), ratio, error, ratio > ADIABATICITY_WARN_THRESHOLD))
         metrics.update((f"reduction[{i}].{name}", v) for name, v in zip(columns, rows[-1]))
-    metrics["monotone_decreasing"] = all(b < a for a, b in zip(errors, errors[1:]))
+    metrics["monotone_decreasing"] = all(b[3] < a[3] for a, b in zip(rows, rows[1:]))
     table = (columns, np.asarray(rows, dtype=float))
     return _chain_result(cfg, manifest, metrics, chain_traj, table)
 

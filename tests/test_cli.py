@@ -659,32 +659,20 @@ def _assert_left_nothing(tmp_path, out, before=None, err=""):
             os.waitpid(-1, os.WNOHANG)
 
 
-#: the CLI in a child whose experiment runner exits 9 at once: a run that
-#: exits 2 under it never started the experiment
-NO_RUN_CLI = """\
-import sys
-from nhlattice import cli, protocols
-
-protocols.run_experiment = lambda config: sys.exit(9)
-sys.exit(cli.main())
-"""
-
-
 @pytest.mark.parametrize("under", ["", "sub"], ids=["out_is_a_file", "out_under_a_file"])
-def test_out_naming_a_file_exits_2_before_the_run(tmp_path, under):
+def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch, under):
     (tmp_path / "F").write_text("kept")
     out = tmp_path / "F" / under if under else tmp_path / "F"
-    proc = subprocess.run([sys.executable, "-c", NO_RUN_CLI, "dispersion", "--preset", "fig2",
-                           "--out", str(out)], env=_CHILD_ENV, capture_output=True, text=True)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"error: config: --out: {str(tmp_path / 'F')!r} is not a directory\n"
+    monkeypatch.setattr(protocols, "run_experiment", lambda config: pytest.fail("ran"))
+    assert main(["dispersion", "--preset", "fig2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: config: --out: {str(tmp_path / 'F')!r} "
+                                       f"is not a directory\n")
     assert [p.name for p in tmp_path.iterdir()] == ["F"]  # no stage, no temp file
     assert (tmp_path / "F").read_text() == "kept"
     # the preset command's --out is checked the same way
-    proc = subprocess.run([sys.executable, "-m", "nhlattice", "preset", "fig2", "--out", str(out)],
-                          env=_CHILD_ENV, capture_output=True, text=True)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"error: config: --out: {str(tmp_path / 'F')!r} is not a directory\n"
+    assert main(["preset", "fig2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: config: --out: {str(tmp_path / 'F')!r} "
+                                       f"is not a directory\n")
     assert [p.name for p in tmp_path.iterdir()] == ["F"]
 
 

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +26,11 @@ from nhlattice import (
     run_transport,
 )
 from nhlattice.configio import ConfigError
+from nhlattice.dynamics import _TIME_EPS
 from nhlattice.protocols import EDGE_FRACTION_LIMIT
+
+#: the physical memory that resolve_config's memory checks compare against
+_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 FAST_GAUSS = ExperimentConfig(
     experiment="transport_gaussian", kappa=1.0, beta=0.4, gamma=0.8, phi=math.pi / 2,
@@ -168,16 +174,43 @@ def test_dispersion_scan_argmax_metrics():
         assert abs(result.metrics[f"phi[{i}].max_im"]) <= 1e-12
 
 
-@pytest.mark.parametrize("q_points, phi_values", [(10**10, ()), (10**10, (0.0,)),
-                                                  (10**8, tuple(np.linspace(0.0, 1.0, 200))),
-                                                  (10**40, (0.0,))])
+@pytest.mark.parametrize("q_points, phi_values", [
+    (10**10, ()), (10**10, (0.0,)), (10**8, tuple(np.linspace(0.0, 1.0, 200))), (10**40, (0.0,)),
+    # the table's 40 bytes a row fit; with 40 a q point for the grid's arrays they do not
+    pytest.param(_MEMORY // 60, (0.0,), id="past-memory-with-the-grid-arrays"),
+])
 def test_dispersion_table_past_memory_is_rejected_naming_q_points(q_points, phi_values):
-    # resolved only: the scan itself would build a list of q_points floats
+    # resolved only: the scan itself would build arrays of q_points floats
     cfg = ExperimentConfig(experiment="dispersion_scan",
                            dispersion=DispersionParams(phi_values=phi_values, q_points=q_points))
     with pytest.raises(ConfigError, match=r"^dispersion\.q_points: \d+ table rows do not fit"):
         resolve_config(cfg)
     assert resolve_config(replace(cfg, dispersion=replace(cfg.dispersion, q_points=10**6)))
+
+
+@pytest.mark.parametrize("p", [3, 4, 257, 1001])
+def test_dispersion_grid_bytes_equal_the_per_point_rule(p):
+    cfg = ExperimentConfig(experiment="dispersion_scan", beta=0.4, gamma=0.8,
+                           dispersion=DispersionParams(phi_values=(0.0, 1.0), q_points=p))
+    rows = nh.run_dispersion_scan(cfg).table[1]
+    half, step = (p - 1) // 2, 2.0 * math.pi / (p - 1)
+    want = np.array([(k - half) * step for k in range(p)]).tobytes()
+    assert rows[:p, 1].tobytes() == want
+    assert rows[p:, 1].tobytes() == want
+
+
+def test_dispersion_scan_peak_memory_under_twice_its_table():
+    cfg = ExperimentConfig(experiment="dispersion_scan", beta=0.4, gamma=0.8,
+                           dispersion=DispersionParams(q_points=200001))
+    tracemalloc.start()
+    try:
+        result = nh.run_dispersion_scan(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = result.table[1]
+    assert table.shape == (3 * 200001, 5)
+    assert peak < 2 * table.nbytes, f"peak {peak / table.nbytes:.2f} times the table"
 
 
 # ---------------------------------------------------------------- storage
@@ -217,6 +250,42 @@ def test_storage_sweep_table():
     assert rows[1, 1] > rows[0, 1]  # more boundary gain, more throughput
     assert result.metrics["sweep[0].xi"] == 0.4
     assert result.metrics["sweep[1].efficiency"] == rows[1, 1]
+
+
+def test_capture_confinement_is_the_least_inside_share_over_half_t_prime_to_t_prime():
+    cfg = _fast_storage()
+    result = run_storage(cfg)
+    tr, t_prime = result.trajectory, cfg.timing.t_prime
+    rho2 = nh.normalized_profile(tr.amplitudes) ** 2
+    inside = rho2[:, np.abs(tr.site_labels) <= cfg.storage.n_half + 2].sum(axis=1)
+    window = (tr.times >= t_prime / 2) & (tr.times <= t_prime)  # both ends are samples
+    want = float(np.min(inside[window]))
+    assert result.metrics["capture_confinement_min"] == pytest.approx(want, rel=1e-12)
+    assert want < 0.99 * float(np.min(inside[window][1:]))  # the first sample counts
+
+
+def _storage_at(t_final, t_prime):
+    return replace(_fast_storage(), timing=Timing(t_final=t_final, t_prime=t_prime))
+
+
+@pytest.mark.parametrize("key, config", [
+    # transport's velocity window [2, 0.95 t_final]: its fifth sample is 3
+    pytest.param("timing.t_final",
+                 lambda x: replace(FAST_GAUSS, timing=Timing(t_final=(3.0 - x) / 0.95)),
+                 id="velocity-upper-end"),
+    # storage's velocity window [t_prime + 5, t_final - 2] = [17 + x, 18] needs the sample 17
+    pytest.param("timing.t_final", lambda x: _storage_at(20.0, 12.0 + x), id="velocity-lower-end"),
+    # the capture window [t_prime/2, t_prime] holds the sample 0 or none
+    pytest.param("timing.t_prime", lambda x: _storage_at(24.0, 2.0 * x), id="capture-lower-end"),
+    # the capture window [t_prime/2, t_prime] holds the sample 0.25 or none
+    pytest.param("timing.t_prime", lambda x: _storage_at(24.0, 0.25 - x), id="capture-upper-end"),
+])
+def test_a_window_selects_a_sample_within_time_eps_of_its_end(key, config):
+    # x is how far outside the window's end the sample lies
+    resolve_config(config(0.5 * _TIME_EPS))
+    with pytest.raises(ConfigError, match=rf"^{key}: (velocity|capture) window .* (selects 4 "
+                                          rf"samples; need >= 5|holds no sample)"):
+        resolve_config(config(2.0 * _TIME_EPS))
 
 
 def test_preset_label_with_a_newline_rejected_naming_the_key():
