@@ -39,6 +39,7 @@ CONFINEMENT = ("tests/test_protocols.py::"
                "test_capture_confinement_is_the_least_inside_share_over_half_t_prime_to_t_prime")
 GRID = "tests/test_protocols.py::test_dispersion_grid_bytes_equal_the_per_point_rule"
 ARGMAX = "tests/test_protocols.py::test_dispersion_scan_argmax_metrics"
+PEAK = "tests/test_protocols.py::test_memory_check_counts_at_least_the_traced_peak"
 
 
 class Mutant(NamedTuple):
@@ -50,8 +51,9 @@ class Mutant(NamedTuple):
 
 
 #: the sawtooth <-> chain rule of protocols, the Taylor loop of dynamics._Stepper, the
-#: trace shift, the step set-up and the switch split of dynamics, then the sampling rules:
-#: the time-window tolerance, the capture window and the dispersion scan's q grid
+#: trace shift, the step set-up and the switch split of dynamics, the sampling rules (the
+#: time-window tolerance, the capture window and the dispersion scan's q grid), then the
+#: memory check's count of each run kind's peak, each put back to its old undercount
 MUTANTS = (
     Mutant("gain gamma_a = gamma - 2*beta", "protocols.py",
            "gamma_a=cfg.gamma + 2.0 * cfg.beta if gain else",
@@ -113,6 +115,14 @@ MUTANTS = (
            "return (0.6 * cfg.timing.t_prime, cfg.timing.t_prime)", (CONFINEMENT,)),
     Mutant("q grid step 2*pi/p", "protocols.py",
            "(2.0 * math.pi / (p - 1))", "(2.0 * math.pi / p)", (GRID, ARGMAX)),
+    Mutant("transport peak at 16 bytes a site-sample", "protocols.py",
+           ".get(cfg.experiment, 40)", ".get(cfg.experiment, 16)", (PEAK + "[transport]",)),
+    Mutant("storage peak at 16 bytes a site-sample", "protocols.py",
+           '"storage": 56', '"storage": 16', (PEAK + "[storage]",)),
+    Mutant("reduction peak at 16 bytes a sawtooth site-sample", "protocols.py",
+           '"reduction_check": 72', '"reduction_check": 16', (PEAK + "[reduction]",)),
+    Mutant("scan peak at 40 bytes a q point beside the table", "protocols.py",
+           "40 * rows + 72 * p", "40 * rows + 40 * p", (PEAK + "[scan]",)),
 )
 
 

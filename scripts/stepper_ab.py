@@ -6,10 +6,11 @@ Runs each named preset once through ``run_experiment`` with
 ``dynamics._Stepper.__call__`` wrapped so that it records each call: the
 stepper, its sample gap and its input state.  Each recorded call is then
 replayed, once through ``_Stepper`` (its per-gap set-up already kept) and
-once through plain_loop, the loop of scipy's ``_expm_multiply_simple_core``
-written out below on the same set-up; the two alternate call by call, each
-going first on every other call, so that a slow phase of the machine falls
-on both.  Every pair of outputs must be equal to the byte.  Prints, per
+once through ``taylor_loop`` of ``tests/reference.py``, the loop of scipy's
+``_expm_multiply_simple_core``, on the same set-up with its products through
+the same ``Operator.matvec``; the two alternate call by call, each going
+first on every other call, so that a slow phase of the machine falls on
+both.  Every pair of outputs must be equal to the byte.  Prints, per
 preset and in total, the calls, the mismatches and the ratio of the summed
 loop times (package / plain).  Exits 1 on any mismatch.
 
@@ -25,11 +26,15 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from nhlattice import (PRESETS, ExcitationSpec, ExperimentConfig, Timing, dynamics,
                        preset_config, run_experiment)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import reference  # noqa: E402  (after the package, so that it loads its kernels as a run does)
 
 #: the N = 30001 run of perfbench's long_chain workload, its packet centred
 LONG_CHAIN = ExperimentConfig(
@@ -37,25 +42,6 @@ LONG_CHAIN = ExperimentConfig(
     chain_length=30001, index_origin=-15000,
     excitation=ExcitationSpec(kind="gaussian", n0=0, w0=30001 / 16.0, q0=-math.pi / 2),
     timing=Timing(t_final=5.0, sample_dt=0.25))
-
-
-def plain_loop(op, steps, coeffs, eta, b):
-    """scipy's loop, term by term: one new array per operation and max|f|
-    computed on every term (np.linalg.norm(x, inf) of a vector is this max)."""
-    tol = 2.0**-53
-    f = b
-    for _ in range(steps):
-        c1 = np.abs(b).max()
-        for coeff in coeffs:
-            b = coeff * op.matvec(b)
-            c2 = np.abs(b).max()
-            f = f + b
-            if c1 + c2 <= tol * np.abs(f).max():
-                break
-            c1 = c2
-        f = eta * f
-        b = f
-    return f
 
 
 def record(config):
@@ -79,8 +65,9 @@ def replay(calls, rounds):
     bad, secs, out = 0, [0.0, 0.0], [None, None]
     for r in range(rounds):
         for i, (stepper, gap, b) in enumerate(calls):
-            setup = stepper.steps[gap][:4]  # op, steps, coeffs (floats), eta
-            runs = [(0, lambda: stepper(gap, b)), (1, lambda: plain_loop(*setup, b))]
+            op, *setup = stepper.steps[gap][:4]  # op, steps, coeffs (floats), eta
+            runs = [(0, lambda: stepper(gap, b)),
+                    (1, lambda: reference.taylor_loop(op.matvec, *setup, b))]
             for k, run in runs if (i + r) % 2 == 0 else runs[::-1]:
                 t0 = time.perf_counter()
                 out[k] = run()

@@ -132,19 +132,19 @@ class Trajectory:
         return int(np.argmin(np.abs(self.times - t)))
 
 
-def _trace_shift(a: Operator) -> tuple:
-    """scipy's trace shift of a, call for call as expm_multiply sets it up:
-    mu = a.trace()/n, the CSR arrays of a - mu*eye_array(n) (csr_minus_csr,
-    then pruned) and the exact 1-norm of that, its abs(...).sum(axis=0).max()."""
-    n, index_dtype = a.dim, a.indptr.dtype
+def _trace_shift(n: int, a_data, a_indices, a_indptr) -> tuple:
+    """scipy's trace shift of the n x n CSR matrix a, call for call as expm_multiply sets it
+    up: mu = a.trace()/n, the CSR arrays of a - mu*eye_array(n) (csr_minus_csr, then
+    pruned) and the exact 1-norm of that, its abs(...).sum(axis=0).max()."""
+    index_dtype = a_indptr.dtype
     diag = np.empty(n, dtype=complex)
-    _sparsetools.csr_diagonal(0, n, n, a.indptr, a.indices, a.data, diag)
+    _sparsetools.csr_diagonal(0, n, n, a_indptr, a_indices, a_data, diag)
     mu = diag.sum() / float(n)
     eye = np.arange(n + 1, dtype=index_dtype)  # the identity's indptr; its indices are eye[:n]
     indptr = np.empty(n + 1, dtype=index_dtype)
-    indices = np.empty(a.data.size + n, dtype=index_dtype)
-    data = np.empty(a.data.size + n, dtype=complex)
-    _sparsetools.csr_minus_csr(n, n, a.indptr, a.indices, a.data, eye, eye[:n],
+    indices = np.empty(a_data.size + n, dtype=index_dtype)
+    data = np.empty(a_data.size + n, dtype=complex)
+    _sparsetools.csr_minus_csr(n, n, a_indptr, a_indices, a_data, eye, eye[:n],
                                np.ones(n, dtype=complex) * mu, indptr, indices, data)
     data, indices = data[:indptr[-1]], indices[:indptr[-1]]  # prune: exact zeros were dropped
     # ones @ |a - mu*I| sums each column from 0 in row order, as bincount does
@@ -168,7 +168,7 @@ class _Stepper:
 
     def __init__(self, h):
         self.h = h
-        self.shifted_norm = _trace_shift(h)[2]
+        self.shifted_norm = _trace_shift(h.dim, h.data, h.indices, h.indptr)[2]
         self.steps = {}
 
     def __call__(self, gap: float, b: np.ndarray) -> np.ndarray:
@@ -179,8 +179,7 @@ class _Stepper:
                                      f"{MAX_SUB_STEPS}): the rates are too large to finish")
             n, h = max(1, math.ceil(n)), self.h
             # scipy's csr * scalar: each entry times it, the structure kept
-            mu, shifted, norm = _trace_shift(Operator(h.data * (-1j * gap / n), h.indices,
-                                                      h.indptr, h.site_labels))
+            mu, shifted, norm = _trace_shift(h.dim, h.data * (-1j * gap / n), h.indices, h.indptr)
             # norm <= STEP_NORM_LIMIT keeps fragment 3.1 in its condition (3.13)
             # branch: the first theta-table degree m minimising m*ceil(norm/theta_m)
             if norm == 0.0:

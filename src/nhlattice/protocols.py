@@ -284,8 +284,8 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
 
 
 def _check_fits(cfg: ExperimentConfig) -> None:
-    """Reject a trajectory (16 bytes a site and sample) or scan past memory: 40 bytes a table
-    row, and 40 a q point (grid, velocities, one phase's energies and phase column)."""
+    """Reject a run whose traced peak would not fit in memory: a scan at 40 bytes a table row
+    and 72 a q point, a trajectory at its kind's bytes a site and sample, over 8 more samples."""
     try:
         memory = float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     except (AttributeError, ValueError, OSError):  # no sysconf: what numpy can index
@@ -293,7 +293,7 @@ def _check_fits(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "dispersion_scan":
         p = cfg.dispersion.q_points
         rows = p * len(cfg.dispersion.phi_values)
-        _require(40 * (rows + p) <= memory, f"dispersion.q_points: {rows} table rows do not "
+        _require(40 * rows + 72 * p <= memory, f"dispersion.q_points: {rows} table rows do not "
                  f"fit in memory beside a {p}-point grid ({memory:.3g} bytes)")
         return
     sites = cfg.chain_length * (2 if cfg.experiment == "reduction_check" else 1)  # sawtooth
@@ -304,7 +304,11 @@ def _check_fits(cfg: ExperimentConfig) -> None:
     # name whichever of the two keys lies further from its default
     key = ("timing.t_final" if t.t_final / default.t_final > default.sample_dt / t.sample_dt
            else "timing.sample_dt")
-    _require(16 * sites * samples <= memory,
+    # traced peaks a site and sample: transport 32-34 bytes, storage 32-34 and 48-49 with a
+    # sweep, reduction 56-68 (chain and two sawtooth trajectories); the operators, buffers
+    # and set-up temporaries take up to 8 samples' worth a site where samples are few
+    per_site_sample = {"storage": 56, "reduction_check": 72}.get(cfg.experiment, 40)
+    _require(per_site_sample * sites * (samples + 8) <= memory,
              f"{key}: {samples:.3g} samples of {sites} sites do not fit in memory "
              f"({memory:.3g} bytes)")
 

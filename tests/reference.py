@@ -3,12 +3,13 @@ equations site by site.  These are the oracles the sparse Hamiltonian
 builders are checked against, plus a fixed-step RK4, a dense-expm schedule
 propagator, a gap-by-gap ``scipy.sparse.linalg.expm_multiply`` propagator
 and the closed-form Bessel propagator of the infinite homogeneous chain for
-the dynamics, the effective chain of a sawtooth with its auxiliary sites
-slaved, a per-element trajectory CSV writer and a scan-table reader, a
-per-cell heatmap SVG renderer and the Rec. 709 luminance of its colors, and
-scipy's ``curve_fit`` for the Gaussian fit; they share no code with the
-package.  The tests reach scipy's sparse arrays through the two adapters
-``operator`` and ``csr``.
+the dynamics, scipy's trace shift (trace_shift) and Taylor loop
+(taylor_loop), each written out once, the effective chain of a sawtooth
+with its auxiliary sites slaved, a per-element trajectory CSV writer and a
+scan-table reader, a per-cell heatmap SVG renderer and the Rec. 709
+luminance of its colors, and scipy's ``curve_fit`` for the Gaussian fit;
+they share no code with the package.  The tests reach scipy's sparse
+arrays through the two adapters ``operator`` and ``csr``.
 Only ``scipy.sparse`` loads with this module; each oracle imports the rest of
 scipy it needs, so a test child that wants only ``csr`` starts quicker."""
 
@@ -203,6 +204,35 @@ def expm_schedule(segments, c0, times):
     return np.array(out)
 
 
+def trace_shift(m):
+    """scipy's trace shift of the sparse matrix m, as expm_multiply sets it up:
+    (mu, m - mu*I, the exact 1-norm of that)."""
+    n = m.shape[0]
+    mu = m.trace() / float(n)
+    shifted = m - mu * scipy.sparse.eye_array(n, format="csr")
+    return mu, shifted, float(abs(shifted).sum(axis=0).max())
+
+
+def taylor_loop(product, steps, coeffs, eta, b):
+    """The loop of scipy's _expm_multiply_simple_core on a kept set-up: steps
+    scaling steps of the Taylor terms coeffs, each through product(b), then
+    f = eta*f.  One new array per operation and max|f| computed on every term
+    (np.linalg.norm(x, inf) of a vector is this max).  np.abs is looked up
+    on the module at each use, so a test that patches it counts the maxima."""
+    f = b
+    for _ in range(steps):
+        c1 = np.abs(b).max()
+        for coeff in coeffs:
+            b = coeff * product(b)
+            c2 = np.abs(b).max()
+            f = f + b
+            if c1 + c2 <= 2.0**-53 * np.abs(f).max():
+                break
+            c1 = c2
+        f = b = eta * f
+    return f
+
+
 def expm_multiply_schedule(segments, c0, t_final, sample_dt, norm_limit):
     """Samples every sample_dt under [(t_start, sparse H), ...], each sample
     gap (split at a switch inside it) carried by scipy's expm_multiply in the
@@ -210,9 +240,7 @@ def expm_multiply_schedule(segments, c0, t_final, sample_dt, norm_limit):
     import scipy.sparse.linalg
 
     def carry(h, gap, c):
-        n = h.shape[0]
-        shifted = h - h.trace() / n * scipy.sparse.eye_array(n, format="csr")
-        steps = max(1, math.ceil(gap * float(abs(shifted).sum(axis=0).max()) / norm_limit))
+        steps = max(1, math.ceil(gap * trace_shift(h)[2] / norm_limit))
         for _ in range(steps):
             c = scipy.sparse.linalg.expm_multiply(h * (-1j * gap / steps), c)
         return c

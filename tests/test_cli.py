@@ -868,11 +868,9 @@ for h in ops:
         x = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))
         x = x[0] + 1j * x[1]
         same += h.matvec(x).tobytes() == (a @ x).tobytes()
-    mu = a.trace() / float(n)
-    want = a - mu * scipy.sparse.eye_array(n, format="csr")
-    want = (np.complex128(mu), want.data, want.indices, want.indptr,
-            np.float64(abs(want).sum(axis=0).max()))
-    got_mu, arrays, got_norm = nh.dynamics._trace_shift(h)
+    mu, want, norm = reference.trace_shift(a)
+    want = (np.complex128(mu), want.data, want.indices, want.indptr, np.float64(norm))
+    got_mu, arrays, got_norm = nh.dynamics._trace_shift(n, h.data, h.indices, h.indptr)
     shifts += all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in
                   zip((np.complex128(got_mu), *arrays, np.float64(got_norm)), want))
 print(*loaded)

@@ -327,11 +327,8 @@ def test_trace_shift_bitwise_equals_scipy(h):
     gives: -0.0 diagonal parts turned +0.0 in the trace, mu subtracted where
     the diagonal is absent, exact zeros dropped and columns summed in row
     order."""
-    a, n = reference.csr(h), h.dim
-    want_mu = a.trace() / float(n)
-    want = a - want_mu * scipy.sparse.eye_array(n, format="csr")
-    want_norm = float(abs(want).sum(axis=0).max())
-    mu, arrays, norm = _trace_shift(h)
+    want_mu, want, want_norm = reference.trace_shift(reference.csr(h))
+    mu, arrays, norm = _trace_shift(h.dim, h.data, h.indices, h.indptr)
     assert np.complex128(mu).tobytes() == np.complex128(want_mu).tobytes()
     for name, got in zip(("data", "indices", "indptr"), arrays):
         expected = getattr(want, name)
@@ -340,12 +337,6 @@ def test_trace_shift_bitwise_equals_scipy(h):
 
 
 # ---------------------------------------------------------------- Taylor stop decisions
-
-
-def _shifted_norm(m):
-    n = m.shape[0]
-    return float(abs(m - m.trace() / n * scipy.sparse.eye_array(n, format="csr"))
-                 .sum(axis=0).max())
 
 
 @st.composite
@@ -365,7 +356,7 @@ def _stop_cases(draw):
         h = _chain(n=draw(st.integers(3, 24)), phi=phase, gamma=draw(st.floats(-1.0, 1.0)),
                    boundary="periodic" if kind == "periodic_chain" else "open")
     target = STEP_NORM_LIMIT * 10.0 ** draw(st.floats(math.log10(1e-3 / STEP_NORM_LIMIT), 0.0))
-    matrix = reference.csr(h) * (target / _shifted_norm(reference.csr(h)))
+    matrix = reference.csr(h) * (target / reference.trace_shift(reference.csr(h))[2])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     top = draw(st.integers(-1074, 996))  # 2**996 ~ 7e299
     spread = draw(st.integers(0, 2100))
@@ -422,7 +413,7 @@ def test_step_stop_decisions_bitwise_equal_expm_multiply(case):
     # _Stepper computes max|f| and max|b| only where scipy's stop test might
     # pass; every break must still fall on scipy's term, so the bytes are scipy's
     h, c0 = case
-    assume(_shifted_norm(reference.csr(h)) <= STEP_NORM_LIMIT)  # one expm_multiply call
+    assume(reference.trace_shift(reference.csr(h))[2] <= STEP_NORM_LIMIT)  # one expm_multiply call
     with np.errstate(all="ignore"):
         got = _Stepper(h)(1.0, c0)
         want = reference.expm_multiply_schedule([(0.0, reference.csr(h))], c0, 1.0, 1.0,
@@ -434,9 +425,9 @@ def test_step_stop_decisions_bitwise_equal_expm_multiply(case):
 def test_below_the_normal_range_every_term_takes_scipy_maxima(case, monkeypatch):
     # where tol * bound is under 2^-1022 the running bound is not trusted (the
     # two >= _NORMAL_MIN gates of _Stepper): no term's max|b| is skipped and
-    # max|f| is taken on every term, as in scipy's loop, whose maxima are counted
-    # here on the same set-up: one max|b| at each scaling step, then max|b| and
-    # max|f| on each term up to the break
+    # max|f| is taken on every term, as in scipy's loop (reference.taylor_loop),
+    # whose maxima are counted here on the same set-up: one max|b| at each
+    # scaling step, then max|b| and max|f| on each term up to the break
     h, c0 = case
     stepper = _Stepper(h)
     stepper(1.0, c0)  # the set-up's own np.abs calls are done
@@ -447,17 +438,7 @@ def test_below_the_normal_range_every_term_takes_scipy_maxima(case, monkeypatch)
     with np.errstate(all="ignore"):
         got = stepper(1.0, c0)
         taken = len(calls)
-        f = b = np.array(c0, dtype=complex)
-        for _ in range(steps):
-            c1 = np.abs(b).max()
-            for coeff in coeffs:
-                b = coeff * op.matvec(b)
-                c2 = np.abs(b).max()
-                f = f + b
-                if c1 + c2 <= 2.0**-53 * np.abs(f).max():
-                    break
-                c1 = c2
-            f = b = eta * f
+        f = reference.taylor_loop(op.matvec, steps, coeffs, eta, np.array(c0, dtype=complex))
     assert taken > 0 and taken == len(calls) - taken
     assert got.tobytes() == f.tobytes()
 
@@ -691,7 +672,8 @@ def _schedule_cases(draw):
             starts.append(draw(st.integers(1, samples)) * sample_dt + draw(_NEAR_SAMPLE))
     starts = sorted(set(starts))
     ops = [operator() for _ in starts]
-    scale = 1.0 if gap_norm is None else gap_norm / sample_dt / _shifted_norm(reference.csr(ops[0]))
+    scale = (1.0 if gap_norm is None else
+             gap_norm / sample_dt / reference.trace_shift(reference.csr(ops[0]))[2])
     segments = [(t_start, reference.operator(reference.csr(h) * scale, h.site_labels))
                 for t_start, h in zip(starts, ops)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -37,7 +37,7 @@ small_rates = st.floats(0.0, 2.0)
 @pytest.mark.parametrize("matrix, labels", [
     # CSR arrays hold no shape: a matrix shows itself non-square by an entry past the last column
     (scipy.sparse.csr_array(([1.0], [2], [0, 1, 1]), shape=(2, 3)), np.arange(2)),
-    (scipy.sparse.eye_array(3, format="csr"), np.arange(2)),
+    (np.eye(3), np.arange(2)),
     (scipy.sparse.csr_array(np.array([[1.0, math.nan], [0.0, 1.0]])), np.arange(2)),
     (scipy.sparse.csr_array(np.array([[1.0, 0.0], [math.inf, 1.0]])), np.arange(2)),
 ], ids=["non_square", "label_count", "nan_entry", "inf_entry"])
@@ -77,7 +77,7 @@ def test_operator_checks_its_csr_arrays(change, message):
 
 
 def test_operator_is_read_only():
-    h = reference.operator(scipy.sparse.eye_array(3, format="csr"), [4, 5, 6])
+    h = reference.operator(np.eye(3), [4, 5, 6])
     assert h.dim == 3
     assert h.data.dtype == complex
     for arr in (h.data, h.indices, h.indptr, h.site_labels):

@@ -176,7 +176,7 @@ def test_dispersion_scan_argmax_metrics():
 
 @pytest.mark.parametrize("q_points, phi_values", [
     (10**10, ()), (10**10, (0.0,)), (10**8, tuple(np.linspace(0.0, 1.0, 200))), (10**40, (0.0,)),
-    # the table's 40 bytes a row fit; with 40 a q point for the grid's arrays they do not
+    # the table's 40 bytes a row fit; with 72 a q point for the arrays beside it they do not
     pytest.param(_MEMORY // 60, (0.0,), id="past-memory-with-the-grid-arrays"),
 ])
 def test_dispersion_table_past_memory_is_rejected_naming_q_points(q_points, phi_values):
@@ -211,6 +211,43 @@ def test_dispersion_scan_peak_memory_under_twice_its_table():
     table = result.table[1]
     assert table.shape == (3 * 200001, 5)
     assert peak < 2 * table.nbytes, f"peak {peak / table.nbytes:.2f} times the table"
+
+
+def _traced_peak(config):
+    """The tracemalloc peak of one run_experiment of config, in bytes."""
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("config, message", [
+    (replace(preset_config("fig3a"), chain_length=201, index_origin=-100,
+             timing=Timing(t_final=20.0, sample_dt=0.05)), r"timing\.\w+: .* samples of 201 "),
+    (replace(preset_config("fig7"), storage=replace(preset_config("fig7").storage,
+                                                    xi_sweep=(0.4, 0.8))),
+     r"timing\.\w+: .* samples of 231 "),  # a sweep: two trajectories alive
+    (replace(preset_config("reduction"), timing=Timing(t_final=10.0)),
+     r"timing\.\w+: .* samples of \d+ "),  # two sawtooths' trajectories alive
+    (ExperimentConfig(experiment="dispersion_scan", beta=0.4, gamma=0.8,
+                      dispersion=DispersionParams(q_points=100001)),
+     r"dispersion\.q_points: 300003 table rows "),
+], ids=["transport", "storage", "reduction", "scan"])
+def test_memory_check_counts_at_least_the_traced_peak(config, message, monkeypatch):
+    # on a machine with one byte less than the run's traced peak the run is
+    # rejected before any work; with twice the peak it is not.  Each config is
+    # large enough that its arrays, not the run's fixed objects, set the peak
+    cfg = resolve_config(config)
+    peak = _traced_peak(cfg)
+    for memory in (peak - 1, 2 * peak):
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}.get)
+        if memory < peak:
+            with pytest.raises(ConfigError, match="^" + message):
+                resolve_config(cfg)
+        else:
+            assert resolve_config(cfg) == cfg
 
 
 # ---------------------------------------------------------------- storage
