@@ -39,7 +39,9 @@ CONFINEMENT = ("tests/test_protocols.py::"
                "test_capture_confinement_is_the_least_inside_share_over_half_t_prime_to_t_prime")
 GRID = "tests/test_protocols.py::test_dispersion_grid_bytes_equal_the_per_point_rule"
 ARGMAX = "tests/test_protocols.py::test_dispersion_scan_argmax_metrics"
+OVERFLOW = "tests/test_dynamics.py::test_a_sub_step_past_the_double_range_is_a_step_count_error"
 PEAK = "tests/test_protocols.py::test_memory_check_counts_at_least_the_traced_peak"
+HELD = "tests/test_protocols.py::test_a_run_holds_one_propagated_trajectory_at_a_time"
 
 
 class Mutant(NamedTuple):
@@ -52,8 +54,9 @@ class Mutant(NamedTuple):
 
 #: the sawtooth <-> chain rule of protocols, the Taylor loop of dynamics._Stepper, the
 #: trace shift, the step set-up and the switch split of dynamics, the sampling rules (the
-#: time-window tolerance, the capture window and the dispersion scan's q grid), then the
-#: memory check's count of each run kind's peak, each put back to its old undercount
+#: time-window tolerance, the capture window and the dispersion scan's q grid), the memory
+#: check's one count put back to an undercount, once per run kind, and then the storage and
+#: reduction runners holding an earlier trajectory while the next one propagates
 MUTANTS = (
     Mutant("gain gamma_a = gamma - 2*beta", "protocols.py",
            "gamma_a=cfg.gamma + 2.0 * cfg.beta if gain else",
@@ -105,6 +108,8 @@ MUTANTS = (
     Mutant("one sub-step per gap", "dynamics.py",
            "n, h = max(1, math.ceil(n)), self.h", "n, h = 1, self.h",
            (DRAWN, PROPAGATOR + "[stiff_split]")),
+    Mutant("sub-step overflow unchecked", "dynamics.py",
+           "if not math.isfinite(norm):", "if False:", (OVERFLOW,)),
     Mutant("no switch split", "dynamics.py",
            "if switches[seg] > t + _TIME_EPS:", "if False:", (DRAWN,)),
     Mutant("time windows without _TIME_EPS", "analysis.py",
@@ -116,13 +121,24 @@ MUTANTS = (
     Mutant("q grid step 2*pi/p", "protocols.py",
            "(2.0 * math.pi / (p - 1))", "(2.0 * math.pi / p)", (GRID, ARGMAX)),
     Mutant("transport peak at 16 bytes a site-sample", "protocols.py",
-           ".get(cfg.experiment, 40)", ".get(cfg.experiment, 16)", (PEAK + "[transport]",)),
+           "40 * alive * (samples + 8)", "16 * alive * (samples + 8)", (PEAK + "[transport]",)),
     Mutant("storage peak at 16 bytes a site-sample", "protocols.py",
-           '"storage": 56', '"storage": 16', (PEAK + "[storage]",)),
-    Mutant("reduction peak at 16 bytes a sawtooth site-sample", "protocols.py",
-           '"reduction_check": 72', '"reduction_check": 16', (PEAK + "[reduction]",)),
+           "40 * alive * (samples + 8)", "16 * alive * (samples + 8)", (PEAK + "[storage]",)),
+    Mutant("reduction peak at 16 bytes a site-sample", "protocols.py",
+           "40 * alive * (samples + 8)", "16 * alive * (samples + 8)", (PEAK + "[reduction]",)),
+    Mutant("reduction peak over the sawtooth's sites alone", "protocols.py",
+           "alive = 3 * cfg.chain_length if", "alive = sites if", (PEAK + "[reduction]",)),
     Mutant("scan peak at 40 bytes a q point beside the table", "protocols.py",
            "40 * rows + 72 * p", "40 * rows + 40 * p", (PEAK + "[scan]",)),
+    Mutant("storage runs the last member first and holds its trajectory", "protocols.py",
+           "    members = [_storage_single(cfg, member)[1] for member in specs[:-1]]\n"
+           "    traj, last = _storage_single(cfg, specs[-1])\n",
+           "    traj, last = _storage_single(cfg, specs[-1])\n"
+           "    members = [_storage_single(cfg, member)[1] for member in specs[:-1]]\n",
+           (HELD + "[storage sweep]",)),
+    Mutant("reduction holds each sawtooth trajectory into the next j", "protocols.py",
+           "        del saw_traj  # one sawtooth trajectory alive at a time\n", "",
+           (HELD + "[reduction j values]",)),
 )
 
 

@@ -75,7 +75,7 @@ class NormUnderflowError(RuntimeError):
 
 
 class StepCountError(RuntimeError):
-    """Raised for a sample gap that would take more than MAX_SUB_STEPS sub-steps."""
+    """Raised for a sample gap past MAX_SUB_STEPS sub-steps or past the double range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +180,9 @@ class _Stepper:
             n, h = max(1, math.ceil(n)), self.h
             # scipy's csr * scalar: each entry times it, the structure kept
             mu, shifted, norm = _trace_shift(h.dim, h.data * (-1j * gap / n), h.indices, h.indptr)
+            if not math.isfinite(norm):  # the scaled entries or their trace overflowed
+                raise StepCountError(f"a sample gap of {gap!r} in {n} sub-steps (limit "
+                                     f"{MAX_SUB_STEPS}) overflows the double range")
             # norm <= STEP_NORM_LIMIT keeps fragment 3.1 in its condition (3.13)
             # branch: the first theta-table degree m minimising m*ceil(norm/theta_m)
             if norm == 0.0:
@@ -291,7 +294,7 @@ def evolve_schedule(segments, c0: StateVector, t_final: float, sample_dt: float)
     exact.  Amplitudes that turn non-finite or exceed 1e150, the initial
     state's included, raise GainRunawayError; a sample whose intensity
     underflows to 0 raises NormUnderflowError; a gap that would take more
-    than MAX_SUB_STEPS sub-steps raises StepCountError.
+    than MAX_SUB_STEPS sub-steps, or overflow the double range, raises StepCountError.
     """
     starts = [t_start for t_start, _ in segments]
     if not starts or starts[0] != 0.0:

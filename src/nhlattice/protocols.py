@@ -285,7 +285,8 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
 
 def _check_fits(cfg: ExperimentConfig) -> None:
     """Reject a run whose traced peak would not fit in memory: a scan at 40 bytes a table row
-    and 72 a q point, a trajectory at its kind's bytes a site and sample, over 8 more samples."""
+    and 72 a q point, else 40 bytes a site and sample over the sites of the trajectories alive
+    at once (the chain's N, and a sawtooth's 2N beside it) and 8 more samples."""
     try:
         memory = float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     except (AttributeError, ValueError, OSError):  # no sysconf: what numpy can index
@@ -304,11 +305,8 @@ def _check_fits(cfg: ExperimentConfig) -> None:
     # name whichever of the two keys lies further from its default
     key = ("timing.t_final" if t.t_final / default.t_final > default.sample_dt / t.sample_dt
            else "timing.sample_dt")
-    # traced peaks a site and sample: transport 32-34 bytes, storage 32-34 and 48-49 with a
-    # sweep, reduction 56-68 (chain and two sawtooth trajectories); the operators, buffers
-    # and set-up temporaries take up to 8 samples' worth a site where samples are few
-    per_site_sample = {"storage": 56, "reduction_check": 72}.get(cfg.experiment, 40)
-    _require(per_site_sample * sites * (samples + 8) <= memory,
+    alive = 3 * cfg.chain_length if cfg.experiment == "reduction_check" else sites
+    _require(40 * alive * (samples + 8) <= memory,
              f"{key}: {samples:.3g} samples of {sites} sites do not fit in memory "
              f"({memory:.3g} bytes)")
 
@@ -489,16 +487,16 @@ def run_storage(config: ExperimentConfig) -> ExperimentResult:
     Stage 1 (t < t_prime) is the sandwich structure with capture phase
     -q0; stage 2 is the homogeneous chain with real defects v_c at the old
     boundary sites and the retrieval phase (-q0 forward, +q0 reversed).
-    The returned trajectory is the last sweep member's.
+    A sweep's members run in order; only the last one's trajectory is kept.
     """
     cfg, (_, *specs), manifest, metrics = _start(config)
-    sweep = cfg.storage.xi_sweep
-    table = None
+    members = [_storage_single(cfg, member)[1] for member in specs[:-1]]
     traj, last = _storage_single(cfg, specs[-1])
-    if sweep:
-        members = [_storage_single(cfg, member)[1] for member in specs[:-1]] + [last]
+    table = None
+    if cfg.storage.xi_sweep:
         columns = ("xi", "efficiency", "shape_fidelity", "release_velocity")
-        rows = [(xi, *(member[c] for c in columns[1:])) for xi, member in zip(sweep, members)]
+        rows = [(xi, *(member[c] for c in columns[1:]))
+                for xi, member in zip(cfg.storage.xi_sweep, members + [last])]
         for i, row in enumerate(rows):  # each column but release_velocity is a metric too
             metrics.update((f"sweep[{i}].{c}", v) for c, v in zip(columns[:3], row))
         table = (columns, np.asarray(rows, dtype=float))
@@ -524,9 +522,8 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
     """
     cfg, (chain, *saws), manifest, metrics = _start(config)
     t = cfg.timing
-    h_chain = build_chain_hamiltonian(chain)
     state0 = make_excitation(cfg.excitation, chain.site_labels)
-    chain_traj = evolve_exact(h_chain, state0, t.t_final, t.sample_dt)
+    chain_traj = evolve_exact(build_chain_hamiltonian(chain), state0, t.t_final, t.sample_dt)
     rho_chain = normalized_profile(chain_traj.amplitudes)
 
     columns = ("j", "u_b_abs", "adiabaticity_ratio", "profile_error", "warned")
@@ -539,8 +536,8 @@ def run_reduction_check(config: ExperimentConfig) -> ExperimentResult:
             psi0[1::2] = _slaved_b(state0.amplitudes, saw)
         saw_traj = evolve_exact(h_saw, StateVector(psi0, h_saw.site_labels),
                                 t.t_final, t.sample_dt)
-        rho_a = normalized_profile(saw_traj.amplitudes[:, 0::2])
-        error = float(np.max(np.abs(rho_a - rho_chain)))
+        error = float(np.max(np.abs(normalized_profile(saw_traj.amplitudes[:, 0::2]) - rho_chain)))
+        del saw_traj  # one sawtooth trajectory alive at a time
         ratio = saw.adiabaticity_ratio
         rows.append((saw.j, abs(saw.u_b), ratio, error, ratio > ADIABATICITY_WARN_THRESHOLD))
         metrics.update((f"reduction[{i}].{name}", v) for name, v in zip(columns, rows[-1]))

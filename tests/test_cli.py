@@ -471,10 +471,14 @@ def test_t_final_without_a_velocity_window_exits_2_before_any_write(tmp_path, ca
     "kappa = 1e15",
     pytest.param("timing.t_final = 1e15\ntiming.sample_dt = 1e13",
                  id="timing.t_final = 1e15, timing.sample_dt = 1e13"),
+    # the trace 41 * 4e306 is finite, and 4 sub-steps suffice, but the trace
+    # of each scaled sub-step overflows: a NaN norm
+    pytest.param("gamma = 4e306\ntiming.t_final = 1000\ntiming.sample_dt = 100",
+                 id="gamma = 4e306, timing.t_final = 1000, timing.sample_dt = 100"),
 ])
 def test_too_many_sub_steps_exits_3_at_once(tmp_path, line):
-    # each case would plan 1e12 or more sub-steps for its first gap; a
-    # regression times out instead of hanging the suite
+    # each case but the last would plan 1e12 or more sub-steps for its first
+    # gap; a regression times out instead of hanging the suite
     cfg = _write_config_with(tmp_path, f"{FIXED_41}\nexcitation.n0 = 0\n{line}")
     out = tmp_path / "o" / "nested"
     proc = _cli_child("transport", "--config", cfg, "--out", out)

@@ -30,7 +30,8 @@ from nhlattice import (
 )
 
 import reference
-from nhlattice.dynamics import _THETA, STEP_NORM_LIMIT, _checked, _Stepper, _trace_shift
+from nhlattice.dynamics import (_THETA, STEP_NORM_LIMIT, StepCountError, _checked, _Stepper,
+                                _trace_shift)
 
 NH = dict(kappa=1.0, beta=0.4, gamma=0.8)
 
@@ -216,6 +217,21 @@ def test_initial_state_beyond_the_overflow_limit_is_a_gain_runaway(peak):
         warnings.simplefilter("error")
         with pytest.raises(GainRunawayError, match="amplitude magnitude"):
             evolve_exact(lossy, c0, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("gap", [512.0, 4096.0])
+@pytest.mark.parametrize("diagonal, hop", [(2.0**1016, 0.0), (2.0**1017, 1.0)],
+                         ids=["entries overflow", "trace overflows"])
+def test_a_sub_step_past_the_double_range_is_a_step_count_error(gap, diagonal, hop):
+    # the trace-shifted norm is small, so 1 to 137 sub-steps suffice, but each
+    # scaled diagonal entry (diagonal * gap / n), or only their sum, overflows:
+    # a NaN norm, which the Taylor-degree choice cannot take
+    m = diagonal * np.eye(8) + hop * (np.eye(8, k=1) + np.eye(8, k=-1))
+    h = reference.operator(m, np.arange(8))
+    c0 = StateVector(np.eye(8, dtype=complex)[3], np.arange(8))
+    with pytest.raises(StepCountError, match=rf"^a sample gap of {gap!r} in \d+ sub-steps "
+                                             r"\(limit 1000\) overflows the double range$"):
+        evolve_exact(h, c0, gap, gap)
 
 
 def test_norm_underflow_names_first_zero_intensity_sample():

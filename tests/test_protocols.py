@@ -228,9 +228,9 @@ def _traced_peak(config):
              timing=Timing(t_final=20.0, sample_dt=0.05)), r"timing\.\w+: .* samples of 201 "),
     (replace(preset_config("fig7"), storage=replace(preset_config("fig7").storage,
                                                     xi_sweep=(0.4, 0.8))),
-     r"timing\.\w+: .* samples of 231 "),  # a sweep: two trajectories alive
+     r"timing\.\w+: .* samples of 231 "),  # a sweep: one member's trajectory alive at once
     (replace(preset_config("reduction"), timing=Timing(t_final=10.0)),
-     r"timing\.\w+: .* samples of \d+ "),  # two sawtooths' trajectories alive
+     r"timing\.\w+: .* samples of \d+ "),  # the chain's and one sawtooth's trajectory alive
     (ExperimentConfig(experiment="dispersion_scan", beta=0.4, gamma=0.8,
                       dispersion=DispersionParams(q_points=100001)),
      r"dispersion\.q_points: 300003 table rows "),
@@ -248,6 +248,22 @@ def test_memory_check_counts_at_least_the_traced_peak(config, message, monkeypat
                 resolve_config(cfg)
         else:
             assert resolve_config(cfg) == cfg
+
+
+_FIG7, _REDUCTION = preset_config("fig7"), preset_config("reduction")
+
+
+@pytest.mark.parametrize("one, more", [
+    (replace(_FIG7, storage=replace(_FIG7.storage, xi_sweep=())),
+     replace(_FIG7, storage=replace(_FIG7.storage, xi_sweep=(0.4, 0.8)))),
+    (replace(_REDUCTION, reduction=replace(_REDUCTION.reduction, j_values=(4.0,))),
+     replace(_REDUCTION, reduction=replace(_REDUCTION.reduction, j_values=(4.0, 8.0)))),
+], ids=["storage sweep", "reduction j values"])
+def test_a_run_holds_one_propagated_trajectory_at_a_time(one, more):
+    # a later sweep member or j propagates after the earlier one's trajectory
+    # is dropped, so it adds no trajectory to the traced peak; a runner that
+    # holds the earlier one reads 1.47x (storage) and 1.43x (reduction)
+    assert _traced_peak(more) <= 1.15 * _traced_peak(one)
 
 
 # ---------------------------------------------------------------- storage
