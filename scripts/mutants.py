@@ -42,6 +42,11 @@ ARGMAX = "tests/test_protocols.py::test_dispersion_scan_argmax_metrics"
 OVERFLOW = "tests/test_dynamics.py::test_a_sub_step_past_the_double_range_is_a_step_count_error"
 PEAK = "tests/test_protocols.py::test_memory_check_counts_at_least_the_traced_peak"
 HELD = "tests/test_protocols.py::test_a_run_holds_one_propagated_trajectory_at_a_time"
+GOLDEN = "tests/test_golden.py::test_preset_artifacts_match_golden_digests"
+DRAWN_METRICS = "tests/test_configio.py::test_drawn_metrics_read_back"
+PRESET_METRICS = "tests/test_configio.py::test_every_preset_metric_reads_back"
+PRESET_LABEL = "tests/test_cli.py::test_preset_label_metrics_cannot_hold_exits_2_before_any_write"
+SCAN_RATE = "tests/test_cli.py::test_dispersion_scan_bad_rate_exits_2_before_any_write"
 
 
 class Mutant(NamedTuple):
@@ -55,8 +60,9 @@ class Mutant(NamedTuple):
 #: the sawtooth <-> chain rule of protocols, the Taylor loop of dynamics._Stepper, the
 #: trace shift, the step set-up and the switch split of dynamics, the sampling rules (the
 #: time-window tolerance, the capture window and the dispersion scan's q grid), the memory
-#: check's one count put back to an undercount, once per run kind, and then the storage and
-#: reduction runners holding an earlier trajectory while the next one propagates
+#: check's one count put back to an undercount, once per run kind, the storage and
+#: reduction runners holding an earlier trajectory while the next one propagates, and then
+#: the token rule of metrics.txt and the checks a dispersion scan makes up front
 MUTANTS = (
     Mutant("gain gamma_a = gamma - 2*beta", "protocols.py",
            "gamma_a=cfg.gamma + 2.0 * cfg.beta if gain else",
@@ -139,6 +145,31 @@ MUTANTS = (
     Mutant("reduction holds each sawtooth trajectory into the next j", "protocols.py",
            "        del saw_traj  # one sawtooth trajectory alive at a time\n", "",
            (HELD + "[reduction j values]",)),
+    Mutant("int branch before the bool branch: true renders as 1", "configio.py",
+           "    if isinstance(value, (bool, np.bool_)):\n"
+           '        return "true" if value else "false"\n'
+           "    if isinstance(value, (int, np.integer)):\n"
+           "        return str(int(value))\n",
+           "    if isinstance(value, (int, np.integer)):\n"
+           "        return str(int(value))\n"
+           "    if isinstance(value, (bool, np.bool_)):\n"
+           '        return "true" if value else "false"\n', (GOLDEN, DRAWN_METRICS)),
+    Mutant("metrics.txt takes a string holding ','", "configio.py",
+           'for c in "\\n=,"):', 'for c in "\\n="):', (DRAWN_METRICS, PRESET_METRICS)),
+    Mutant("preset tag may hold ','", "protocols.py",
+           'for c in "=,\\n"),', 'for c in "=\\n"),',
+           (PRESET_LABEL + "[transport-comma]", PRESET_LABEL + "[dispersion-comma]")),
+    Mutant("scan skips the kappa sign check", "protocols.py",
+           "_require(cfg.kappa > 0.0,",
+           '_require(cfg.kappa > 0.0 or cfg.experiment == "dispersion_scan",',
+           (SCAN_RATE + "[kappa = -1-kappa]", SCAN_RATE + "[kappa = 0-kappa]")),
+    Mutant("scan skips the beta sign check", "protocols.py",
+           "_require(cfg.beta >= 0.0,",
+           '_require(cfg.beta >= 0.0 or cfg.experiment == "dispersion_scan",',
+           (SCAN_RATE + "[beta = -0.4-beta]",)),
+    Mutant("scan without the band bound check", "protocols.py",
+           "_require(math.isfinite(sum(terms.values())),", "_require(True,",
+           (SCAN_RATE + "[beta = 1e308-beta]", SCAN_RATE + "[kappa = 1e308-kappa]")),
 )
 
 

@@ -52,10 +52,6 @@ class ConfigError(ValueError):
     """Invalid configuration input; the message names the offending key."""
 
 
-def _fmt_float(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 _PI_RE = re.compile(r"^([+-]?)(?:(\d+(?:\.\d+)?)\*?)?pi(?:/(\d+(?:\.\d+)?))?$", re.IGNORECASE)
 
 
@@ -181,24 +177,23 @@ def parse_value(key: str, token: str):
     return _parse_scalar(key, kind, token)
 
 
-def _render_scalar(kind, value) -> str:
-    if kind is bool:
+def _render_scalar(value) -> str:
+    """The token of one value of a config document or metrics.txt, by its type."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if kind is int:
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if kind is str:
-        return str(value)
-    if kind is float or kind == "phase":
-        return _fmt_float(value)
-    return ":".join(_render_scalar(k, getattr(value, f.name)) for f, k, *_ in _fields(kind))
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % value
+    if dataclasses.is_dataclass(value):  # a config dataclass list item, written a:b:c
+        return ":".join(_render_scalar(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return str(value)
 
 
-def _render_value(kind, many, tags, value) -> str:
+def _render_value(many, tags, value) -> str:
     if "none" in tags and (value is None or many and not value):
         return tags["none"]
-    if many:
-        return ", ".join(_render_scalar(kind, v) for v in value)
-    return _render_scalar(kind, value)
+    return ", ".join(map(_render_scalar, value)) if many else _render_scalar(value)
 
 
 def _pairs(text: str):
@@ -244,8 +239,8 @@ def read_config(path):
 def render_config(config) -> str:
     """Render every schema key (defaults materialized) in canonical order."""
     lines = [f"# {UNITS_HEADER}"]
-    for key, kind, many, tags, value in _walk(type(config), config):
-        lines.append(f"{key} = {_render_value(kind, many, tags, value)}")
+    for key, _, many, tags, value in _walk(type(config), config):
+        lines.append(f"{key} = {_render_value(many, tags, value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -470,23 +465,8 @@ def write_table_csv(table, path) -> None:
     header, rows = table
     lines = [",".join(header)]
     for row in np.asarray(rows):
-        lines.append(",".join(_fmt_float(x) for x in row))
+        lines.append(",".join("%.17g" % x for x in row))
     write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def _render_metric(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
-    if isinstance(value, (tuple, list)):
-        return ", ".join(_fmt_float(v) for v in value)
-    value = str(value)
-    if "\n" in value or "=" in value:
-        raise ValueError(f"metric value {value!r} cannot be serialized")
-    return value
 
 
 _INT_RE = re.compile(r"^-?\d+$")
@@ -508,8 +488,18 @@ def _parse_metric(token: str):
 
 
 def write_metrics(metrics: dict, path) -> None:
-    """Flat 'key = value' metrics file; insertion order preserved."""
-    lines = [f"{key} = {_render_metric(value)}" for key, value in metrics.items()]
+    """Flat 'key = value' metrics file; insertion order preserved.  A tuple or list is a
+    float list; a value whose token holds a newline, '=' or ',' is refused, as
+    read_metrics could not read it back."""
+    lines = []
+    for key, value in metrics.items():
+        if isinstance(value, (tuple, list)):
+            token = ", ".join("%.17g" % v for v in value)
+        else:
+            token = _render_scalar(value)
+            if any(c in token for c in "\n=,"):
+                raise ValueError(f"metric value {value!r} cannot be serialized")
+        lines.append(f"{key} = {token}")
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -220,16 +220,19 @@ def resolve_specs(config: ExperimentConfig) -> tuple:
     before any of the run's work, what the run would reject only partway through or by
     no key; building the specs runs their own checks (_named)."""
     cfg = config
-    _require(not any(c in (cfg.preset or "") for c in "=\n"),
-             f"preset: {cfg.preset!r} holds '=' or a newline, which metrics.txt cannot hold")
+    _require(not any(c in (cfg.preset or "") for c in "=,\n"),
+             f"preset: {cfg.preset!r} holds '=', ',' or a newline, which metrics.txt cannot hold")
+    _require(cfg.kappa > 0.0, f"kappa: must be > 0, got {cfg.kappa!r}")
+    _require(cfg.beta >= 0.0, f"beta: must be >= 0, got {cfg.beta!r}")
     if cfg.experiment == "dispersion_scan":  # the one experiment without a chain
+        terms = {"kappa": 2.0 * cfg.kappa, "beta": 2.0 * cfg.beta, "gamma": abs(cfg.gamma)}
+        _require(math.isfinite(sum(terms.values())), f"{max(terms, key=terms.get)}: the band "
+                 "bound 2*kappa + 2*beta + |gamma| of the scan is not finite")
         _check_fits(cfg)
         return cfg, ()
     t, exc = cfg.timing, cfg.excitation
     _require(t.sample_dt > 0.0, f"timing.sample_dt: must be > 0, got {t.sample_dt!r}")
     _require(t.t_final >= 0.0, f"timing.t_final: must be >= 0, got {t.t_final!r}")
-    _require(cfg.kappa > 0.0, f"kappa: must be > 0, got {cfg.kappa!r}")
-    _require(cfg.beta >= 0.0, f"beta: must be >= 0, got {cfg.beta!r}")
     _require(exc is not None, "excitation.kind: experiment needs an excitation")
     want = "single_site" if cfg.experiment == "transport_single_site" else "gaussian"
     _require(exc.kind == want, f"excitation.kind: must be {want} for this experiment")

@@ -429,16 +429,35 @@ def test_a_warning_prints_one_line_and_library_callers_still_get_it(tmp_path, ca
         protocols.run_experiment(read_config(cfg))
 
 
-@pytest.mark.parametrize("command,base", [
-    pytest.param("transport", FAST_TRANSPORT_CFG, id="transport"),
+@pytest.mark.parametrize("command,base,label", [
+    pytest.param("transport", FAST_TRANSPORT_CFG, "a=b", id="transport"),
     # the experiment without a chain
-    pytest.param("dispersion", render_config(PRESETS["fig2"]), id="dispersion"),
+    pytest.param("dispersion", render_config(PRESETS["fig2"]), "a=b", id="dispersion"),
+    # read_metrics would read 'my,run' as a float list, and fail on 'my'
+    pytest.param("transport", FAST_TRANSPORT_CFG, "my,run", id="transport-comma"),
+    pytest.param("dispersion", render_config(PRESETS["fig2"]), "my,run", id="dispersion-comma"),
 ])
 def test_preset_label_metrics_cannot_hold_exits_2_before_any_write(tmp_path, capsys, command,
-                                                                   base):
-    cfg = _write_config_with(tmp_path, "preset = a=b", base)
+                                                                   base, label):
+    cfg = _write_config_with(tmp_path, f"preset = {label}", base)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     _single_config_error(capsys, "preset")
+    _assert_left_nothing(tmp_path, tmp_path / "o")
+
+
+@pytest.mark.parametrize("line,key", [
+    ("kappa = -1", "kappa"),
+    ("kappa = 0", "kappa"),
+    ("beta = -0.4", "beta"),
+    # a band bound 2*kappa + 2*beta + |gamma| past the double range, which would put
+    # nan and inf into scan.csv and metrics.txt
+    ("beta = 1e308", "beta"),
+    ("kappa = 1e308", "kappa"),
+])
+def test_dispersion_scan_bad_rate_exits_2_before_any_write(tmp_path, capsys, line, key):
+    cfg = _write_config_with(tmp_path, line, render_config(PRESETS["fig2"]))
+    assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    _single_config_error(capsys, key)
     _assert_left_nothing(tmp_path, tmp_path / "o")
 
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nhlattice import (
     EXPERIMENTS,
+    PRESETS,
     ChainSpec,
     ConfigError,
     ExperimentConfig,
@@ -496,6 +497,68 @@ def test_metrics_roundtrip(tmp_path):
     path = tmp_path / "metrics.txt"
     write_metrics(metrics, path)
     assert read_metrics(path) == metrics
+
+
+def _reads_back_as(back, value) -> bool:
+    """Whether a metric read back equals the value written, nan equal to nan.  A float
+    of integral value is written like an int and reads back as one, so types are not
+    compared, but for a bool: one reads back as a bool, and nothing else does."""
+    if isinstance(value, tuple):
+        return (isinstance(back, tuple) and len(back) == len(value)
+                and all(map(_reads_back_as, back, value)))
+    if isinstance(value, (bool, np.bool_)) or isinstance(back, bool):
+        return isinstance(value, (bool, np.bool_)) and isinstance(back, bool) and back == value
+    if isinstance(value, float) and math.isnan(value):
+        return isinstance(back, float) and math.isnan(back)
+    return back == value
+
+
+def _assert_metrics_read_back(metrics, path):
+    write_metrics(metrics, path)
+    back = read_metrics(path)
+    assert list(back) == list(metrics)
+    for key, value in metrics.items():
+        assert _reads_back_as(back[key], value), (key, value, back[key])
+    # read_metrics would read a string holding ',' as a float list: write_metrics refuses it
+    with pytest.raises(ValueError, match="cannot be serialized"):
+        write_metrics({**metrics, "preset": "my,run"}, path)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_every_preset_metric_reads_back(tmp_path, preset_results, name):
+    _assert_metrics_read_back(preset_results(name)[0].metrics, tmp_path / "metrics.txt")
+
+
+def _reads_as_a_string(s: str) -> bool:
+    """Whether a stripped token reads back as a string: one that spells a bool or a
+    number reads back as that value."""
+    try:
+        float(s)
+    except ValueError:
+        return s not in ("true", "false")
+    return False
+
+
+#: characters that end a line for str.splitlines, which read_metrics splits on
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+#: strings that read back as themselves: no line break, '=' or ','; no surrogate, which
+#: UTF-8 cannot encode
+_METRIC_STRINGS = st.text(st.characters(blacklist_categories=("Cs",),
+                                        blacklist_characters=_LINE_BREAKS + "=,"))
+_METRIC_VALUES = st.one_of(
+    st.booleans(), st.integers(), st.floats(),
+    st.lists(st.floats(), min_size=2).map(tuple),
+    _METRIC_STRINGS.map(str.strip).filter(_reads_as_a_string))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(values=st.lists(_METRIC_VALUES, max_size=8))
+@example(values=[math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.2250738585072014e-308, 2.0,
+                 (math.nan, -0.0, 5e-324), True, 10 ** 30, "", "fig6a"])
+def test_drawn_metrics_read_back(tmp_path_factory, values):
+    # a tuple of fewer than two floats is not a list token, so the draws hold two or more
+    path = tmp_path_factory.mktemp("metrics") / "metrics.txt"
+    _assert_metrics_read_back({f"m{i}": v for i, v in enumerate(values)}, path)
 
 
 def test_metrics_line_without_equals_rejected_naming_the_line(tmp_path):
